@@ -1,17 +1,20 @@
-"""Abl 1 — score-engine ablation: vectorized vs sparse vs the reference oracle.
+"""Abl 1 — score-engine ablation: sparse engine over sparse and dense storage
+vs the reference oracle.
 
 DESIGN.md commits to interchangeable Eq. 1–4 evaluators.  This benchmark
-quantifies the choice three ways:
+quantifies the choice two ways:
 
 * bulk scoring of one interval (the inner loop of GRD/TOP) and a full GRD
-  run are timed under every engine on the *same* instance, with outputs
-  asserted equal.  The reference engine uses a deliberately reduced
-  instance — it is the semantic oracle, not a contender.
+  run are timed under every stack on the *same* workload, with outputs
+  asserted equal: the sparse engine over CSC ``mu`` (the default), the
+  sparse engine over dense ``mu``, and the reference oracle over dense
+  ``mu`` (it reads ``mu`` one element at a time; it is the semantic
+  oracle, not a contender).
 * a **scale panel** runs the same workload at 10x the suite's default
-  population (2,000 users) under the dense pipeline (dense ``mu`` +
-  vectorized engine) and the sparse pipeline (CSC ``mu`` + sparse
-  engine), asserting identical utilities and *lower peak memory* for
-  sparse — the property that unlocks Meetup-scale populations.
+  population (2,000 users) under the dense pipeline (dense ``mu``) and
+  the sparse pipeline (CSC ``mu``), both scored by the sparse engine,
+  asserting identical utilities and *lower peak memory* for sparse — the
+  property that unlocks Meetup-scale populations.
 """
 
 from __future__ import annotations
@@ -31,43 +34,54 @@ _USERS = 200
 #: The scale panel runs at 10x the default population of this module.
 _SCALE_FACTOR = 10
 _GENERATOR = WorkloadGenerator(root_seed=99)
-_CONFIG = ExperimentConfig(k=_K, n_users=_USERS)
-_INSTANCE = None
+
+#: stack name -> engine spec; ``mu`` storage follows ``spec.interest_backend``
+_STACKS = {
+    "sparse/sparse": EngineSpec(),
+    "sparse/dense": EngineSpec(backend="dense"),
+    "reference/dense": EngineSpec(kind="reference"),
+}
+_INSTANCES: dict[str, object] = {}
 
 
-def _instance():
-    global _INSTANCE
-    if _INSTANCE is None:
-        _INSTANCE = _GENERATOR.build(_CONFIG)
-    return _INSTANCE
+def _instance(backend: str):
+    if backend not in _INSTANCES:
+        config = ExperimentConfig(k=_K, n_users=_USERS, interest_backend=backend)
+        # one fixed build seed: both storages hold the same mu values
+        _INSTANCES[backend] = _GENERATOR.build(config, seed=1)
+    return _INSTANCES[backend]
 
 
 @pytest.mark.benchmark(group="ablation1-engines")
-@pytest.mark.parametrize("kind", ["vectorized", "sparse", "reference"])
-def test_bulk_interval_scoring(benchmark, kind: str):
-    instance = _instance()
-    engine = make_engine(instance, EngineSpec(kind))
+@pytest.mark.parametrize("stack", sorted(_STACKS))
+def test_bulk_interval_scoring(benchmark, stack: str):
+    spec = _STACKS[stack]
+    instance = _instance(spec.interest_backend)
+    engine = make_engine(instance, spec)
     events = list(range(instance.n_events))
 
     scores = benchmark(engine.scores_for_interval, 0, events)
-    # every engine must produce the same numbers
-    oracle = make_engine(instance, EngineSpec("reference")).scores_for_interval(0, events)
+    # every stack must produce the same numbers
+    oracle = make_engine(
+        _instance("dense"), EngineSpec("reference")
+    ).scores_for_interval(0, events)
     np.testing.assert_allclose(scores, oracle, atol=1e-9)
-    benchmark.extra_info["engine"] = kind
+    benchmark.extra_info["stack"] = stack
 
 
 @pytest.mark.benchmark(group="ablation1-engines")
-@pytest.mark.parametrize("kind", ["vectorized", "sparse", "reference"])
-def test_full_grd_run(benchmark, kind: str):
-    instance = _instance()
-    solver = GreedyScheduler(engine=EngineSpec(kind))
+@pytest.mark.parametrize("stack", sorted(_STACKS))
+def test_full_grd_run(benchmark, stack: str):
+    spec = _STACKS[stack]
+    solver = GreedyScheduler(engine=spec)
     result = benchmark.pedantic(
-        solver.solve, args=(instance, _K), rounds=1, iterations=1
+        solver.solve, args=(_instance(spec.interest_backend), _K),
+        rounds=1, iterations=1,
     )
-    benchmark.extra_info["engine"] = kind
+    benchmark.extra_info["stack"] = stack
     benchmark.extra_info["utility"] = result.utility
-    # the choice of engine must not affect the outcome
-    oracle = GreedyScheduler(engine="vectorized").solve(instance, _K)
+    # the choice of stack must not affect the outcome
+    oracle = GreedyScheduler().solve(_instance("sparse"), _K)
     assert result.utility == pytest.approx(oracle.utility, abs=1e-6)
 
 
@@ -75,10 +89,10 @@ def test_full_grd_run(benchmark, kind: str):
 # scale panel: dense vs sparse pipeline at 10x users
 # ----------------------------------------------------------------------
 
-#: pipeline name -> engine spec (backend pairing follows the spec)
+#: pipeline name -> engine spec (the backend pairing follows the spec)
 _PIPELINES = {
-    "dense": EngineSpec(kind="vectorized", backend="dense"),
-    "sparse": EngineSpec(kind="sparse", backend="sparse"),
+    "dense": EngineSpec(backend="dense"),
+    "sparse": EngineSpec(),
 }
 
 

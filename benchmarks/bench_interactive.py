@@ -63,9 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--users", type=int, default=None)
     parser.add_argument("-k", type=int, default=None)
     parser.add_argument("--seed", type=int, default=_SEED)
-    parser.add_argument(
-        "--engine", choices=("sparse", "vectorized"), default="sparse"
-    )
     parser.add_argument("--json", type=Path, default=None, metavar="PATH")
     return parser
 
@@ -99,7 +96,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.k is not None:
         scale["k"] = args.k
 
-    spec = EngineSpec(kind=args.engine)
+    spec = EngineSpec()
     config = ExperimentConfig(
         k=scale["k"],
         n_users=scale["users"],
@@ -205,7 +202,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         path = write_artifact(
             args.json,
             "bench_interactive",
-            {**scale, "engine": args.engine, "seed": args.seed},
+            {**scale, "engine": spec.kind, "seed": args.seed},
             {
                 "gap_report": {
                     "reports": scale["reports"],

@@ -88,9 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _workload(scale: dict, seed: int):
-    config = ExperimentConfig(
-        k=scale["k"], n_users=scale["users"], interest_backend="dense"
-    )
+    config = ExperimentConfig(k=scale["k"], n_users=scale["users"])
     instance = WorkloadGenerator(root_seed=seed).build(config)
     trace = TraceGenerator(
         config, TraceConfig(n_ops=scale["trace_ops"]), root_seed=seed
@@ -102,7 +100,7 @@ def _driver(instance, policy, durability=None):
     return StreamDriver(
         instance,
         policy=policy,
-        engine=EngineSpec(kind="vectorized"),
+        engine=EngineSpec(),
         durability=durability,
     )
 

@@ -88,9 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=_SEED)
     parser.add_argument(
-        "--engine", choices=("sparse", "vectorized"), default="sparse"
-    )
-    parser.add_argument(
         "--min-speedup",
         type=float,
         default=0.0,
@@ -176,7 +173,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.k is not None:
         scale["k"] = args.k
 
-    spec = EngineSpec(kind=args.engine)
+    spec = EngineSpec()
     config = ExperimentConfig(
         k=scale["k"],
         n_users=scale["users"],
@@ -297,7 +294,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "bench_serving",
             dict(
                 scale,
-                engine=args.engine,
+                engine=spec.kind,
                 seed=args.seed,
                 smoke=args.smoke,
                 clients=args.clients,

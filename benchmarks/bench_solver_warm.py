@@ -60,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--users", type=int, default=None)
     parser.add_argument("-k", type=int, default=None)
     parser.add_argument("--seed", type=int, default=_SEED)
-    parser.add_argument(
-        "--engine", choices=("sparse", "vectorized"), default="sparse"
-    )
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--json", type=Path, default=None, metavar="PATH")
     return parser
@@ -171,7 +168,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.k is not None:
         scale["k"] = args.k
 
-    spec = EngineSpec(kind=args.engine)
+    spec = EngineSpec()
     config = ExperimentConfig(
         k=scale["k"],
         n_users=scale["users"],
@@ -199,7 +196,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         path = write_artifact(
             args.json,
             "bench_solver_warm",
-            dict(scale, engine=args.engine, seed=args.seed, smoke=args.smoke),
+            dict(scale, engine=spec.kind, seed=args.seed, smoke=args.smoke),
             {"session_resolves": session_rows, "oracle_sampling": oracle_row},
         )
         print(f"wrote {path}")

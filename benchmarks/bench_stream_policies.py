@@ -74,6 +74,7 @@ LARGE = {"users": MEETUP_USERS, "k": 60, "ops": 10}
 SMOKE = {"users": 250, "k": 10, "ops": 8}
 
 _SEED = 2018  # the paper's year, as everywhere in the benchmark suite
+_ENGINE = EngineSpec()  # the default sparse stack
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ops", type=int, default=None)
     parser.add_argument("-k", type=int, default=None)
     parser.add_argument("--seed", type=int, default=_SEED)
-    parser.add_argument(
-        "--engine",
-        choices=("sparse", "vectorized"),
-        default="sparse",
-        help="engine/backend pipeline (default: the sparse stack)",
-    )
     parser.add_argument(
         "--oracle-every",
         type=int,
@@ -120,11 +115,10 @@ def run_policies(
     if args.ops is not None:
         scale["ops"] = args.ops
 
-    spec = EngineSpec(kind=args.engine)
     config = ExperimentConfig(
         k=scale["k"],
         n_users=scale["users"],
-        interest_backend=spec.interest_backend,
+        interest_backend=_ENGINE.interest_backend,
     )
     trace = TraceGenerator(
         config, TraceConfig(n_ops=scale["ops"]), root_seed=args.seed
@@ -157,7 +151,7 @@ def run_policies(
         driver = StreamDriver(
             instance,
             policy=make_policy(name, **params),
-            engine=spec,
+            engine=_ENGINE,
             oracle_every=args.oracle_every,
         )
         started = time.perf_counter()
@@ -301,9 +295,8 @@ def check_fast_path(results: Sequence[StreamResult]) -> int:
 def check_warm_scoring(results: Sequence[StreamResult]) -> int:
     """Assert warm re-solves re-score strictly less than cold fills.
 
-    The warm periodic replay pays one cold fill up front (plus, on the
-    vectorized engine, the odd geometry refill when the live event
-    count crosses a power of two); every remaining re-solve is warm,
+    The warm periodic replay pays one cold fill up front; every
+    remaining re-solve is warm,
     and the plane's accounting must show those warm re-solves re-scored
     strictly fewer cells *in total* than the cold fills they replaced —
     the ScorePlane acceptance bar.
@@ -378,7 +371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     failures += check_warm_scoring(results)
     if args.json is not None:
         scale_record = dict(
-            scale, engine=args.engine, seed=args.seed, smoke=args.smoke
+            scale, engine=_ENGINE.kind, seed=args.seed, smoke=args.smoke
         )
         path = write_artifact(
             args.json,

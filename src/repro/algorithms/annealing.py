@@ -50,10 +50,8 @@ class AnnealingScheduler(Scheduler):
         initial_temperature: float = 1.0,
         cooling: float = 0.995,
         seed_schedule: Schedule | None = None,
-        *,
-        engine_kind: str | None = None,
     ):
-        super().__init__(engine, strict=strict, engine_kind=engine_kind)
+        super().__init__(engine, strict=strict)
         if steps <= 0:
             raise ValueError(f"steps must be positive, got {steps}")
         if not 0.0 < cooling < 1.0:

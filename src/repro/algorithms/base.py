@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from repro.core.engine import EngineSpec, ScoreEngine, resolve_engine_spec
+from repro.core.engine import EngineSpec, ScoreEngine
 from repro.core.errors import (
     InfeasibleAssignmentError,
     LockError,
@@ -97,16 +97,11 @@ class Scheduler(ABC):
     ----------
     engine:
         An :class:`~repro.core.engine.EngineSpec` (or bare kind string /
-        ``None`` for the vectorized default); every solver is
+        ``None`` for the sparse default); every solver is
         engine-agnostic, which is what makes the Abl-1 ablation possible.
-        Pick ``EngineSpec(kind="sparse")`` (with a sparse-backed interest
-        matrix) for Meetup-scale populations.
     strict:
         When True, raise :class:`ScheduleSizeError` if fewer than ``k``
         assignments were placed.
-    engine_kind:
-        Deprecated alias for ``engine`` taking the bare kind string; emits
-        a :class:`DeprecationWarning`.
     """
 
     #: Human-facing solver name; subclasses override.
@@ -116,22 +111,13 @@ class Scheduler(ABC):
         self,
         engine: EngineSpec | str | None = None,
         strict: bool = False,
-        *,
-        engine_kind: str | None = None,
     ):
-        self._engine_spec = resolve_engine_spec(
-            engine, engine_kind, owner=type(self).__name__
-        )
+        self._engine_spec = EngineSpec.coerce(engine)
         self._strict = strict
 
     @property
     def engine_spec(self) -> EngineSpec:
         return self._engine_spec
-
-    @property
-    def engine_kind(self) -> str:
-        """Back-compat accessor: the kind of :attr:`engine_spec`."""
-        return self._engine_spec.kind
 
     def solve(
         self,

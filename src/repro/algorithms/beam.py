@@ -47,10 +47,8 @@ class BeamSearchScheduler(Scheduler):
         strict: bool = False,
         beam_width: int = 4,
         branch_factor: int | None = None,
-        *,
-        engine_kind: str | None = None,
     ):
-        super().__init__(engine, strict=strict, engine_kind=engine_kind)
+        super().__init__(engine, strict=strict)
         if beam_width <= 0:
             raise ValueError(f"beam_width must be positive, got {beam_width}")
         if branch_factor is not None and branch_factor <= 0:

@@ -53,10 +53,8 @@ class ExhaustiveScheduler(Scheduler):
         engine: EngineSpec | str | None = None,
         strict: bool = False,
         max_nodes: int = 2_000_000,
-        *,
-        engine_kind: str | None = None,
     ):
-        super().__init__(engine, strict=strict, engine_kind=engine_kind)
+        super().__init__(engine, strict=strict)
         if max_nodes <= 0:
             raise ValueError(f"max_nodes must be positive, got {max_nodes}")
         self._max_nodes = max_nodes

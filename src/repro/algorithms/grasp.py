@@ -51,10 +51,8 @@ class GraspScheduler(Scheduler):
         alpha: float = 0.15,
         polish: bool = True,
         polish_rounds: int = 3,
-        *,
-        engine_kind: str | None = None,
     ):
-        super().__init__(engine, strict=strict, engine_kind=engine_kind)
+        super().__init__(engine, strict=strict)
         if restarts <= 0:
             raise ValueError(f"restarts must be positive, got {restarts}")
         if not 0.0 <= alpha <= 1.0:

@@ -94,7 +94,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.registry import register_solver
-from repro.core.engine import EngineSpec, resolve_engine_spec
+from repro.core.engine import EngineSpec
 from repro.core.entities import CandidateEvent, CompetingEvent
 from repro.core.errors import (
     InfeasibleAssignmentError,
@@ -131,14 +131,11 @@ class IncrementalScheduler:
         k: int,
         engine: EngineSpec | str | None = None,
         *,
-        engine_kind: str | None = None,
         locks: LockSet | None = None,
     ):
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        self._engine_spec = resolve_engine_spec(
-            engine, engine_kind, owner=type(self).__name__
-        )
+        self._engine_spec = EngineSpec.coerce(engine)
         self._k = k
         self._locks = LockSet.coerce(locks)
         if self._locks is not None:

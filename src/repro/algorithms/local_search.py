@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.algorithms.base import ScheduleResult, SolverStats
 from repro.algorithms.registry import register_solver
-from repro.core.engine import EngineSpec, ScoreEngine, resolve_engine_spec
+from repro.core.engine import EngineSpec, ScoreEngine
 from repro.core.feasibility import FeasibilityChecker
 from repro.core.instance import SESInstance
 from repro.core.schedule import Assignment, Schedule
@@ -49,14 +49,10 @@ class LocalSearchRefiner:
         engine: EngineSpec | str | None = None,
         max_rounds: int = 50,
         seed: int | np.random.Generator | None = None,
-        *,
-        engine_kind: str | None = None,
     ):
         if max_rounds <= 0:
             raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-        self._engine_spec = resolve_engine_spec(
-            engine, engine_kind, owner=type(self).__name__
-        )
+        self._engine_spec = EngineSpec.coerce(engine)
         self._max_rounds = max_rounds
         self._rng = ensure_rng(seed)
 

@@ -39,10 +39,8 @@ class RandomScheduler(Scheduler):
         engine: EngineSpec | str | None = None,
         strict: bool = False,
         seed: int | np.random.Generator | None = None,
-        *,
-        engine_kind: str | None = None,
     ):
-        super().__init__(engine, strict=strict, engine_kind=engine_kind)
+        super().__init__(engine, strict=strict)
         self._rng = ensure_rng(seed)
 
     def _solve(

@@ -14,7 +14,6 @@ from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.dtype import DtypeDisciplineRule
 from repro.analysis.rules.freeze import FreezeBanRule
 from repro.analysis.rules.frozen_ops import FrozenOpsRule
-from repro.analysis.rules.shims import NoInternalShimsRule
 from repro.analysis.rules.solvers import RegistryCompletenessRule
 
 __all__ = [
@@ -31,7 +30,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     FrozenOpsRule,
     RegistryCompletenessRule,
     DeterminismRule,
-    NoInternalShimsRule,
     DtypeDisciplineRule,
 )
 

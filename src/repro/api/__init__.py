@@ -5,8 +5,7 @@ Everything a client needs to schedule events lives here:
 * :data:`solver_registry` / :func:`register_solver` — the catalog of all
   solvers with their capabilities (the CLI, the sweep runner and the
   session all derive their choices from it);
-* :class:`EngineSpec` — typed score-engine configuration replacing the
-  old stringly ``engine_kind``;
+* :class:`EngineSpec` — typed score-engine configuration;
 * :class:`SolveRequest` / :class:`SolveResponse` — frozen query/result
   value objects;
 * :class:`ScheduleSession` — the serving loop: load an instance once,

@@ -4,9 +4,9 @@ The paper's evaluation is one-shot (build instance, run each method,
 plot), but a production deployment answers *streams* of queries against
 one large user×event instance: "schedule 20 events", "what if k were 30",
 "how does SA compare", "what does hiring more staff buy".  Re-paying
-engine construction per query is pure waste — a vectorized engine
-allocates per-interval mass vectors and a sparse engine lazily
-accumulates competing-mass columns, both of which are query-independent.
+engine construction per query is pure waste — the sparse engine copies
+the activity matrix and lazily accumulates competing-mass columns, both
+of which are query-independent.
 
 :class:`ScheduleSession` is that serving loop: it holds the instance,
 memoizes one engine per :class:`~repro.core.engine.EngineSpec`, resets it
@@ -49,7 +49,7 @@ class ScheduleSession:
         The problem instance all requests run against.
     default_engine:
         :class:`EngineSpec` (or kind string) used when a request does not
-        name one; defaults to the vectorized engine.
+        name one; defaults to the sparse engine.
     registry:
         Solver catalog; the process-wide registry unless a test injects
         its own.

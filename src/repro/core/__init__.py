@@ -24,7 +24,6 @@ from repro.core.engine import (
     ReferenceEngine,
     ScoreEngine,
     SparseEngine,
-    VectorizedEngine,
     make_engine,
 )
 from repro.core.entities import (
@@ -102,7 +101,6 @@ __all__ = [
     "TimeInterval",
     "UnknownEntityError",
     "User",
-    "VectorizedEngine",
     "assignment_score",
     "attendance_probability",
     "expected_attendance",

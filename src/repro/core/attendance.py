@@ -14,7 +14,7 @@ the sum of ``rho`` over users (Eq. 2).
 
 These functions are the **reference semantics**: direct, loop-based
 transliterations of the equations.  They are deliberately unoptimized — the
-vectorized engine in :mod:`repro.core.engine` is cross-checked against them
+sparse engine in :mod:`repro.core.engine` is cross-checked against them
 in the test suite.
 """
 

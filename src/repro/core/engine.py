@@ -1,28 +1,23 @@
 """Score engines: interchangeable evaluators of Eq. 1–4 against a live schedule.
 
 Greedy solvers interrogate the objective thousands of times; this module
-provides that oracle behind one interface, :class:`ScoreEngine`, with three
+provides that oracle behind one interface, :class:`ScoreEngine`, with two
 implementations:
 
-* :class:`ReferenceEngine` — delegates to the loop-based reference functions
-  in :mod:`repro.core.attendance` / :mod:`~repro.core.objective` /
-  :mod:`~repro.core.scoring`.  O(|U| * |E_t|) per query.  The semantic
-  oracle: slow, obviously-correct, used to cross-check everything else.
-
-* :class:`VectorizedEngine` — maintains, per interval ``t``, the scheduled
-  interest mass ``M_t[u] = sum_{e in E_t(S)} mu[u, e]`` as a numpy vector.
-  With the competing mass ``K_t`` precomputed on the instance, Eq. 4
-  collapses to::
+* :class:`SparseEngine` — the production engine.  It maintains, per
+  interval ``t``, the scheduled interest mass
+  ``M_t[u] = sum_{e in E_t(S)} mu[u, e]`` and, with the competing mass
+  ``K_t``, evaluates Eq. 4 as::
 
       score(r, t) = sum_u sigma[u, t] * ( (M + m_r) / (K + M + m_r)
                                           -  M      / (K + M) )
 
-  evaluated for *all* candidate events of one interval in a single
-  broadcast (chunked over users to bound peak memory).  This is the form
-  derived in DESIGN.md §5; equality with the reference engine to 1e-9 is a
-  property test.
+  restricted to the nonzero support of ``mu[:, r]`` (design notes below).
 
-* :class:`SparseEngine` — the same algebra restricted to nonzero support.
+* :class:`ReferenceEngine` — delegates to the loop-based reference functions
+  in :mod:`repro.core.attendance` / :mod:`~repro.core.objective` /
+  :mod:`~repro.core.scoring`.  O(|U| * |E_t|) per query.  The semantic
+  oracle: slow, obviously-correct, used to cross-check the sparse engine.
 
 Sparse design notes
 -------------------
@@ -34,9 +29,10 @@ overwhelmingly sparse (a user shares tags with a tiny fraction of the
 event pool), so almost every user drops out of almost every query.  The
 sparse engine exploits this:
 
-* ``mu`` stays in CSC storage (``InterestMatrix(backend="sparse")``); a
-  score query gathers only the nonzero ``(rows, values)`` of event ``r``'s
-  column — O(nnz(r)) work and memory, independent of ``|U|``;
+* a score query gathers only the nonzero ``(rows, values)`` of event
+  ``r``'s column — O(nnz(r)) work and memory, independent of ``|U|``.
+  CSC storage (``InterestMatrix(backend="sparse")``, the default) serves
+  the gather directly; dense storage is gathered column by column;
 * the scheduled mass ``M_t`` and competing mass ``K_t`` are kept as sorted
   sparse vectors, gathered at a column's rows by binary search.  ``M_t``
   additionally counts nonzero-mu contributors per row so that removals
@@ -46,24 +42,25 @@ sparse engine exploits this:
   (``InterestMatrix.competing_mass_entries``), so the dense
   ``(|T|, |U|)`` ``competing_mass`` table on the instance is never
   touched;
-* no dense ``(users, events)`` or even ``(users,)`` temporary is ever
-  materialized — :meth:`SparseEngine.scores_for_interval` is a per-column
-  loop over gathers, whose total footprint is the number of stored
-  entries of the queried columns.
+* no dense ``(users, events)`` temporary is ever materialized —
+  :meth:`SparseEngine.scores_for_interval` is a per-column loop over
+  gathers, whose total footprint is the number of stored entries of the
+  queried columns.
 
-All three engines agree to 1e-9 on every query; the cross-engine property
-suite (``tests/properties/test_engine_equivalence.py``) draws both interest
+Per-cell results never depend on how many cells one query batches, so a
+cached cell (:class:`~repro.core.scoreplane.ScorePlane`) always equals a
+fresh query.  The two engines agree to 1e-9 on every query; the
+cross-engine property suite
+(``tests/properties/test_engine_equivalence.py``) draws both interest
 backends and random assign/unassign sequences to enforce it.
 
-Both stateful engines mirror the schedule they evaluate: call
-:meth:`assign` / :meth:`unassign` as the solver commits moves.  0/0 is
-defined as 0 throughout, matching the reference semantics.
+Both engines mirror the schedule they evaluate: call :meth:`assign` /
+:meth:`unassign` as the solver commits moves.  0/0 is defined as 0
+throughout, matching the reference semantics.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -81,19 +78,16 @@ from repro.core.live import (
     EventInterestReplaced,
     EventRemoved,
     LiveDelta,
-    _DenseColumns,
 )
 from repro.core.schedule import Assignment, Schedule
 
 __all__ = [
     "ScoreEngine",
     "ReferenceEngine",
-    "VectorizedEngine",
     "SparseEngine",
     "EngineSpec",
     "ENGINE_KINDS",
     "INTEREST_BACKENDS",
-    "resolve_engine_spec",
     "make_engine",
 ]
 
@@ -193,9 +187,9 @@ class ScoreEngine(ABC):
 
         Only meaningful for an engine built over a
         :class:`~repro.core.live.LiveInstance`: the live instance mutates
-        first, then the engine patches whatever state it caches (dense
-        ``mu`` views, per-interval mass vectors, competing-entry caches)
-        instead of being rebuilt.  Queries answered before and after are
+        first, then the engine patches whatever state it caches
+        (per-interval mass vectors, competing-entry caches) instead of
+        being rebuilt.  Queries answered before and after are
         consistent with the live state at all times.
         """
         if isinstance(delta, EventAdded):
@@ -229,20 +223,6 @@ class ScoreEngine(ABC):
                     interval=interval,
                 )
             )
-
-    def score_geometry(self) -> object:
-        """Fingerprint of the engine's floating-point query geometry.
-
-        Two queries of the same cell agree bit for bit only while this
-        value is unchanged (e.g. the vectorized engine's user-chunk
-        length, which moves when the live event count crosses a power of
-        two).  Caches of score values — :class:`ScorePlane` — compare it
-        across structural deltas and drop cached cells on a change.
-        ``None`` (the default, and the sparse/reference engines' answer)
-        means queries are geometry-free: per-cell results never depend
-        on batch shape.
-        """
-        return None
 
     # per-engine cache hooks; the default engine caches nothing
     def _on_event_added(self, delta: EventAdded) -> None:
@@ -422,342 +402,6 @@ class ReferenceEngine(ScoreEngine):
 
     def _apply(self, event: int, interval: int, sign: int) -> None:
         pass  # queries recompute from the schedule every time
-
-
-class VectorizedEngine(ScoreEngine):
-    """Numpy engine maintaining per-interval scheduled-mass vectors.
-
-    Parameters
-    ----------
-    instance:
-        The problem instance.
-    chunk_elements:
-        Upper bound on the number of matrix elements materialized by one
-        broadcast in :meth:`scores_for_interval`; larger inputs are chunked
-        along the user axis.  The default (4M doubles = 32 MB per
-        temporary) keeps the working set cache-friendly even at full
-        Meetup scale.
-
-    Chunk boundaries are a function of the *instance's* event count, not
-    of how many events one query happens to batch, so a cell's value is
-    reproducible across batch compositions: scoring one event at one
-    interval, a subset row refresh and a full row fill all walk the same
-    user chunks and therefore accumulate in the same order.  The
-    :class:`~repro.core.scoreplane.ScorePlane` warm-start contract (a
-    cached cell equals what a fresh fill would compute) leans on this.
-    """
-
-    def __init__(
-        self, instance: SESInstance, chunk_elements: int = 4_000_000
-    ) -> None:
-        if chunk_elements <= 0:
-            raise ValueError(f"chunk_elements must be positive, got {chunk_elements}")
-        self._chunk_elements = int(chunk_elements)
-        self._mu = instance.interest.candidate
-        self._mu_store: _DenseColumns | None = None
-        self._sigma = instance.activity.matrix
-        self._scheduled_mass: dict[int, np.ndarray] = {}
-        self._contributors: dict[int, np.ndarray] = {}
-        super().__init__(instance)
-
-    # ------------------------------------------------------------------
-    def _reset_state(self) -> None:
-        self._scheduled_mass.clear()
-        self._contributors.clear()
-
-    def _apply(self, event: int, interval: int, sign: int) -> None:
-        if sign < 0 and not self._schedule.events_at(interval):
-            del self._scheduled_mass[interval]
-            del self._contributors[interval]
-            return
-        mass = self._scheduled_mass.get(interval)
-        if mass is None:
-            mass = np.zeros(self._instance.n_users)
-            self._scheduled_mass[interval] = mass
-            self._contributors[interval] = np.zeros(
-                self._instance.n_users, dtype=np.int64
-            )
-        column = self._mu[:, event]
-        contributors = self._contributors[interval]
-        if sign > 0:
-            mass += column
-            contributors += column != 0.0
-            return
-        # Plain subtraction leaves ~1e-16 residue on users whose remaining
-        # mass should be exactly zero, and where the competing mass is also
-        # zero the ratio M / (K + M) then evaluates to 1 instead of 0 — a
-        # whole sigma[u, t] of phantom utility per affected user.  Counting
-        # nonzero-mu contributors per user lets us hard-zero exactly those
-        # entries in O(|U|), without rebuilding from the sibling columns.
-        mass -= column
-        contributors -= column != 0.0
-        mass[contributors == 0] = 0.0
-
-    def _mass(self, interval: int) -> np.ndarray:
-        mass = self._scheduled_mass.get(interval)
-        if mass is None:
-            return np.zeros(self._instance.n_users)
-        return mass
-
-    def _clone_shell(self) -> "VectorizedEngine":
-        # bypass __init__: re-reading interest.candidate would materialize
-        # a fresh dense matrix over sparse-backed storage (O(|U| * |E|));
-        # the clone shares the original's mu view / sigma and copies only
-        # the per-interval accumulators (and the engine-owned dense
-        # buffer, when one was densified by live deltas)
-        other = object.__new__(VectorizedEngine)
-        other._chunk_elements = self._chunk_elements
-        if self._mu_store is not None:
-            other._mu_store = self._mu_store.copy()
-            other._mu = other._mu_store.view()
-        else:
-            other._mu_store = None
-            other._mu = self._mu
-        other._sigma = self._sigma
-        other._scheduled_mass = {
-            interval: mass.copy()
-            for interval, mass in self._scheduled_mass.items()
-        }
-        other._contributors = {
-            interval: counts.copy()
-            for interval, counts in self._contributors.items()
-        }
-        ScoreEngine.__init__(other, self._instance)
-        return other
-
-    # -- live-instance deltas -------------------------------------------
-    def _delta_column(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-        column = np.zeros(self._instance.n_users)
-        column[rows] = values
-        return column
-
-    def _own_mu(self) -> _DenseColumns:
-        """The engine-owned dense ``mu`` buffer for non-dense interest.
-
-        Over a dense-backed live instance ``interest.candidate`` is a
-        zero-copy view, so no engine copy is needed — but a sparse-backed
-        live instance would have to materialize the full dense matrix on
-        every access.  Instead the engine densifies once on the first
-        structural delta and patches its own growable column buffer in
-        O(delta) afterwards.
-        """
-        if self._mu_store is None:
-            self._mu_store = _DenseColumns(np.asarray(self._mu))
-        return self._mu_store
-
-    def _mu_is_live_view(self) -> bool:
-        return getattr(self._instance.interest, "backend", "dense") == "dense"
-
-    def _on_event_added(self, delta: EventAdded) -> None:
-        if self._mu_is_live_view():
-            self._mu = self._instance.interest.candidate
-        else:
-            store = self._own_mu()
-            store.append(self._delta_column(delta.rows, delta.values))
-            self._mu = store.view()
-
-    def _on_event_removed(self, delta: EventRemoved) -> None:
-        if self._mu_is_live_view():
-            self._mu = self._instance.interest.candidate
-        else:
-            store = self._own_mu()
-            store.remove(delta.event)
-            self._mu = store.view()
-
-    def _on_event_interest_replaced(self, delta: EventInterestReplaced) -> None:
-        if self._mu_is_live_view():
-            self._mu = self._instance.interest.candidate
-        else:
-            store = self._own_mu()
-            store.put(delta.event, self._delta_column(delta.rows, delta.values))
-            self._mu = store.view()
-        interval = self._schedule.interval_of(delta.event)
-        if interval is None:
-            return
-        # the scheduled-mass vector still carries the old column: swap the
-        # contributions in O(nnz(old) + nnz(new)), hard-zeroing entries
-        # whose nonzero-contributor count returned to zero (see _apply)
-        mass = self._scheduled_mass[interval]
-        contributors = self._contributors[interval]
-        mass[delta.old_rows] -= delta.old_values
-        contributors[delta.old_rows] -= 1
-        mass[delta.rows] += delta.values
-        contributors[delta.rows] += 1
-        touched = np.union1d(delta.old_rows, delta.rows)
-        dead = touched[contributors[touched] == 0]
-        mass[dead] = 0.0
-
-    def _on_competing_added(self, delta: CompetingAdded) -> None:
-        pass  # K_t is read through the live instance at query time
-
-    # ------------------------------------------------------------------
-    def score(self, event: int, interval: int) -> float:
-        if self._schedule.contains_event(event):
-            raise DuplicateEventError(
-                f"event {event} is already scheduled; Eq. 4 requires r not in E(S)"
-            )
-        return _eq4_gain(
-            self._mass(interval),
-            self._instance.competing_mass[interval],
-            self._mu[:, event],
-            self._sigma[:, interval],
-        )
-
-    def scores_for_interval(self, interval: int, events: Sequence[int]) -> np.ndarray:
-        event_indices = np.asarray(list(events), dtype=np.intp)
-        if event_indices.size == 0:
-            return np.zeros(0)
-        for event in event_indices:
-            if self._schedule.contains_event(int(event)):
-                raise DuplicateEventError(
-                    f"event {int(event)} is already scheduled; "
-                    f"Eq. 4 requires r not in E(S)"
-                )
-
-        n_users = self._instance.n_users
-        scheduled = self._mass(interval)
-        competing = self._instance.competing_mass[interval]
-        sigma = self._sigma[:, interval]
-        old_denominator = competing + scheduled
-        base = float(sigma @ masked_ratio(scheduled, old_denominator))
-
-        # Chunked, allocation-lean evaluation.  Per chunk only two
-        # (users x events) temporaries are materialized: the mu column
-        # gather (reused in place as the numerator, then as the ratio)
-        # and the denominator.  Where the denominator is 0 the numerator
-        # is necessarily 0 as well (all masses are non-negative), so the
-        # masked divide leaves the correct 0 behind without pre-zeroing.
-        scores = np.zeros(event_indices.size)
-        chunk_users = self._chunk_users()
-        for start in range(0, n_users, chunk_users):
-            stop = min(start + chunk_users, n_users)
-            # advanced indexing already yields a fresh array we may mutate
-            work = self._mu[start:stop, event_indices]  # mu columns
-            denominator = work + old_denominator[start:stop, None]
-            np.add(work, scheduled[start:stop, None], out=work)  # numerator
-            np.divide(work, denominator, out=work, where=denominator > 0.0)
-            scores += sigma[start:stop] @ work
-        return scores - base
-
-    def _chunk_users(self) -> int:
-        """User-axis chunk length, independent of any query's batch size.
-
-        Sized against the instance's full event count so the worst-case
-        (all-events) row fill stays within ``chunk_elements``; smaller
-        batches reuse the same boundaries, which is what makes cell
-        values batch-composition-independent (see the class docstring).
-        The event count is rounded up to the next power of two so the
-        boundaries stay stable as live arrivals/cancellations drift
-        ``n_events`` — they only move when the count crosses a power of
-        two, which :meth:`score_geometry` exposes so cached score state
-        (a :class:`~repro.core.scoreplane.ScorePlane`) can detect the
-        change and refill instead of serving cells computed under the
-        old accumulation grouping.
-        """
-        bucket = 1 << max(0, self._instance.n_events - 1).bit_length()
-        return max(1, self._chunk_elements // max(1, bucket))
-
-    def score_geometry(self) -> object:
-        """See :meth:`ScoreEngine.score_geometry`: the chunk length."""
-        return self._chunk_users()
-
-    def scores_for_event(
-        self, event: int, intervals: Sequence[int]
-    ) -> np.ndarray:
-        """Batched one-column scoring, walking the row-fill user chunks.
-
-        Each cell is computed with exactly the elementwise operations —
-        and the same user-chunk accumulation order — that
-        :meth:`scores_for_interval` applies to that event's column, so a
-        :class:`~repro.core.scoreplane.ScorePlane` column restored here
-        equals the cell a row refresh would have produced.
-        """
-        if self._schedule.contains_event(event):
-            raise DuplicateEventError(
-                f"event {event} is already scheduled; Eq. 4 requires r not in E(S)"
-            )
-        interval_indices = [int(interval) for interval in intervals]
-        scores = np.zeros(len(interval_indices))
-        n_users = self._instance.n_users
-        chunk_users = self._chunk_users()
-        column = self._mu[:, event]
-        for position, interval in enumerate(interval_indices):
-            scheduled = self._mass(interval)
-            old_denominator = (
-                self._instance.competing_mass[interval] + scheduled
-            )
-            sigma = self._sigma[:, interval]
-            base = float(sigma @ masked_ratio(scheduled, old_denominator))
-            score = 0.0
-            for start in range(0, n_users, chunk_users):
-                stop = min(start + chunk_users, n_users)
-                work = column[start:stop].copy()
-                denominator = work + old_denominator[start:stop]
-                np.add(work, scheduled[start:stop], out=work)
-                np.divide(work, denominator, out=work, where=denominator > 0.0)
-                score += float(sigma[start:stop] @ work)
-            scores[position] = score - base
-        return scores
-
-    def _mass_without(self, interval: int, excluding: int) -> np.ndarray:
-        """``M_t`` with one scheduled column withdrawn (pure function).
-
-        Reproduces :meth:`_apply`'s subtraction exactly — including the
-        contributor-count hard-zeroing — without touching engine state.
-        """
-        column = self._mu[:, excluding]
-        mass = self._mass(interval) - column
-        contributors = self._contributors.get(interval)
-        if contributors is not None:
-            mass[(contributors - (column != 0.0)) == 0] = 0.0
-        return mass
-
-    def _score_excluding(self, event: int, interval: int, excluding: int) -> float:
-        return _eq4_gain(
-            self._mass_without(interval, excluding),
-            self._instance.competing_mass[interval],
-            self._mu[:, event],
-            self._sigma[:, interval],
-        )
-
-    def omega(self, event: int) -> float:
-        interval = self._schedule.interval_of(event)
-        if interval is None:
-            raise UnknownEntityError(
-                f"event {event} is not scheduled; omega is defined only for "
-                f"scheduled events"
-            )
-        denominator = self._instance.competing_mass[interval] + self._mass(interval)
-        ratio = masked_ratio(self._mu[:, event], denominator)
-        return float(self._sigma[:, interval] @ ratio)
-
-    def interval_utility(self, interval: int) -> float:
-        scheduled = self._mass(interval)
-        denominator = self._instance.competing_mass[interval] + scheduled
-        ratio = masked_ratio(scheduled, denominator)
-        return float(self._sigma[:, interval] @ ratio)
-
-    def total_utility(self) -> float:
-        return sum(
-            self.interval_utility(interval) for interval in self._scheduled_mass
-        )
-
-    def export_mass_state(self) -> list[Any]:
-        # a list of triples, not a dict: checkpoint files sort object
-        # keys, and interval insertion order is part of the state
-        return [
-            [int(interval), mass.tolist(), self._contributors[interval].tolist()]
-            for interval, mass in self._scheduled_mass.items()
-        ]
-
-    def restore_mass_state(self, state: list[Any]) -> None:
-        self._scheduled_mass = {}
-        self._contributors = {}
-        for interval, mass, contributors in state:
-            self._scheduled_mass[int(interval)] = np.asarray(mass, dtype=float)
-            self._contributors[int(interval)] = np.asarray(
-                contributors, dtype=np.int64
-            )
 
 
 class _SparseMass:
@@ -1316,7 +960,6 @@ class SparseEngine(ScoreEngine):
 
 
 _ENGINES = {
-    "vectorized": VectorizedEngine,
     "sparse": SparseEngine,
     "reference": ReferenceEngine,
 }
@@ -1334,25 +977,25 @@ INTEREST_BACKENDS: tuple[str, ...] = ("dense", "sparse")
 class EngineSpec:
     """Typed description of a score-engine configuration.
 
-    Replaces the stringly-typed ``engine_kind`` previously threaded through
-    every solver constructor, :func:`make_engine` and the CLI.  Being a
-    frozen (hashable) value object, it doubles as the cache key under which
-    :class:`repro.api.ScheduleSession` memoizes engine construction.
+    Being a frozen (hashable) value object, it doubles as the cache key
+    under which :class:`repro.api.ScheduleSession` memoizes engine
+    construction.
 
     Parameters
     ----------
     kind:
-        One of :data:`ENGINE_KINDS` — ``"vectorized"`` (default),
-        ``"sparse"`` or ``"reference"``.
+        One of :data:`ENGINE_KINDS` — ``"sparse"`` (default) or
+        ``"reference"``.
     backend:
         Optional ``mu`` storage hint for *generated* workloads (``"dense"``
         or ``"sparse"``); ``None`` lets :attr:`interest_backend` pick the
-        natural pairing (sparse storage for the sparse engine).
+        natural pairing (sparse storage for the sparse engine, dense for
+        the reference oracle, which reads ``mu`` one element at a time).
     shards:
         ``None`` (default) builds the flat engine.  An integer ``P >= 1``
         builds a :class:`repro.shard.engine.ShardedEngine` that partitions
         the user axis into P dispatch shards of fixed-size accumulation
-        blocks, running ``kind`` sub-engines per block.  Not valid with
+        blocks, running a sparse sub-engine per block.  Not valid with
         ``kind="reference"`` (the oracle stays whole-instance).
     workers:
         Parallelism for sharded plane fills (defaults to ``shards``);
@@ -1364,7 +1007,7 @@ class EngineSpec:
         but never on ``shards``/``workers``.
     """
 
-    kind: str = "vectorized"
+    kind: str = "sparse"
     backend: str | None = None
     shards: int | None = None
     workers: int | None = None
@@ -1429,7 +1072,6 @@ class EngineSpec:
 
             return ShardedEngine(
                 instance,
-                kind=self.kind,
                 shards=self.shards,
                 workers=self.workers,
                 block_users=self.block_users,
@@ -1437,73 +1079,12 @@ class EngineSpec:
         return _ENGINES[self.kind](instance)
 
 
-def _stacklevel_outside_repro() -> int:
-    """Stacklevel (for a warn() call in our caller) of the first frame
-    outside the ``repro`` package.
-
-    The ``engine_kind`` shim is reached through differing depths of
-    library frames (``Subclass.__init__ -> Scheduler.__init__ ->
-    resolve_engine_spec`` vs a direct base-class construction), so a fixed
-    constant would attribute the warning to library code — which Python's
-    default filter then silently drops for script callers.
-    """
-    level = 2  # stacklevel 2 from our caller == that caller's caller
-    frame = sys._getframe(2)  # the frame that called our caller
-    while frame is not None:
-        name = frame.f_globals.get("__name__", "")
-        if name != "repro" and not name.startswith("repro."):
-            break
-        frame = frame.f_back
-        level += 1
-    return level
-
-
-def resolve_engine_spec(
-    engine: EngineSpec | str | None = None,
-    engine_kind: str | None = None,
-    owner: str = "Scheduler",
-) -> EngineSpec:
-    """Collapse the new ``engine`` and legacy ``engine_kind`` arguments.
-
-    Shared by every constructor that still accepts the deprecated
-    ``engine_kind=`` keyword; passing it emits a :class:`DeprecationWarning`
-    attributed to the first frame outside the library.
-    """
-    if engine_kind is not None:
-        warnings.warn(
-            f"{owner}(engine_kind=...) is deprecated; pass "
-            f"engine=EngineSpec(kind={engine_kind!r}) instead",
-            DeprecationWarning,
-            stacklevel=_stacklevel_outside_repro(),
-        )
-        if engine is not None:
-            raise TypeError(
-                f"{owner}: pass either engine= or the deprecated "
-                f"engine_kind=, not both"
-            )
-        engine = engine_kind
-    return EngineSpec.coerce(engine)
-
-
 def make_engine(
     instance: SESInstance, spec: EngineSpec | str | None = None
 ) -> ScoreEngine:
     """Factory: build a score engine from an :class:`EngineSpec`.
 
-    ``EngineSpec(kind="vectorized")`` (the default) broadcasts over dense
-    arrays; ``"sparse"`` touches only nonzero interest entries (pair with
-    ``InterestMatrix(backend="sparse")`` for Meetup-scale populations);
-    ``"reference"`` is the loop-based semantic oracle.
-
-    Passing a bare kind string is deprecated (it predates
-    :class:`EngineSpec`); it still works but emits a
-    :class:`DeprecationWarning`.
+    ``EngineSpec(kind="sparse")`` (the default) touches only nonzero
+    interest entries; ``"reference"`` is the loop-based semantic oracle.
     """
-    if isinstance(spec, str):
-        warnings.warn(
-            f'make_engine(instance, "{spec}") with a string kind is '
-            f"deprecated; pass EngineSpec(kind={spec!r}) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     return EngineSpec.coerce(spec).build(instance)

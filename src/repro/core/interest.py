@@ -5,14 +5,14 @@ with one function ``mu``.  We store it as two matrices — ``candidate`` of
 shape ``(n_users, n_events)`` and ``competing`` of shape
 ``(n_users, n_competing)`` — behind one of two interchangeable *backends*:
 
-* ``"dense"`` — contiguous ``float64`` numpy arrays.  The right choice for
-  small instances and for workloads where most pairs carry interest.
-* ``"sparse"`` — scipy CSC matrices holding only the nonzero entries.
-  Jaccard-mined Meetup interest is overwhelmingly sparse (a user shares
-  tags with a tiny fraction of 16K events), so CSC storage is what lets
-  the scoring stack reach full Meetup scale without ``O(|U| * |E|)``
-  memory.  Requires scipy (the ``sparse`` extra); everything else in the
-  library runs on numpy alone.
+* ``"sparse"`` — scipy CSC matrices holding only the nonzero entries; the
+  default for generated workloads.  Jaccard-mined Meetup interest is
+  overwhelmingly sparse (a user shares tags with a tiny fraction of 16K
+  events), so CSC storage is what lets the scoring stack reach full
+  Meetup scale without ``O(|U| * |E|)`` memory.
+* ``"dense"`` — contiguous ``float64`` numpy arrays.  For workloads where
+  most pairs carry interest, and for the reference oracle, which reads
+  ``mu`` one element at a time.
 
 Both backends answer the same accessor protocol, which is all the engines
 consume:
@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.errors import InstanceValidationError
 from repro.utils.validation import check_probability_matrix
 
-try:  # scipy is an optional dependency (the "sparse" extra)
+try:  # scipy is a declared dependency; dense-only paths run without it
     from scipy import sparse as _sp
 except ImportError:  # pragma: no cover - exercised only without scipy
     _sp = None
@@ -74,9 +74,8 @@ _EMPTY_VALUES = np.zeros(0)
 def _require_scipy() -> None:
     if _sp is None:  # pragma: no cover - exercised only without scipy
         raise ImportError(
-            "the 'sparse' interest backend requires scipy; install the "
-            "'sparse' extra (pip install ses-repro[sparse]) or use "
-            "backend='dense'"
+            "the 'sparse' interest backend requires scipy; install it "
+            "(pip install scipy) or use backend='dense'"
         )
 
 

@@ -487,7 +487,6 @@ class LiveInstance:
         self._competing_by_interval: list[list[int]] = [
             list(group) for group in instance.competing_by_interval
         ]
-        self._competing_mass: np.ndarray | None = None
         # the source instance doubles as the first frozen snapshot
         self._frozen: SESInstance | None = instance
         self._freezes = 0
@@ -553,18 +552,16 @@ class LiveInstance:
     def competing_mass(self) -> np.ndarray:
         """``K_t[u]`` as a dense ``(n_intervals, n_users)`` array.
 
-        Materialized on first access (only the dense engines touch it)
-        and thereafter maintained in place by :meth:`add_competing` —
-        accumulation order matches :attr:`SESInstance.competing_mass`
-        exactly, so frozen snapshots agree bit for bit.
+        Recomputed on every access (no engine reads it; the sparse engine
+        accumulates ``K_t`` over nonzero entries itself) in the same
+        accumulation order as :attr:`SESInstance.competing_mass`, so
+        frozen snapshots agree bit for bit.
         """
-        if self._competing_mass is None:
-            mass = np.zeros((self.n_intervals, self.n_users))
-            for interval, rivals in enumerate(self._competing_by_interval):
-                for rival in rivals:
-                    mass[interval] += self._interest.competing_column(rival)
-            self._competing_mass = mass
-        return self._competing_mass
+        mass = np.zeros((self.n_intervals, self.n_users))
+        for interval, rivals in enumerate(self._competing_by_interval):
+            for rival in rivals:
+                mass[interval] += self._interest.competing_column(rival)
+        return mass
 
     # -- bookkeeping ----------------------------------------------------
     @property
@@ -648,9 +645,6 @@ class LiveInstance:
         rows, values = self._interest.append_competing(interest_column)
         self._competing.append(rival)
         self._competing_by_interval[rival.interval].append(rival.index)
-        if self._competing_mass is not None:
-            # in-place K_t update keeps the dense cache O(delta)-current
-            np.add.at(self._competing_mass[rival.interval], rows, values)
         self._touch()
         return CompetingAdded(
             competing=rival.index, interval=rival.interval, rows=rows,

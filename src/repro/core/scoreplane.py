@@ -19,10 +19,9 @@ had actually changed since the last fill.
 * **cold start** — :meth:`ensure` fills missing state through the
   engine's *batched* multi-row query
   (:meth:`~repro.core.engine.ScoreEngine.scores_for_rows`): one engine
-  call per flush, which the vectorized engine evaluates as blocked
-  broadcasts per row, the sparse engine as one gather pass per row, and
-  a sharded engine as a single parallel fan-out over its user blocks —
-  never a per-cell Python loop;
+  call per flush, which the sparse engine evaluates as one gather pass
+  per row and a sharded engine as a single parallel fan-out over its
+  user blocks — never a per-cell Python loop;
 * **invalidation** — change ops dirty exactly the rows/columns whose
   inputs they touched (Eq. 1's denominator couples events only *within*
   an interval): :meth:`apply_delta` ingests the same
@@ -63,16 +62,17 @@ current engine state — that is what makes a plane-fed solve
 *bit-identical* to a cold one (property-tested in
 ``tests/properties/test_scoreplane_differential.py``).  Rows are
 refreshed through ``scores_for_interval`` and single columns through
-``scores_for_event``; the sparse and reference engines evaluate both
-queries with per-column-identical arithmetic, and the vectorized engine
-sizes its user chunks from the instance's event count (not the query's
-batch size) so the two paths walk the same accumulation order.
+``scores_for_event``; every engine evaluates both queries with
+per-column-identical arithmetic, so a cell's value never depends on the
+batch it was computed in.  Planes are forked and seeded only between
+engines of one :class:`~repro.core.engine.EngineSpec` (the serving
+pool keys its primaries and templates by spec), so cached cells always
+come from the same kernel that refreshes them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,27 +85,7 @@ from repro.core.live import (
     LiveDelta,
 )
 
-__all__ = ["PlaneSnapshot", "ScorePlane"]
-
-
-@dataclass(frozen=True)
-class PlaneSnapshot:
-    """Copy-on-write capture of a plane's cached cells (no engine state).
-
-    ``scores`` is a private copy of the matrix (``None`` when the source
-    plane was never filled), ``dirty`` the interval rows that were stale
-    at capture time, and ``geometry`` the engine's floating-point query
-    geometry the cells were computed under.  Adoption
-    (:meth:`ScorePlane.adopt_snapshot`) copies again, so one snapshot can
-    warm any number of planes; a snapshot whose geometry does not match
-    the adopting engine is rejected (the plane starts cold instead) —
-    cells computed under different accumulation grouping would violate
-    the warm-start contract.
-    """
-
-    scores: np.ndarray | None
-    dirty: frozenset[int]
-    geometry: object
+__all__ = ["ScorePlane"]
 
 
 class ScorePlane:
@@ -131,11 +111,6 @@ class ScorePlane:
         self._auto_reset = auto_reset
         self._scores: np.ndarray | None = None
         self._dirty: set[int] = set()
-        # the engine's floating-point query geometry at fill time; a
-        # change (e.g. vectorized chunk boundaries moving when the live
-        # event count crosses a power of two) means cached cells no
-        # longer bit-match fresh queries, so the matrix is dropped
-        self._geometry = engine.score_geometry()
         # engine-evaluation accounting (cells, not rows)
         self._cells_filled = 0
         self._cells_refreshed = 0
@@ -210,7 +185,6 @@ class ScorePlane:
         if self._scores is None:
             self._scores = np.empty((self.n_intervals, self.n_events))
             self._dirty = set(range(self.n_intervals))
-            self._geometry = self._engine.score_geometry()
             self._fills += 1
             self.flush(_cold=True)
         else:
@@ -289,40 +263,8 @@ class ScorePlane:
         """
         self._scores = np.array(other.ensure(), copy=True)
         self._dirty.clear()
-        self._geometry = self._engine.score_geometry()
 
     # -- copy-on-write cloning (the serving layer's replica fork) --------
-    def snapshot(self) -> PlaneSnapshot:
-        """Capture the cached cells in O(cells) — zero engine evaluations.
-
-        Dirty rows are carried as-is (the adopter refreshes them through
-        its own engine on first read), so a snapshot never triggers the
-        re-sweep it exists to avoid.
-        """
-        self._maybe_reset()
-        return PlaneSnapshot(
-            scores=None if self._scores is None else self._scores.copy(),
-            dirty=frozenset(self._dirty),
-            geometry=self._geometry,
-        )
-
-    def adopt_snapshot(self, snapshot: PlaneSnapshot) -> None:
-        """Replace this plane's cached cells with a snapshot's.
-
-        A geometry mismatch (or an empty snapshot) leaves the plane cold:
-        the next :meth:`ensure` refills through this plane's engine.
-        """
-        if (
-            snapshot.scores is None
-            or snapshot.geometry != self._engine.score_geometry()
-            or snapshot.scores.shape != (self.n_intervals, self.n_events)
-        ):
-            self.invalidate()
-            return
-        self._scores = snapshot.scores.copy()
-        self._dirty = set(snapshot.dirty)
-        self._geometry = snapshot.geometry
-
     def fork(self, engine: ScoreEngine | None = None) -> ScorePlane:
         """An independent plane adopting this plane's cells in O(cells).
 
@@ -339,8 +281,7 @@ class ScorePlane:
         replicas are O(cells) copies, never re-sweeps.  Solves through
         the fork are bit-identical to solves through the parent
         (differential-tested in ``tests/serve/test_fork.py``): the cells
-        are the same floats and both engines refresh rows with identical
-        accumulation geometry.
+        are the same floats and both engines run the same kernel.
         """
         self._maybe_reset()
         if engine is None:
@@ -353,10 +294,9 @@ class ScorePlane:
                 "own engine; the cached cells would not describe its state"
             )
         clone = ScorePlane(engine, auto_reset=self._auto_reset)
-        if (
-            self._scores is not None
-            and clone._geometry == self._geometry
-            and self._scores.shape == (clone.n_intervals, clone.n_events)
+        if self._scores is not None and self._scores.shape == (
+            clone.n_intervals,
+            clone.n_events,
         ):
             clone._scores = self._scores.copy()
             clone._dirty = set(self._dirty)
@@ -412,15 +352,6 @@ class ScorePlane:
         """
         self._maybe_reset()
         self._engine.apply_delta(delta)
-        geometry = self._engine.score_geometry()
-        if geometry != self._geometry:
-            # chunk boundaries (or any other accumulation grouping)
-            # moved: cached cells would differ at the ulp level from
-            # what a fresh fill computes, violating the warm-start
-            # contract — drop everything and refill on next read
-            self._geometry = geometry
-            self.invalidate()
-            return
         if self._scores is None:
             return
         if isinstance(delta, EventAdded):

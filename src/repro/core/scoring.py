@@ -20,7 +20,7 @@ Two provable facts shape the solvers (both are property-tested):
   monotone staleness is what makes the lazy-heap GRD variant exact.
 
 :func:`assignment_score` is the loop-based reference implementation;
-the vectorized equivalent lives in :class:`repro.core.engine.VectorizedEngine`.
+the batched equivalent lives in :class:`repro.core.engine.SparseEngine`.
 """
 
 from __future__ import annotations

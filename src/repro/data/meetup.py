@@ -65,11 +65,11 @@ class InstanceBuildParams:
         estimate sigma from the snapshot's check-in history (weekly slots
         are tiled across the candidate intervals).
     interest_backend:
-        ``"dense"`` (default) or ``"sparse"``.  With ``"sparse"`` the
+        ``"sparse"`` (default) or ``"dense"``.  With ``"sparse"`` the
         Jaccard ``mu`` is mined straight into CSC storage
         (:func:`repro.ebsn.jaccard.jaccard_matrix_sparse`) and no dense
         ``(users, events)`` array is ever materialized — the path to full
-        Meetup-scale populations.  Requires scipy.
+        Meetup-scale populations.
     """
 
     n_candidate_events: int
@@ -79,7 +79,7 @@ class InstanceBuildParams:
     theta: float = 20.0
     xi_range: tuple[float, float] = (1.0, 20.0 / 3.0)
     sigma_source: str = "uniform"
-    interest_backend: str = "dense"
+    interest_backend: str = "sparse"
 
     def __post_init__(self) -> None:
         if self.n_candidate_events <= 0:

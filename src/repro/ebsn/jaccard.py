@@ -128,8 +128,8 @@ def jaccard_matrix_sparse(
     """
     if _sp is None:  # pragma: no cover - exercised only without scipy
         raise ImportError(
-            "jaccard_matrix_sparse requires scipy; install the 'sparse' "
-            "extra (pip install ses-repro[sparse]) or use jaccard_matrix"
+            "jaccard_matrix_sparse requires scipy; install it "
+            "(pip install scipy) or use jaccard_matrix"
         )
     users = [frozenset(tags) for tags in user_tagsets]
     events = [frozenset(tags) for tags in event_tagsets]

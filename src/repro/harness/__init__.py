@@ -11,7 +11,6 @@ from repro.harness.whatif import (
 )
 from repro.harness.results import SweepRow, SweepTable
 from repro.harness.runner import paper_methods, run_point, run_sweep
-from repro.harness.trials import TrialStats, run_trials
 
 __all__ = [
     "EventReport",
@@ -28,8 +27,6 @@ __all__ = [
     "paper_methods",
     "run_point",
     "run_sweep",
-    "TrialStats",
-    "run_trials",
     "WhatIfCurve",
     "competition_cost",
     "sweep_locations",

@@ -48,7 +48,7 @@ Subcommands
 ``lint``
     Run the :mod:`repro.analysis` invariant linter over source trees
     (delta exhaustiveness, hot-path freeze bans, frozen-op discipline,
-    registry completeness, determinism, shim bans, dtype discipline).
+    registry completeness, determinism, dtype discipline).
     Exit code 0 clean / 1 findings / 2 internal error.
 
 ``serve-bench``
@@ -102,8 +102,8 @@ def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
         "--engine",
         choices=ENGINE_KINDS,
         default=ENGINE_KINDS[0],
-        help="score engine: vectorized (dense numpy, default), sparse "
-        "(CSC interest, Meetup-scale populations), reference (slow oracle)",
+        help="score engine: sparse (nonzero interest entries only, default), "
+        "reference (slow loop-based oracle)",
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.core.engine import EngineSpec, resolve_engine_spec
+from repro.core.engine import EngineSpec
 from repro.harness.results import SweepTable
 from repro.harness.runner import run_sweep
 from repro.workloads.config import ExperimentConfig
@@ -50,8 +50,6 @@ def generate_figure(
     progress: Callable[[str], None] | None = None,
     engine: EngineSpec | str | None = None,
     interest_backend: str | None = None,
-    *,
-    engine_kind: str | None = None,
 ) -> SweepTable:
     """Run the sweep behind one Figure-1 panel and return its table.
 
@@ -69,8 +67,7 @@ def generate_figure(
     progress:
         Optional per-grid-point callback (the CLI passes a stderr print).
     engine:
-        :class:`EngineSpec` (or kind string) behind every method;
-        ``engine_kind`` is the deprecated string-only spelling.
+        :class:`EngineSpec` (or kind string) behind every method.
     interest_backend:
         ``mu`` storage for the generated workloads; ``None`` follows the
         engine spec (sparse storage for the sparse engine).
@@ -79,7 +76,7 @@ def generate_figure(
         raise ValueError(
             f"unknown panel {panel!r}; choose from {sorted(FIGURE_SPECS)}"
         )
-    spec = resolve_engine_spec(engine, engine_kind, owner="generate_figure")
+    spec = EngineSpec.coerce(engine)
     x_label, __, title = FIGURE_SPECS[panel]
     base = (
         ExperimentConfig(n_users=n_users)

@@ -16,7 +16,7 @@ from collections.abc import Callable, Sequence
 
 from repro.algorithms.base import ScheduleResult, Scheduler
 from repro.algorithms.registry import solver_registry
-from repro.core.engine import EngineSpec, resolve_engine_spec
+from repro.core.engine import EngineSpec
 from repro.core.instance import SESInstance
 from repro.harness.results import SweepRow, SweepTable
 from repro.utils.rng import SeedSequenceFactory
@@ -35,18 +35,15 @@ def paper_methods(
     seed: int = 0,
     engine: EngineSpec | str | None = None,
     extras: Sequence[str] = (),
-    *,
-    engine_kind: str | None = None,
 ) -> dict[str, Scheduler]:
     """The paper's GRD/TOP/RAND trio, built from the solver registry.
 
     ``extras`` appends further registry names (e.g. ``("sa", "grasp")``)
     so sweeps can compare extension heuristics against the paper methods
     without hand-rolling another solver dict.  ``seed`` is applied to
-    every solver registered as seeded.  ``engine_kind`` is the deprecated
-    string form of ``engine``.
+    every solver registered as seeded.
     """
-    spec = resolve_engine_spec(engine, engine_kind, owner="paper_methods")
+    spec = EngineSpec.coerce(engine)
     methods: dict[str, Scheduler] = {}
     for name in (*PAPER_METHOD_NAMES, *extras):
         info = solver_registry.get(name)
@@ -77,8 +74,6 @@ def run_sweep(
     workload: WorkloadGenerator | None = None,
     progress: Callable[[str], None] | None = None,
     engine: EngineSpec | str | None = None,
-    *,
-    engine_kind: str | None = None,
 ) -> SweepTable:
     """Execute a sweep and return the populated table.
 
@@ -100,10 +95,9 @@ def run_sweep(
         (the CLI passes ``print``).
     engine:
         :class:`EngineSpec` (or kind string) behind the default method
-        trio; ignored when ``method_factory`` is given.  ``engine_kind``
-        is the deprecated string-only spelling.
+        trio; ignored when ``method_factory`` is given.
     """
-    spec = resolve_engine_spec(engine, engine_kind, owner="run_sweep")
+    spec = EngineSpec.coerce(engine)
     table = SweepTable(x_label=x_label, title=title)
     workload = workload or WorkloadGenerator(root_seed=root_seed)
     seeds = SeedSequenceFactory(root_seed + 1)

@@ -27,10 +27,11 @@ test suite pins down exactly this split.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 from typing import Any
 
 from repro.algorithms.registry import solver_registry
-from repro.core.engine import EngineSpec
+from repro.core.engine import ENGINE_KINDS, EngineSpec
 from repro.core.errors import CheckpointError, RecoveryError
 from repro.data.serialization import instance_from_dict, instance_to_dict
 from repro.interactive.locks import LockSet
@@ -55,8 +56,26 @@ def engine_spec_to_dict(spec: EngineSpec) -> dict[str, Any]:
     }
 
 
-def engine_spec_from_dict(payload: dict[str, Any]) -> EngineSpec:
-    return EngineSpec(**payload)
+def engine_spec_from_dict(payload: dict[str, Any], journal: Path) -> EngineSpec:
+    """Decode the :class:`EngineSpec` a durable session recorded.
+
+    Directories outlive the engines that wrote them: a spec this build
+    cannot construct (e.g. a since-removed kind) fails as a
+    :class:`RecoveryError` naming ``journal`` and the recorded kind.
+    """
+    if not isinstance(payload, dict):
+        raise RecoveryError(
+            f"journal {journal} records engine spec {payload!r}, "
+            f"not a JSON object"
+        )
+    try:
+        return EngineSpec(**payload)
+    except (TypeError, ValueError) as error:
+        raise RecoveryError(
+            f"journal {journal} records engine kind "
+            f"{payload.get('kind')!r}, which this build cannot rebuild "
+            f"(engine kinds: {', '.join(ENGINE_KINDS)}): {error}"
+        ) from error
 
 
 def _checkpoint_body(
@@ -230,6 +249,7 @@ def _restore_checkpoint(
     checkpoint_offset: int,
     body: dict[str, Any],
     scan: Any,
+    engine: EngineSpec,
 ) -> MaintenancePolicy:
     """Restore one checkpoint and replay the journal tail, verified.
 
@@ -240,7 +260,6 @@ def _restore_checkpoint(
     sound).  The caller falls back to an older checkpoint on failure.
     """
     instance = instance_from_dict(body["instance"])
-    engine = engine_spec_from_dict(body["engine"])
     locks = (
         None if body["locks"] is None else LockSet.from_dict(body["locks"])
     )
@@ -316,6 +335,7 @@ def recover(source: Durability | str) -> "RecoveredStream":
                 f"journal {config.journal_path} holds a "
                 f"{metadata.get('kind')!r} session, not a stream replay"
             )
+        engine = engine_spec_from_dict(metadata["engine"], config.journal_path)
         store = CheckpointStore(config.checkpoint_directory)
         candidates = [
             offset
@@ -338,7 +358,7 @@ def recover(source: Durability | str) -> "RecoveredStream":
                 )
                 continue
             try:
-                policy = _restore_checkpoint(candidate, body, scan)
+                policy = _restore_checkpoint(candidate, body, scan, engine)
                 checkpoint_offset = candidate
                 break
             except RecoveryError as error:

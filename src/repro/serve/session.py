@@ -107,7 +107,7 @@ class ServingSession:
         The initial problem instance (generation 0).
     default_engine:
         :class:`EngineSpec` (or kind string) used when a request names
-        none; defaults to the vectorized engine.
+        none; defaults to the sparse engine.
     registry:
         Solver catalog; the process-wide registry unless a test injects
         its own.
@@ -700,6 +700,7 @@ class ServingSession:
         from repro.resilience.config import Durability
         from repro.resilience.journal import DeltaJournal
         from repro.resilience.serve import replay_mutation
+        from repro.resilience.stream import engine_spec_from_dict
 
         config = (
             durability
@@ -731,7 +732,9 @@ class ServingSession:
                     f"checkpoint"
                 )
             if default_engine is None and scan.metadata.get("engine"):
-                default_engine = EngineSpec(**scan.metadata["engine"])
+                default_engine = engine_spec_from_dict(
+                    scan.metadata["engine"], config.journal_path
+                )
             session = cls(
                 instance_from_dict(body["instance"]),
                 default_engine,

@@ -10,9 +10,9 @@ dimension shards cleanly into partial aggregates that merge by addition:
 - :class:`ShardedInterest` -- per-block CSC or float32 dense/memmap storage
   behind the existing interest accessor protocol; values are upcast to
   float64 at the accessor boundary so accumulation stays double precision.
-- :class:`ShardedEngine` -- per-block sub-engines (the existing sparse or
-  vectorized kernels over block views) whose partials merge by addition in
-  a fixed global block order.
+- :class:`ShardedEngine` -- per-block sub-engines (the existing sparse
+  kernel over block views) whose partials merge by addition in a fixed
+  global block order.
 - :class:`ShardExecutor` -- serial / thread / fork-process dispatch for
   per-shard work, with numpy releasing the GIL on the thread path.
 """

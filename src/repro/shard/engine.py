@@ -5,9 +5,9 @@ full instance factors exactly into one engine per user block::
 
     score(r, t) = sum_b score_b(r, t)        (block b sees only its rows)
 
-Each block runs an unmodified :class:`~repro.core.engine.SparseEngine` or
-:class:`~repro.core.engine.VectorizedEngine` over a :class:`_BlockView` —
-a duck-typed window of the instance restricted to the block's user rows.
+Each block runs an unmodified :class:`~repro.core.engine.SparseEngine` over
+a :class:`_BlockView` — a duck-typed window of the instance restricted to
+the block's user rows.
 The sharded engine forwards schedule mutations and live deltas to every
 block (deltas localized to the rows each block owns) and merges query
 partials **in ascending global block order with a left fold**, which is
@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.core.engine import ScoreEngine, SparseEngine, VectorizedEngine
+from repro.core.engine import ScoreEngine, SparseEngine
 from repro.core.live import (
     CompetingAdded,
     EventAdded,
@@ -43,9 +43,6 @@ from repro.shard.interest import ShardedInterest
 from repro.shard.plan import DEFAULT_BLOCK_USERS, ShardPlan
 
 __all__ = ["ShardedEngine", "localize_delta"]
-
-#: Engine kinds that may run per block (the reference oracle stays whole).
-SHARDABLE_KINDS = ("sparse", "vectorized")
 
 
 def localize_delta(delta: LiveDelta, lo: int, hi: int) -> LiveDelta:
@@ -101,17 +98,6 @@ class _BlockInterestView:
 
     # -- shape ----------------------------------------------------------
     @property
-    def backend(self) -> str:
-        """What the block's storage behaves like for engine cache policy.
-
-        ``dense`` sources stay ``"dense"`` (the vectorized engine keeps
-        reading zero-copy column views through live deltas); everything
-        else reports ``"sparse"`` so dense-kernel engines densify their
-        own block buffer once and patch it in O(delta).
-        """
-        return "dense" if self._mode == "dense" else "sparse"
-
-    @property
     def n_users(self) -> int:
         return self._hi - self._lo
 
@@ -122,19 +108,6 @@ class _BlockInterestView:
     @property
     def n_competing(self) -> int:
         return int(self._source.n_competing)
-
-    # -- dense escape hatch (vectorized kernels) ------------------------
-    @property
-    def candidate(self) -> np.ndarray:
-        if self._mode == "dense":
-            return self._source.candidate[self._lo : self._hi]
-        if self._mode == "sharded":
-            return self._source.block_candidate_dense(self._block)
-        dense = np.zeros((self.n_users, self.n_events))
-        for event in range(self.n_events):
-            rows, values = self.event_column_entries(event)
-            dense[rows, event] = values
-        return dense
 
     # -- column gather --------------------------------------------------
     def event_column_entries(self, event: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,20 +183,6 @@ class _BlockActivity:
         return self._source.matrix[self._lo : self._hi]
 
 
-class _BlockCompetingMass:
-    """``K_t`` window: dense per-interval rows ``[lo, hi)`` on demand."""
-
-    __slots__ = ("_instance", "_lo", "_hi")
-
-    def __init__(self, instance: Any, lo: int, hi: int) -> None:
-        self._instance = instance
-        self._lo = lo
-        self._hi = hi
-
-    def __getitem__(self, interval: int) -> np.ndarray:
-        return self._instance.competing_mass[interval][self._lo : self._hi]
-
-
 class _BlockView:
     """The instance read surface restricted to one user block.
 
@@ -233,7 +192,7 @@ class _BlockView:
     same trick :class:`~repro.core.live.LiveInstance` already relies on.
     """
 
-    __slots__ = ("_instance", "_lo", "_hi", "interest", "activity", "_mass")
+    __slots__ = ("_instance", "_lo", "_hi", "interest", "activity")
 
     def __init__(self, instance: Any, block: int, lo: int, hi: int) -> None:
         self._instance = instance
@@ -241,7 +200,6 @@ class _BlockView:
         self._hi = hi
         self.interest = _BlockInterestView(instance.interest, block, lo, hi)
         self.activity = _BlockActivity(instance.activity, lo, hi)
-        self._mass = _BlockCompetingMass(instance, lo, hi)
 
     @property
     def n_users(self) -> int:
@@ -267,10 +225,6 @@ class _BlockView:
     def competing_by_interval(self) -> Any:
         return self._instance.competing_by_interval
 
-    @property
-    def competing_mass(self) -> _BlockCompetingMass:
-        return self._mass
-
 
 # ----------------------------------------------------------------------
 # the sharded engine
@@ -284,9 +238,6 @@ class ShardedEngine(ScoreEngine):
         The problem instance (immutable or live).  If its interest is a
         :class:`ShardedInterest`, the engine adopts that plan's block
         size so per-block gathers hit block storage directly.
-    kind:
-        Sub-engine kind per block: ``"sparse"`` (the scale path) or
-        ``"vectorized"``.
     shards:
         Dispatch width P.  Affects wall-clock only, never results.
     workers:
@@ -306,16 +257,11 @@ class ShardedEngine(ScoreEngine):
         self,
         instance: Any,
         *,
-        kind: str = "sparse",
         shards: int = 1,
         workers: int | None = None,
         block_users: int | None = None,
         executor: ShardExecutor | None = None,
     ) -> None:
-        if kind not in SHARDABLE_KINDS:
-            raise ValueError(
-                f"engine kind {kind!r} cannot shard; choose from {SHARDABLE_KINDS}"
-            )
         interest = instance.interest
         if isinstance(interest, ShardedInterest):
             native = interest.plan
@@ -337,17 +283,15 @@ class ShardedEngine(ScoreEngine):
                 block_users=block_users or DEFAULT_BLOCK_USERS,
             )
         self._plan = plan
-        self._kind = kind
         self._executor = executor or ShardExecutor(
             workers=shards if workers is None else workers, kind="thread"
         )
-        engine_cls = SparseEngine if kind == "sparse" else VectorizedEngine
         self._views = [
             _BlockView(instance, block, *plan.block_bounds(block))
             for block in range(plan.n_blocks)
         ]
         self._engines: list[ScoreEngine] = [
-            engine_cls(view)  # type: ignore[arg-type]
+            SparseEngine(view)  # type: ignore[arg-type]
             for view in self._views
         ]
         self._fanouts = 0
@@ -358,10 +302,6 @@ class ShardedEngine(ScoreEngine):
     @property
     def plan(self) -> ShardPlan:
         return self._plan
-
-    @property
-    def kind(self) -> str:
-        return self._kind
 
     @property
     def executor(self) -> ShardExecutor:
@@ -544,23 +484,11 @@ class ShardedEngine(ScoreEngine):
             engine.apply_delta(local)
 
     # ------------------------------------------------------------------
-    # geometry / cloning
+    # cloning
     # ------------------------------------------------------------------
-    def score_geometry(self) -> object:
-        """Block layout + per-block geometries (chunk lengths move with
-        live event counts for vectorized sub-engines)."""
-        return (
-            "sharded",
-            self._kind,
-            self._plan.block_users,
-            self._plan.n_blocks,
-            tuple(engine.score_geometry() for engine in self._engines),
-        )
-
     def _clone_shell(self) -> "ShardedEngine":
         other = object.__new__(ShardedEngine)
         other._plan = self._plan
-        other._kind = self._kind
         other._executor = self._executor
         other._views = self._views
         other._engines = [engine.clone() for engine in self._engines]

@@ -50,8 +50,8 @@ _EMPTY_VALUES = np.zeros(0)
 def _require_scipy() -> None:
     if _sp is None:  # pragma: no cover - exercised only without scipy
         raise ImportError(
-            "sharded interest requires scipy for CSC block storage; install "
-            "the 'sparse' extra (pip install ses-repro[sparse])"
+            "sharded interest requires scipy for CSC block storage; "
+            "install it (pip install scipy)"
         )
 
 
@@ -187,13 +187,6 @@ class ShardedInterest:
     def competing_block(self, block: int) -> Any:
         """Raw competing storage of one block (CSC matrix or float32 array)."""
         return self._competing_blocks[block]
-
-    def block_candidate_dense(self, block: int) -> np.ndarray:
-        """One block's candidate matrix as dense float64 (vectorized kernels)."""
-        blk = self._candidate_blocks[block]
-        if _is_sparse(blk):
-            return np.asarray(blk.toarray(), dtype=float)
-        return np.asarray(blk, dtype=float)
 
     @staticmethod
     def _block_entries(block: Any, column: int) -> tuple[np.ndarray, np.ndarray]:

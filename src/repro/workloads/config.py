@@ -49,10 +49,10 @@ class ExperimentConfig:
     xi_range: tuple[float, float] = (1.0, 20.0 / 3.0)
     sigma_source: str = "uniform"
     n_users: int = DEFAULT_BENCH_USERS
-    #: ``mu`` storage: ``"dense"`` arrays or ``"sparse"`` CSC (scipy).
-    #: Sparse is what makes Meetup-scale user counts tractable; pair it
-    #: with the ``"sparse"`` engine kind on the solvers.
-    interest_backend: str = "dense"
+    #: ``mu`` storage: ``"sparse"`` CSC (scipy, the default) or ``"dense"``
+    #: arrays.  Sparse is what makes Meetup-scale user counts tractable
+    #: and is what the default sparse engine gathers from directly.
+    interest_backend: str = "sparse"
 
     def __post_init__(self) -> None:
         if self.k <= 0:

@@ -5,6 +5,7 @@ import pytest
 from repro.algorithms.base import ScheduleResult, Scheduler, SolverStats
 from repro.algorithms.greedy import GreedyScheduler
 from repro.algorithms.random_schedule import RandomScheduler
+from repro.core.engine import EngineSpec
 from repro.core.errors import ScheduleSizeError
 from repro.core.feasibility import is_schedule_feasible
 
@@ -22,6 +23,19 @@ class TestSolverStats:
         assert payload["initial_scores"] == 3
         assert payload["pops"] == 2
         assert payload["iterations"] == 1
+
+    def test_as_dict_mirrors_every_dataclass_field(self):
+        """as_dict derives from dataclasses.fields — a newly added counter
+        can no longer silently drop from benchmark output."""
+        import dataclasses
+
+        stats = SolverStats(initial_scores=1, moves_accepted=2)
+        payload = stats.as_dict()
+        assert set(payload) == {
+            f.name for f in dataclasses.fields(SolverStats)
+        }
+        assert payload["initial_scores"] == 1
+        assert payload["moves_accepted"] == 2
 
 
 class TestScheduleResult:
@@ -81,7 +95,14 @@ class TestSolveContract:
 
     def test_engine_spec_is_respected(self):
         instance = make_random_instance(seed=77)
-        vectorized = GreedyScheduler(engine="vectorized").solve(instance, 3)
+        sparse = GreedyScheduler(engine="sparse").solve(instance, 3)
         reference = GreedyScheduler(engine="reference").solve(instance, 3)
-        assert vectorized.utility == pytest.approx(reference.utility, abs=1e-9)
-        assert vectorized.schedule == reference.schedule
+        assert sparse.utility == pytest.approx(reference.utility, abs=1e-9)
+        assert sparse.schedule == reference.schedule
+
+    def test_injected_engine_must_match_instance(self):
+        a = make_random_instance(seed=503)
+        b = make_random_instance(seed=504)
+        engine = EngineSpec().build(b)
+        with pytest.raises(ValueError, match="different instance"):
+            GreedyScheduler().solve(a, 2, engine=engine)

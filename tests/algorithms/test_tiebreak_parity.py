@@ -23,7 +23,7 @@ from repro.core.entities import CandidateEvent, Organizer, TimeInterval, User
 from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix
 
-BACKENDS = [("dense", "vectorized"), ("sparse", "sparse")]
+BACKENDS = [("dense", "sparse"), ("sparse", "sparse")]
 
 
 def duplicated_instance(

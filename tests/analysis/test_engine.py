@@ -16,7 +16,7 @@ from repro.analysis.engine import collect_files
 
 
 def test_rule_catalogue_is_well_formed():
-    assert len(RULE_NAMES) == 7
+    assert len(RULE_NAMES) == 6
     assert len(set(RULE_NAMES)) == len(RULE_NAMES)
     for rule in ALL_RULES:
         assert rule.name and rule.name != "abstract"

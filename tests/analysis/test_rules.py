@@ -113,15 +113,6 @@ class TestDeterminism:
         assert all(line < start for line in bad_lines)
 
 
-class TestNoInternalShims:
-    def test_string_kind_and_keyword_fire(self, lint_fixture):
-        result = lint_fixture("shims_bad", "no-internal-shims")
-        messages = [f.message for f in result.findings]
-        assert len(messages) == 2
-        assert any("make_engine" in m for m in messages)
-        assert any("engine_kind=" in m for m in messages)
-
-
 class TestDtypeDiscipline:
     def test_low_precision_on_score_path_fires(self, lint_fixture):
         result = lint_fixture("dtype_bad", "dtype-discipline")

@@ -13,6 +13,7 @@ from repro.algorithms import (
     RandomScheduler,
 )
 from repro.api import EngineSpec, SolverRegistry, register_solver, solver_registry
+from repro.core.objective import total_utility
 from repro.harness.cli import build_parser
 
 from tests.conftest import make_random_instance
@@ -94,6 +95,56 @@ class TestLookup:
             @register_solver(name="dup", registry=registry)
             class Second:
                 name = "DUP2"
+
+
+@pytest.fixture
+def built_specs(monkeypatch):
+    """Every spec an engine is built from while the test runs."""
+    built = []
+    original = EngineSpec.build
+
+    def recording_build(spec, instance):
+        built.append(spec)
+        return original(spec, instance)
+
+    monkeypatch.setattr(EngineSpec, "build", recording_build)
+    return built
+
+
+class TestEngineThreading:
+    """The spec a solver is given reaches every engine it scores with:
+    no constructor on the way to ``Scheduler`` may drop or replace it."""
+
+    ORACLE = EngineSpec("reference")
+
+    @pytest.mark.parametrize("name", solver_registry.one_shot_names())
+    def test_one_shot_solver(self, name, built_specs):
+        seed = 3 if solver_registry.get(name).seeded else None
+        solver = solver_registry.create(name, engine=self.ORACLE, seed=seed)
+        instance = make_random_instance(seed=11)
+        result = solver.solve(instance, 3)
+        assert built_specs and set(built_specs) == {self.ORACLE}
+        assert result.utility == pytest.approx(
+            total_utility(instance, result.schedule), abs=1e-9
+        )
+
+    def test_refiner(self, built_specs):
+        instance = make_random_instance(seed=11)
+        draft = GreedyScheduler().solve(instance, 3).schedule
+        built_specs.clear()
+        refiner = solver_registry.create("ls", engine=self.ORACLE, seed=2)
+        refined = refiner.refine(instance, draft)
+        assert built_specs and set(built_specs) == {self.ORACLE}
+        assert refined.utility == pytest.approx(
+            total_utility(instance, refined.schedule), abs=1e-9
+        )
+        assert refined.utility >= total_utility(instance, draft) - 1e-9
+
+    def test_online_maintainer(self, built_specs):
+        instance = make_random_instance(seed=11)
+        scheduler = IncrementalScheduler(instance, 3, engine=self.ORACLE)
+        assert scheduler.engine_spec == self.ORACLE
+        assert built_specs and set(built_specs) == {self.ORACLE}
 
 
 class TestCreate:

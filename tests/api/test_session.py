@@ -19,7 +19,7 @@ from repro.api import (
     solve_once,
     solver_registry,
 )
-from repro.core.engine import SparseEngine, VectorizedEngine
+from repro.core.engine import ReferenceEngine, SparseEngine
 
 from tests.conftest import make_random_instance
 
@@ -106,9 +106,9 @@ class TestSessionServing:
 
     def test_distinct_specs_get_distinct_engines(self, instance):
         session = ScheduleSession(instance)
-        session.solve(k=2, engine="vectorized")
+        session.solve(k=2, engine="sparse")
         session.solve(k=2, engine="reference")
-        session.solve(k=2, engine="vectorized")
+        session.solve(k=2, engine="sparse")
         assert session.engines_built == 2
 
     def test_repeated_identical_requests_are_identical(self, instance):
@@ -119,9 +119,9 @@ class TestSessionServing:
         assert first.schedule == second.schedule
 
     def test_default_engine_used_and_overridable(self, instance):
-        session = ScheduleSession(instance, default_engine="sparse")
-        assert isinstance(session.engine_for(), SparseEngine)
-        assert isinstance(session.engine_for(EngineSpec()), VectorizedEngine)
+        session = ScheduleSession(instance, default_engine="reference")
+        assert isinstance(session.engine_for(), ReferenceEngine)
+        assert isinstance(session.engine_for(EngineSpec()), SparseEngine)
 
     def test_request_and_kwargs_are_exclusive(self, instance):
         session = ScheduleSession(instance)
@@ -182,7 +182,7 @@ class TestSessionScorePlane:
         session = ScheduleSession(instance)
         plane = session.plane_for()
         assert session.plane_for() is plane
-        assert session.plane_for(EngineSpec(kind="sparse")) is not plane
+        assert session.plane_for(EngineSpec(kind="reference")) is not plane
         # the plane wraps the session's cached engine, not a private one
         assert plane.engine is session.engine_for()
 

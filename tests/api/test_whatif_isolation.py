@@ -31,8 +31,7 @@ def build_case(backend: str):
     if backend == "sparse":
         pytest.importorskip("scipy")
     instance = make_random_instance(seed=606, interest_backend=backend)
-    engine = "sparse" if backend == "sparse" else "vectorized"
-    return instance, engine
+    return instance, "sparse"
 
 
 def warm_session(instance, engine):

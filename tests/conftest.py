@@ -68,6 +68,24 @@ def make_random_instance(
     )
 
 
+def dense_copy(instance: SESInstance) -> SESInstance:
+    """``instance`` with dense ``mu`` storage, everything else shared.
+
+    For running the reference oracle on generated (sparse-backed)
+    instances: it reads ``mu`` one element at a time, which CSC storage
+    makes an order of magnitude slower.
+    """
+    return SESInstance(
+        users=instance.users,
+        intervals=instance.intervals,
+        events=instance.events,
+        competing=instance.competing,
+        interest=instance.interest.to_backend("dense"),
+        activity=instance.activity,
+        organizer=instance.organizer,
+    )
+
+
 @pytest.fixture(autouse=True)
 def _plenty_of_cpus(monkeypatch: pytest.MonkeyPatch) -> None:
     """Pretend 8 CPUs are available so worker-count tests are box-independent.

@@ -155,14 +155,13 @@ class TestMutators:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_add_competing_updates_groups_and_mass(self, backend):
         live = make_live(backend)
-        _ = live.competing_mass  # materialize the dense cache first
         column = np.zeros(live.n_users)
         column[3] = 0.6
         rival = CompetingEvent(index=live.n_competing, interval=1, name="r")
         delta = live.add_competing(rival, column)
         assert isinstance(delta, CompetingAdded)
         assert rival.index in live.competing_by_interval[1]
-        # the in-place K_t update must equal a fresh recomputation
+        # the live K_t view must equal the frozen snapshot's
         assert np.array_equal(
             live.competing_mass, live.freeze().competing_mass
         )
@@ -194,8 +193,7 @@ class TestFreeze:
         live = make_live(backend)
         live.remove_event(1)
         frozen = live.freeze()
-        kind = "sparse" if backend == "sparse" else "vectorized"
-        engine = make_engine(frozen, EngineSpec(kind=kind))
+        engine = make_engine(frozen, EngineSpec())
         engine.assign(0, 0)
         assert engine.total_utility() >= 0.0
 

@@ -12,7 +12,7 @@ from repro.core.scoreplane import ScorePlane
 from tests.conftest import make_random_instance
 
 
-def build_plane(seed=900, kind="vectorized", **kwargs):
+def build_plane(seed=900, kind="sparse", **kwargs):
     instance = make_random_instance(
         seed=seed, n_events=6, n_intervals=4, **kwargs
     )
@@ -20,7 +20,7 @@ def build_plane(seed=900, kind="vectorized", **kwargs):
     return instance, engine, ScorePlane(engine)
 
 
-def cold_matrix(instance, spec_kind="vectorized"):
+def cold_matrix(instance, spec_kind="sparse"):
     engine = EngineSpec(kind=spec_kind).build(instance)
     all_events = list(range(instance.n_events))
     return np.vstack(
@@ -119,7 +119,9 @@ class TestAutoReset:
         assert len(engine.schedule) == 1  # the maintained schedule survives
 
 
-@pytest.mark.parametrize("backend,kind", [("dense", "vectorized"), ("sparse", "sparse")])
+@pytest.mark.parametrize(
+    "backend,kind", [("dense", "reference"), ("dense", "sparse"), ("sparse", "sparse")]
+)
 class TestLiveDeltas:
     def build_live(self, backend, kind):
         pytest.importorskip("scipy") if backend == "sparse" else None
@@ -204,20 +206,18 @@ class TestLiveDeltas:
         assert plane.fills == 1
 
 
-class TestQueryGeometry:
-    def test_geometry_crossing_deltas_invalidate_the_plane(self):
-        """Vectorized chunk boundaries move when the live event count
-        crosses a power of two; cached cells computed under the old
-        grouping must be dropped, keeping warm == cold bit-identical."""
-        from repro.core.engine import VectorizedEngine
-        from repro.core.live import LiveInstance
-
+class TestArrivalsStayWarm:
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_many_arrivals_keep_warm_equal_to_cold(self, backend):
+        """A cell's value never depends on the live event count or the
+        query's batch size, so a long run of arrivals never forces a
+        refill and the warm matrix stays bit-identical to a cold one."""
         instance = make_random_instance(
-            seed=905, n_users=500, n_events=20, n_intervals=4
+            seed=905, n_users=500, n_events=20, n_intervals=4,
+            interest_backend=backend,
         )
         live = LiveInstance(instance)
-        engine = VectorizedEngine(live, chunk_elements=700)  # multi-chunk
-        plane = ScorePlane(engine)
+        plane = ScorePlane(EngineSpec().build(live))
         plane.ensure()
         column = np.zeros(live.n_users)
         column[:50] = 0.5
@@ -232,7 +232,7 @@ class TestQueryGeometry:
             )
             plane.apply_delta(delta)
         warm = plane.ensure()
-        fresh = VectorizedEngine(live, chunk_elements=700)
+        fresh = EngineSpec().build(live)
         cold = np.vstack(
             [
                 fresh.scores_for_interval(t, list(range(live.n_events)))
@@ -240,15 +240,7 @@ class TestQueryGeometry:
             ]
         )
         np.testing.assert_array_equal(warm, cold)
-        assert plane.fills == 2  # initial fill + geometry invalidation
-
-    def test_sparse_engine_is_geometry_free(self):
-        pytest.importorskip("scipy")
-        instance = make_random_instance(
-            seed=906, n_events=6, interest_backend="sparse"
-        )
-        engine = EngineSpec(kind="sparse").build(instance)
-        assert engine.score_geometry() is None
+        assert plane.fills == 1  # no arrival invalidated the plane
 
 
 class TestSeedFrom:

@@ -46,6 +46,12 @@ class TestParamsValidation:
                 xi_range=(1.0, 5.0),
             )
 
+    def test_rejects_unknown_interest_backend(self):
+        with pytest.raises(ValueError, match="interest_backend"):
+            InstanceBuildParams(
+                n_candidate_events=5, n_intervals=5, interest_backend="csr"
+            )
+
     def test_rejects_unknown_sigma_source(self):
         with pytest.raises(ValueError, match="sigma_source"):
             InstanceBuildParams(
@@ -90,6 +96,24 @@ class TestBuiltInstance:
                 assert instance.interest.mu_event(u, e) == pytest.approx(
                     jaccard(user.tags, event.tags), abs=1e-12
                 )
+
+    def test_default_storage_is_sparse_with_dense_values(self, snapshot, params):
+        """The default build mines ``mu`` straight into CSC storage; the
+        values are exactly those of the dense build."""
+        from dataclasses import replace
+
+        sparse = build_instance(snapshot, params, seed=5)
+        dense = build_instance(
+            snapshot, replace(params, interest_backend="dense"), seed=5
+        )
+        assert sparse.interest.backend == "sparse"
+        assert dense.interest.backend == "dense"
+        assert np.array_equal(
+            sparse.interest.to_backend("dense").candidate, dense.interest.candidate
+        )
+        assert np.array_equal(
+            sparse.interest.to_backend("dense").competing, dense.interest.competing
+        )
 
     def test_candidates_and_rivals_disjoint(self, snapshot, params):
         """A pool event may serve as candidate or rival, never both."""

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.engine import ENGINE_KINDS
 from repro.data.serialization import save_instance
 from repro.harness.cli import build_parser, main
 
@@ -28,6 +29,32 @@ class TestParser:
     def test_solve_requires_k(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "file.json"])
+
+
+#: Minimal argv of every subcommand that takes ``--engine``.
+ENGINE_COMMANDS = {
+    "demo": ["demo"],
+    "figure": ["figure", "1a"],
+    "gaps": ["gaps", "f.json", "-k", "1"],
+    "solve": ["solve", "f.json", "-k", "1"],
+    "stream": ["stream"],
+}
+
+
+class TestEngineFlag:
+    """Every ``--engine`` mirrors ``ENGINE_KINDS``: the first kind is the
+    default, every kind parses, and a removed kind is a usage error."""
+
+    @pytest.mark.parametrize("command", sorted(ENGINE_COMMANDS))
+    def test_choices_follow_engine_kinds(self, command, capsys):
+        parser = build_parser()
+        argv = ENGINE_COMMANDS[command]
+        assert parser.parse_args(argv).engine == ENGINE_KINDS[0]
+        for kind in ENGINE_KINDS:
+            assert parser.parse_args([*argv, "--engine", kind]).engine == kind
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--engine", "vectorized"])
+        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
 
 
 class TestDatasetCommand:

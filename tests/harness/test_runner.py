@@ -18,7 +18,7 @@ class TestPaperMethods:
 
     def test_engine_spec_propagates(self):
         methods = paper_methods(seed=0, engine="reference")
-        assert all(m.engine_kind == "reference" for m in methods.values())
+        assert all(m.engine_spec.kind == "reference" for m in methods.values())
 
 
 class TestRunPoint:

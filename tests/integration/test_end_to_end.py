@@ -26,6 +26,8 @@ from repro.workloads.config import ExperimentConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.sweeps import sweep_k
 
+from tests.conftest import dense_copy
+
 
 @pytest.fixture(scope="module")
 def pipeline_instance():
@@ -81,10 +83,13 @@ class TestFullPipeline:
         )
 
     def test_engines_agree_at_pipeline_scale(self, pipeline_instance):
-        vec = GreedyScheduler(engine="vectorized").solve(pipeline_instance, 8)
-        ref = GreedyScheduler(engine="reference").solve(pipeline_instance, 8)
+        sparse = GreedyScheduler().solve(pipeline_instance, 8)
+        # the oracle reads mu one element at a time: give it dense storage
+        ref = GreedyScheduler(engine="reference").solve(
+            dense_copy(pipeline_instance), 8
+        )
         # schedules may diverge on float-level score ties, utilities may not
-        assert vec.utility == pytest.approx(ref.utility, abs=1e-6)
+        assert sparse.utility == pytest.approx(ref.utility, abs=1e-6)
 
 
 class TestSweepIntegration:

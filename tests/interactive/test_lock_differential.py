@@ -38,8 +38,7 @@ def build_case(backend: str):
     if backend == "sparse":
         pytest.importorskip("scipy")
     instance = make_random_instance(seed=777, interest_backend=backend)
-    engine = "sparse" if backend == "sparse" else "vectorized"
-    return instance, engine
+    return instance, "sparse"
 
 
 def solve(name: str, instance, engine, *, locks=None, seed=11):

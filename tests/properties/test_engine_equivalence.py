@@ -1,9 +1,9 @@
-"""Property test: every engine IS the reference engine, numerically.
+"""Property test: the sparse engine IS the reference engine, numerically.
 
 The single most load-bearing invariant in the library — every solver
-result, benchmark number and figure rests on it.  Three engines
-(reference / vectorized / sparse) times two interest backends
-(dense / sparse) must agree to 1e-9 on every query a solver can issue,
+result, benchmark number and figure rests on it.  Both engines
+(reference / sparse) over both interest backends (dense / sparse)
+must agree to 1e-9 on every query a solver can issue,
 through arbitrary assign/unassign sequences, including emptied intervals
 and all-zero interest.
 """
@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import EngineSpec, make_engine
+from repro.core.engine import ENGINE_KINDS, EngineSpec, make_engine
 
 from tests.conftest import make_random_instance
 from tests.properties.conftest import instances_with_schedules
@@ -20,7 +20,7 @@ from tests.properties.conftest import instances_with_schedules
 COMMON = settings(max_examples=50, deadline=None)
 
 BOTH_BACKENDS = ("dense", "sparse")
-FAST_ENGINES = ("vectorized", "sparse")
+FAST_ENGINES = ("sparse",)
 
 
 def _assert_engines_agree(instance, schedule, engines):
@@ -61,7 +61,7 @@ def test_engines_agree_on_everything(pair):
     instance, schedule = pair
     engines = {
         kind: make_engine(instance, EngineSpec(kind))
-        for kind in ("reference", "vectorized", "sparse")
+        for kind in ENGINE_KINDS
     }
     for assignment in schedule:
         for engine in engines.values():
@@ -85,7 +85,7 @@ def test_engines_agree_after_unassigns(pair, drop_seed):
     instance, schedule = pair
     engines = {
         kind: make_engine(instance, EngineSpec(kind))
-        for kind in ("reference", "vectorized", "sparse")
+        for kind in ENGINE_KINDS
     }
     for assignment in schedule:
         for engine in engines.values():
@@ -109,7 +109,7 @@ def test_emptied_intervals_leave_no_trace(pair):
     instance, schedule = pair
     engines = {
         kind: make_engine(instance, EngineSpec(kind))
-        for kind in ("reference", "vectorized", "sparse")
+        for kind in ENGINE_KINDS
     }
     for assignment in schedule:
         for engine in engines.values():
@@ -134,7 +134,7 @@ def test_emptied_intervals_leave_no_trace(pair):
 
 @given(
     backend=st.sampled_from(BOTH_BACKENDS),
-    kind=st.sampled_from(("reference", "vectorized", "sparse")),
+    kind=st.sampled_from(ENGINE_KINDS),
     seed=st.integers(0, 2**10),
 )
 @settings(max_examples=20, deadline=None)

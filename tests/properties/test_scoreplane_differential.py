@@ -20,7 +20,7 @@ from repro.core.scoreplane import ScorePlane
 
 from tests.conftest import make_random_instance
 
-BACKENDS = [("dense", "vectorized"), ("sparse", "sparse")]
+BACKENDS = [("dense", "sparse"), ("sparse", "sparse")]
 #: Deterministic one-shot solvers whose first move sweeps initial scores.
 SOLVERS = ("grd", "grd-heap", "top", "beam")
 

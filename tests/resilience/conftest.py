@@ -1,7 +1,7 @@
 """Golden workload/trace cases shared by the resilience suites.
 
-Each case pins a workload seed, a trace seed and an engine, spanning
-dense and sparse backends — the kill-point differential tests replay
+Each case pins a workload seed and a trace seed, spanning dense and
+sparse interest backends — the kill-point differential tests replay
 these under every policy and assert a recovered session is bit-identical
 to an uninterrupted one.
 """
@@ -60,6 +60,31 @@ def golden_trace(name: str):
     ).generate()
 
 
-def engine_for(name: str) -> EngineSpec:
-    backend = GOLDEN_CASES[name]["backend"]
-    return EngineSpec(kind="sparse" if backend == "sparse" else "vectorized")
+#: every case runs the default sparse engine over its own interest storage
+ENGINE = EngineSpec()
+
+
+def restamp_engine(durability, kind: str) -> None:
+    """Re-stamp a durability directory as written by an engine ``kind``.
+
+    Rewrites the journal header and every checkpoint body that records
+    an engine, keeping all records byte-for-byte otherwise — the shape
+    of a directory left behind by an older build whose default engine
+    kind no longer exists.
+    """
+    from repro.resilience.checkpoint import CheckpointStore
+    from repro.resilience.journal import DeltaJournal
+
+    scan = DeltaJournal.scan(durability.journal_path)
+    metadata = dict(scan.metadata)
+    metadata["engine"] = dict(metadata["engine"], kind=kind)
+    durability.journal_path.unlink()
+    with DeltaJournal.create(durability.journal_path, metadata) as journal:
+        for record in scan.records:
+            journal.append(record)
+    store = CheckpointStore(durability.checkpoint_directory)
+    for offset in store.offsets():
+        body = store.load(offset)
+        if "engine" in body:
+            body["engine"] = dict(body["engine"], kind=kind)
+            store.write(offset, body)

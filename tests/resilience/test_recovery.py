@@ -9,18 +9,23 @@ deltas through the same code path, so the answer is the same bits.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.core.engine import EngineSpec
 from repro.core.errors import RecoveryError
 from repro.resilience import Durability, recover
+from repro.resilience.stream import engine_spec_from_dict, engine_spec_to_dict
 from repro.stream import StreamDriver
 
 from tests.resilience.conftest import (
+    ENGINE,
     GOLDEN_CASES,
     POLICY_PARAMS,
-    engine_for,
     golden_instance,
     golden_trace,
+    restamp_engine,
 )
 
 
@@ -28,7 +33,7 @@ def _run_clean(name, policy, oracle_every=None):
     driver = StreamDriver(
         golden_instance(name),
         policy=policy,
-        engine=engine_for(name),
+        engine=ENGINE,
         oracle_every=oracle_every,
         **POLICY_PARAMS.get(policy, {}),
     )
@@ -42,7 +47,7 @@ def _run_killed_then_recovered(
     driver = StreamDriver(
         golden_instance(name),
         policy=policy,
-        engine=engine_for(name),
+        engine=ENGINE,
         oracle_every=oracle_every,
         durability=durability,
         **POLICY_PARAMS.get(policy, {}),
@@ -99,7 +104,7 @@ class TestRecoveredSessionShape:
         driver = StreamDriver(
             golden_instance("dense_b"),
             policy="incremental",
-            engine=engine_for("dense_b"),
+            engine=ENGINE,
             durability=durability,
         )
         driver.run(golden_trace("dense_b"), stop_after=7)
@@ -116,7 +121,7 @@ class TestRecoveredSessionShape:
         StreamDriver(
             golden_instance("dense_b"),
             policy="incremental",
-            engine=engine_for("dense_b"),
+            engine=ENGINE,
             durability=durability,
         ).run(golden_trace("dense_b"), stop_after=3)
         recovered = recover(str(tmp_path / "ses"))
@@ -127,7 +132,7 @@ class TestRecoveredSessionShape:
         StreamDriver(
             golden_instance("dense_a"),
             policy="incremental",
-            engine=engine_for("dense_a"),
+            engine=ENGINE,
             durability=durability,
         ).run(golden_trace("dense_a"), stop_after=8)
         recovered = recover(durability)
@@ -141,7 +146,7 @@ class TestRecoveredSessionShape:
         StreamDriver(
             golden_instance("dense_b"),
             policy="incremental",
-            engine=engine_for("dense_b"),
+            engine=ENGINE,
             durability=durability,
         ).run(golden_trace("dense_b"), stop_after=3)
         recovered = recover(durability)
@@ -156,7 +161,7 @@ class TestDamagedArtifacts:
         StreamDriver(
             golden_instance("dense_a"),
             policy="incremental",
-            engine=engine_for("dense_a"),
+            engine=ENGINE,
             durability=durability,
         ).run(golden_trace("dense_a"), stop_after=stop_after)
         return durability
@@ -187,6 +192,66 @@ class TestDamagedArtifacts:
             recover(durability)
 
 
+class TestRemovedEngineKind:
+    """Durability directories outlive the engines that wrote them: a
+    stream journaled on a since-removed engine kind must fail recovery
+    with a typed error naming the journal and the kind, not a bare
+    ValueError from deep inside spec construction."""
+
+    def test_recover_raises_recovery_error(self, tmp_path):
+        durability = Durability(tmp_path / "ses", checkpoint_every=4)
+        StreamDriver(
+            golden_instance("dense_a"),
+            policy="incremental",
+            engine=ENGINE,
+            durability=durability,
+        ).run(golden_trace("dense_a"), stop_after=9)
+        restamp_engine(durability, "vectorized")
+        with pytest.raises(RecoveryError, match="engine kind 'vectorized'") as info:
+            recover(durability)
+        assert str(durability.journal_path) in str(info.value)
+        # the failed recovery left the journal intact and re-openable
+        restamp_engine(durability, "sparse")
+        recovered = recover(durability)
+        clean = _run_clean("dense_a", "incremental")
+        _assert_identical(clean, recovered.resume(golden_trace("dense_a")))
+
+
+SPECS = {
+    "default": EngineSpec(),
+    "reference": EngineSpec("reference"),
+    "sparse-on-dense": EngineSpec(backend="dense"),
+    "sharded": EngineSpec(shards=2, workers=1, block_users=64),
+}
+
+UNDECODABLE = {
+    "removed-kind": {"kind": "vectorized", "backend": None, "shards": None,
+                     "workers": None, "block_users": None},
+    "unknown-backend": {"kind": "sparse", "backend": "csr"},
+    "sharded-oracle": {"kind": "reference", "shards": 2},
+    "unknown-option": {"kind": "sparse", "chunk_elements": 4096},
+    "not-an-object": ["sparse"],
+}
+
+
+class TestEngineSpecCodec:
+    """Journal headers and checkpoints record the engine spec as JSON;
+    recovery must rebuild exactly that spec, or fail typed."""
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_round_trip_through_json(self, name, tmp_path):
+        spec = SPECS[name]
+        payload = json.loads(json.dumps(engine_spec_to_dict(spec)))
+        assert engine_spec_from_dict(payload, tmp_path / "journal") == spec
+
+    @pytest.mark.parametrize("name", sorted(UNDECODABLE))
+    def test_undecodable_spec_is_a_recovery_error(self, name, tmp_path):
+        journal = tmp_path / "journal"
+        with pytest.raises(RecoveryError) as info:
+            engine_spec_from_dict(UNDECODABLE[name], journal)
+        assert str(journal) in str(info.value)
+
+
 class TestAccumulationDrift:
     """Dense multi-event-per-interval workloads, where adopt-order drift
     is real: rebuilding engine mass by sorted re-assignment lands an ulp
@@ -196,7 +261,6 @@ class TestAccumulationDrift:
     full-replay floor) rather than resume from drifted bits."""
 
     def _dense_workload(self):
-        from repro.core.engine import EngineSpec
         from repro.workloads.config import ExperimentConfig
         from repro.workloads.generator import WorkloadGenerator
         from repro.workloads.traces import TraceConfig, TraceGenerator
@@ -206,7 +270,7 @@ class TestAccumulationDrift:
         trace = TraceGenerator(
             config, TraceConfig(n_ops=12), root_seed=2018
         ).generate()
-        return instance, trace, EngineSpec(kind="vectorized")
+        return instance, trace, ENGINE
 
     def _clean(self, instance, trace, engine):
         return StreamDriver(
@@ -260,7 +324,7 @@ class TestOracleSampling:
         StreamDriver(
             golden_instance("dense_b"),
             policy="incremental",
-            engine=engine_for("dense_b"),
+            engine=ENGINE,
             oracle_every=4,
             durability=durability,
         ).run(golden_trace("dense_b"), stop_after=6)

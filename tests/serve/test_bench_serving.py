@@ -42,7 +42,6 @@ class TestBenchSmoke:
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
         assert args.clients == 8
-        assert args.engine == "sparse"
         assert not args.smoke
 
     def test_percentiles_on_known_latencies(self):

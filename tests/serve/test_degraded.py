@@ -198,7 +198,7 @@ class TestDurableSession:
         from repro.stream import StreamDriver
 
         from tests.resilience.conftest import (
-            engine_for,
+            ENGINE,
             golden_instance,
             golden_trace,
         )
@@ -207,11 +207,23 @@ class TestDurableSession:
         StreamDriver(
             golden_instance("dense_b"),
             policy="incremental",
-            engine=engine_for("dense_b"),
+            engine=ENGINE,
             durability=durability,
         ).run(golden_trace("dense_b"), stop_after=2)
         with pytest.raises(RecoveryError, match="serv"):
             ServingSession.recover(durability)
+
+    def test_removed_kind_fails_with_recovery_error(self, tmp_path):
+        from tests.resilience.conftest import restamp_engine
+
+        durability = Durability(tmp_path / "ses", checkpoint_every=2)
+        crashed = _session(durability=durability)
+        _mutate_n(crashed, 3)
+        crashed._journal.abandon()
+        restamp_engine(durability, "vectorized")
+        with pytest.raises(RecoveryError, match="engine kind 'vectorized'") as info:
+            ServingSession.recover(durability)
+        assert str(durability.journal_path) in str(info.value)
 
     def test_unknown_journal_kind_rejected_on_replay(self):
         from repro.resilience.serve import replay_mutation

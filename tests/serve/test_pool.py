@@ -45,39 +45,39 @@ def pool():
 
 class TestLeaseEconomics:
     def test_first_lease_forks_release_then_hit(self, pool):
-        replica = pool.acquire("vectorized")
+        replica = pool.acquire("sparse")
         assert not replica.pool_hit
         assert replica.generation == 0
         pool.release(replica)
-        again = pool.acquire("vectorized")
+        again = pool.acquire("sparse")
         assert again is replica
         assert again.pool_hit
         stats = pool.stats()
         assert (stats.forks, stats.hits) == (1, 1)
 
     def test_concurrent_leases_get_distinct_replicas(self, pool):
-        a = pool.acquire("vectorized")
-        b = pool.acquire("vectorized")
+        a = pool.acquire("sparse")
+        b = pool.acquire("sparse")
         assert a is not b
         assert a.plane is not b.plane
         assert pool.stats().forks == 2
 
     def test_specs_never_share_planes(self, pool):
-        a = pool.acquire("vectorized")
-        b = pool.acquire("sparse")
+        a = pool.acquire("sparse")
+        b = pool.acquire("reference")
         assert a.plane is not b.plane
         assert type(a.plane.engine) is not type(b.plane.engine)
 
     def test_lease_context_manager_releases(self, pool):
-        with pool.lease("vectorized") as replica:
+        with pool.lease("sparse") as replica:
             assert replica.generation == 0
-        assert pool.acquire("vectorized") is replica
+        assert pool.acquire("sparse") is replica
 
     def test_replicas_solve_warm_with_zero_cold_cells(self, pool):
         frozen = pool.version_instance()
         fingerprints = set()
         for _ in range(4):
-            with pool.lease("vectorized") as replica:
+            with pool.lease("sparse") as replica:
                 fingerprints.add(grd_solve(replica.frozen, 3, replica.plane))
         cold = solver_registry.create("grd").solve(frozen, 3)
         assert fingerprints == {
@@ -91,19 +91,19 @@ class TestLeaseEconomics:
 
 class TestGenerationInvalidation:
     def test_fork_then_mutate_invalidates_parked_replicas(self, pool):
-        replica = pool.acquire("vectorized")
+        replica = pool.acquire("sparse")
         pool.release(replica)
         add_rival(pool)
         stats = pool.stats()
         assert stats.generation == 1
         assert stats.invalidations == 1
-        fresh = pool.acquire("vectorized")
+        fresh = pool.acquire("sparse")
         assert fresh is not replica
         assert fresh.generation == 1
         assert not fresh.pool_hit
 
     def test_outstanding_lease_survives_write_then_retires(self, pool):
-        replica = pool.acquire("vectorized")
+        replica = pool.acquire("sparse")
         before = replica.frozen
         add_rival(pool)
         # the in-flight read still solves safely against its own version
@@ -116,13 +116,13 @@ class TestGenerationInvalidation:
         )
         pool.release(replica)  # stale on return: retired, not parked
         assert pool.stats().invalidations == 1
-        assert pool.acquire("vectorized") is not replica
+        assert pool.acquire("sparse") is not replica
 
     def test_mutated_pool_serves_the_new_version_warm(self, pool):
-        with pool.lease("vectorized") as replica:
+        with pool.lease("sparse") as replica:
             grd_solve(replica.frozen, 3, replica.plane)
         add_rival(pool, seed=9)
-        with pool.lease("vectorized") as replica:
+        with pool.lease("sparse") as replica:
             assert replica.generation == 1
             warm = grd_solve(replica.frozen, 3, replica.plane)
         cold = solver_registry.create("grd").solve(pool.version_instance(), 3)
@@ -151,15 +151,15 @@ class TestBoundedReuse:
             n_users=20, n_events=5, n_intervals=4, seed=77
         )
         pool = PlanePool(LiveInstance(instance), max_replicas=2)
-        leased = [pool.acquire("vectorized") for _ in range(4)]
+        leased = [pool.acquire("sparse") for _ in range(4)]
         for replica in leased:
             pool.release(replica)
         stats = pool.stats()
         assert stats.evictions == 2
         # the survivors are the two most recently released
-        assert pool.acquire("vectorized") is leased[3]
-        assert pool.acquire("vectorized") is leased[2]
-        assert pool.acquire("vectorized") not in leased
+        assert pool.acquire("sparse") is leased[3]
+        assert pool.acquire("sparse") is leased[2]
+        assert pool.acquire("sparse") not in leased
 
     def test_max_replicas_must_be_positive(self):
         instance = make_random_instance(n_users=10, n_events=3, seed=5)
@@ -179,7 +179,7 @@ class TestBoundedReuse:
 
 class TestStats:
     def test_as_dict_roundtrips_every_counter(self, pool):
-        with pool.lease("vectorized"):
+        with pool.lease("sparse"):
             pass
         payload = pool.stats().as_dict()
         assert payload["forks"] == 1
@@ -199,16 +199,16 @@ class TestStats:
     def test_generation_zero_needs_no_freeze(self, pool):
         """The source instance doubles as generation 0's snapshot: serving
         an unmutated pool costs zero O(instance) freezes."""
-        with pool.lease("vectorized") as replica:
+        with pool.lease("sparse") as replica:
             grd_solve(replica.frozen, 3, replica.plane)
         assert pool.stats().freezes == 0
 
     def test_template_rebuilt_once_per_generation(self, pool):
         for _ in range(3):
-            with pool.lease("vectorized"):
+            with pool.lease("sparse"):
                 pass
         assert pool.stats().rebuilds == 1
         add_rival(pool)
-        with pool.lease("vectorized"):
+        with pool.lease("sparse"):
             pass
         assert pool.stats().rebuilds == 2

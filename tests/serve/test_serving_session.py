@@ -66,9 +66,9 @@ def build_workload_instance(spec):
 
 
 class TestConcurrentDifferential:
-    @pytest.mark.parametrize("kind", ("vectorized", "sparse"))
-    def test_k_threads_match_serial_replay_and_cold(self, kind):
-        spec = EngineSpec(kind)
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    def test_k_threads_match_serial_replay_and_cold(self, backend):
+        spec = EngineSpec(backend=backend)
         instance, trace = build_workload_instance(spec)
         items = make_workload(
             12,
@@ -94,7 +94,7 @@ class TestConcurrentDifferential:
         assert threaded == serial == cold
 
     def test_two_runs_same_seed_identical_despite_interleaving(self):
-        spec = EngineSpec("vectorized")
+        spec = EngineSpec()
         instance, _ = build_workload_instance(spec)
         items = make_workload(10, 3, SEED, engine=spec, solvers=("grd", "sa"))
         assert any(
@@ -109,13 +109,13 @@ class TestConcurrentDifferential:
         )
         assert first == second
 
-    @pytest.mark.parametrize("kind", ("vectorized", "sparse"))
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
     def test_threads_against_a_mutating_writer_stay_version_consistent(
-        self, kind
+        self, backend
     ):
         """Solves racing a writer must each match the cold solve of *some*
         committed version — never a torn mix of two versions."""
-        spec = EngineSpec(kind)
+        spec = EngineSpec(backend=backend)
         instance, _ = build_workload_instance(spec)
         serving = ServingSession(instance, default_engine=spec)
         rng = np.random.default_rng(11)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineSpec, SparseEngine, VectorizedEngine
+from repro.core.engine import EngineSpec, SparseEngine
 from repro.core.instance import SESInstance
 from repro.core.scoreplane import ScorePlane
 from repro.shard.engine import ShardedEngine, localize_delta
@@ -30,9 +30,9 @@ SHARD_COUNTS = (1, 2, 7)
 BLOCK_USERS = 16
 
 
-def sharded(instance, kind="sparse", shards=1, **kwargs):
+def sharded(instance, shards=1, **kwargs):
     kwargs.setdefault("block_users", BLOCK_USERS)
-    return ShardedEngine(instance, kind=kind, shards=shards, **kwargs)
+    return ShardedEngine(instance, shards=shards, **kwargs)
 
 
 @pytest.fixture(scope="module", params=["dense", "sparse"])
@@ -103,9 +103,7 @@ class TestFlatParity:
     def test_single_block_is_bit_identical_to_flat(self, instance):
         """One block == one unmodified sub-engine over all rows."""
         flat = SparseEngine(instance)
-        wide = ShardedEngine(
-            instance, kind="sparse", shards=4, block_users=1000
-        )
+        wide = ShardedEngine(instance, shards=4, block_users=1000)
         for engine in (flat, wide):
             engine.assign(1, 0)
         intervals = [0, 1, 2, 3, 4]
@@ -116,11 +114,9 @@ class TestFlatParity:
         )
         assert flat.total_utility() == wide.total_utility()
 
-    @pytest.mark.parametrize("kind", ["sparse", "vectorized"])
-    def test_multi_block_parity_1e9(self, instance, kind):
-        flat_cls = SparseEngine if kind == "sparse" else VectorizedEngine
-        flat = flat_cls(instance)
-        shard = sharded(instance, kind=kind, shards=3)
+    def test_multi_block_parity_1e9(self, instance):
+        flat = SparseEngine(instance)
+        shard = sharded(instance, shards=3)
         for engine in (flat, shard):
             engine.assign(0, 2)
             engine.assign(5, 1)
@@ -183,20 +179,19 @@ class TestShardedInterestBacked:
 
     def test_engine_adopts_the_interest_plan(self, pair):
         _, inst = pair
-        engine = ShardedEngine(inst, kind="sparse", shards=5)
+        engine = ShardedEngine(inst, shards=5)
         assert engine.plan.block_users == BLOCK_USERS
         assert engine.plan.n_shards == 5
 
     def test_block_users_conflict_rejected(self, pair):
         _, inst = pair
         with pytest.raises(ValueError, match="cannot override"):
-            ShardedEngine(inst, kind="sparse", block_users=BLOCK_USERS + 1)
+            ShardedEngine(inst, block_users=BLOCK_USERS + 1)
 
-    @pytest.mark.parametrize("kind", ["sparse", "vectorized"])
-    def test_memmap_parity_1e6(self, pair, kind):
+    def test_memmap_parity_1e6(self, pair):
         flat_instance, inst = pair
         flat = SparseEngine(flat_instance)
-        shard = ShardedEngine(inst, kind=kind, shards=3)
+        shard = ShardedEngine(inst, shards=3)
         for engine in (flat, shard):
             engine.assign(2, 1)
         free = [e for e in range(7) if e != 2]
@@ -212,7 +207,7 @@ class TestShardedInterestBacked:
     def test_bit_identical_across_p_on_memmap(self, pair):
         _, inst = pair
         results = [
-            ShardedEngine(inst, kind="sparse", shards=p).scores_for_rows(
+            ShardedEngine(inst, shards=p).scores_for_rows(
                 [0, 1, 2, 3], list(range(7))
             )
             for p in SHARD_COUNTS
@@ -221,13 +216,49 @@ class TestShardedInterestBacked:
         assert np.array_equal(results[0], results[2])
 
 
+class TestStorageParity:
+    def test_dense_and_sparse_storage_answer_the_same_bits(self):
+        """Block sub-engines gather the same nonzeros in the same order
+        from either storage, so a sharded engine over dense ``mu``
+        answers exactly what it answers over CSC ``mu``."""
+        engines = {}
+        for storage in ("dense", "sparse"):
+            instance = make_random_instance(
+                n_users=73, n_events=8, n_intervals=5, n_competing=6,
+                seed=31, interest_backend=storage,
+            )
+            engine = sharded(instance, shards=3)
+            engine.assign(0, 1)
+            engine.assign(3, 2)
+            engines[storage] = engine
+        dense, csc = engines["dense"], engines["sparse"]
+        free = [1, 2, 4, 5, 6, 7]
+        np.testing.assert_array_equal(
+            dense.scores_for_rows(range(5), free),
+            csc.scores_for_rows(range(5), free),
+        )
+        np.testing.assert_array_equal(
+            dense.scores_for_event(5, range(5)), csc.scores_for_event(5, range(5))
+        )
+        np.testing.assert_array_equal(
+            dense.removal_losses([0, 3]), csc.removal_losses([0, 3])
+        )
+        np.testing.assert_array_equal(
+            dense.scores_excluding_each(2, 1, [0]),
+            csc.scores_excluding_each(2, 1, [0]),
+        )
+        assert dense.total_utility() == csc.total_utility()
+
+
 class TestEngineSpecIntegration:
     def test_spec_builds_sharded_engine(self, instance):
         spec = EngineSpec(kind="sparse", shards=3, block_users=BLOCK_USERS)
         engine = spec.build(instance)
         assert isinstance(engine, ShardedEngine)
         assert engine.plan.n_shards == 3
-        assert engine.kind == "sparse"
+        assert all(
+            isinstance(block, SparseEngine) for block in engine.block_engines
+        )
 
     def test_workers_without_shards_rejected(self):
         with pytest.raises(ValueError, match="sharding parameters"):
@@ -238,10 +269,6 @@ class TestEngineSpecIntegration:
     def test_reference_kind_cannot_shard(self):
         with pytest.raises(ValueError):
             EngineSpec(kind="reference", shards=2)
-
-    def test_sharded_engine_rejects_reference_kind(self, instance):
-        with pytest.raises(ValueError, match="cannot shard"):
-            ShardedEngine(instance, kind="reference")
 
     def test_plain_spec_unchanged(self, instance):
         assert isinstance(EngineSpec(kind="sparse").build(instance), SparseEngine)
@@ -292,15 +319,6 @@ class TestPlaneFastPath:
         # divergence after cloning stays private
         clone.assign(4, 0)
         assert 4 not in engine.schedule.as_mapping()
-
-    def test_score_geometry_tracks_blocks(self, instance):
-        narrow = sharded(instance, shards=1).score_geometry()
-        wide = sharded(instance, shards=3).score_geometry()
-        assert narrow == wide  # geometry depends on blocks, not P
-        other = ShardedEngine(
-            instance, kind="sparse", block_users=BLOCK_USERS * 2
-        ).score_geometry()
-        assert narrow != other
 
 
 class TestLocalizeDelta:

@@ -6,8 +6,8 @@ Run from the repository root after an *intentional* behavior change::
 
 Each case pins a seeded trace (JSONL) plus the exact expected replay
 observations — per-op utility trajectory, final schedule, final utility,
-rebuild and freeze counts — for every maintenance policy, on the engine
-stack named by the case.  ``tests/stream/test_golden.py`` replays the
+rebuild and freeze counts — for every maintenance policy, on the sparse
+engine over the interest storage named by the case.  ``tests/stream/test_golden.py`` replays the
 committed traces and compares **exactly** (floats included: replay is
 deterministic, and JSON round-trips doubles losslessly via repr), so any
 drift in scheduler, engine or policy behavior fails loudly.
@@ -42,8 +42,9 @@ CASES = {
 POLICY_PARAMS = {"periodic-rebuild": {"rebuild_every": 2}}
 
 
-def engine_for(backend: str) -> EngineSpec:
-    return EngineSpec(kind="sparse" if backend == "sparse" else "vectorized")
+#: every case replays on the default sparse engine; the dense cases keep
+#: dense ``mu`` storage, so both interest backends stay pinned
+ENGINE = EngineSpec()
 
 
 def build_case(name: str):
@@ -53,7 +54,7 @@ def build_case(name: str):
         config, TraceConfig(n_ops=n_ops), root_seed=seed
     ).generate()
     instance = WorkloadGenerator(root_seed=seed).build(config)
-    return instance, trace, engine_for(backend)
+    return instance, trace, ENGINE
 
 
 def replay(instance, trace, spec, policy: str):

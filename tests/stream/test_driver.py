@@ -28,10 +28,6 @@ def build_case(backend: str = "dense", n_ops: int = 14, seed: int = 9):
     return instance, trace
 
 
-def engine_for(backend: str) -> EngineSpec:
-    return EngineSpec(kind="sparse" if backend == "sparse" else "vectorized")
-
-
 class TestValidation:
     def test_user_count_mismatch_rejected(self):
         instance, _ = build_case()
@@ -108,7 +104,7 @@ class TestReplayDeterminism:
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_replay_is_deterministic(self, policy, backend):
         instance, trace = build_case(backend)
-        spec = engine_for(backend)
+        spec = EngineSpec()
         results = [
             StreamDriver(instance, policy=policy, engine=spec).run(trace)
             for _ in range(2)
@@ -133,7 +129,7 @@ class TestPeriodicParity:
     @pytest.mark.parametrize("rebuild_every", [1, 3])
     def test_final_state_matches_one_shot_solve(self, backend, rebuild_every):
         instance, trace = build_case(backend)
-        spec = engine_for(backend)
+        spec = EngineSpec()
         driver = StreamDriver(
             instance,
             policy="periodic-rebuild",
@@ -222,7 +218,7 @@ class TestStructuralFastPath:
             pytest.importorskip("scipy")
         instance, trace = build_case(backend)
         result = StreamDriver(
-            instance, policy="incremental", engine=engine_for(backend)
+            instance, policy="incremental", engine=EngineSpec()
         ).run(trace)
         assert result.freezes == 0
 
@@ -236,10 +232,8 @@ class TestStructuralFastPath:
         assert result.rebuilds > 0
         assert result.freezes == 0
         assert result.base_plane_stats is not None
-        # one initial cold fill, plus at most the odd refill when the
-        # vectorized engine's chunk geometry moves (event count crossing
-        # a power of two) — never one per rebuild
-        assert 1 <= result.base_plane_stats["fills"] < result.rebuilds
+        # one initial cold fill, never one per rebuild
+        assert result.base_plane_stats["fills"] == 1
 
     def test_warm_rebuilds_score_strictly_less_than_cold_fills(self):
         """Each warm re-solve after the first must re-score fewer cells

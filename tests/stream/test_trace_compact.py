@@ -140,9 +140,7 @@ class TestReplayEquivalence:
             config, TraceConfig(n_ops=18), root_seed=seed
         ).generate()
         instance = WorkloadGenerator(root_seed=seed).build(config)
-        spec = EngineSpec(
-            kind="sparse" if backend == "sparse" else "vectorized"
-        )
+        spec = EngineSpec()
         return instance, trace, spec
 
     @pytest.mark.parametrize("backend", ["dense", "sparse"])

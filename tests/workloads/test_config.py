@@ -97,17 +97,17 @@ class TestValidation:
 
 
 class TestInterestBackend:
-    def test_default_is_dense(self):
+    def test_default_is_sparse(self):
         from repro.workloads.config import ExperimentConfig
 
-        assert ExperimentConfig().interest_backend == "dense"
+        assert ExperimentConfig().interest_backend == "sparse"
 
     def test_with_backend_copies(self):
         from repro.workloads.config import ExperimentConfig
 
-        config = ExperimentConfig().with_backend("sparse")
-        assert config.interest_backend == "sparse"
-        assert ExperimentConfig().interest_backend == "dense"
+        config = ExperimentConfig().with_backend("dense")
+        assert config.interest_backend == "dense"
+        assert ExperimentConfig().interest_backend == "sparse"
 
     def test_invalid_backend_rejected(self):
         import pytest
