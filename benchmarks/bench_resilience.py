@@ -7,7 +7,10 @@ fails the run, smoke included — this is the CI chaos smoke):
   recover and resume each one; reports recovery latency vs surviving
   journal length.  Gate: every resumed run's final utility, schedule and
   per-op utility trajectory are *bit-identical* to the uninterrupted
-  reference.
+  reference.  A second gate, ``zero_checkpoint_freezes``, spans this
+  section and the overhead one: no durable replay (killed, resumed, or
+  run to the end) may freeze its live instance, so a checkpoint that
+  snapshots the instance again fails the run.
 * **faults** — the same shard fan-out executed clean and under a seeded
   :class:`~repro.resilience.FaultPlan` (crashes, stalls, IO errors) with
   bounded retries; plus writer-stall injection on a serving session.
@@ -120,16 +123,18 @@ def section_recovery(scale: dict, seed: int, policy: str, root: Path) -> dict:
     )
     rows = []
     identical = True
+    freezes = 0
     for kill_at in kills:
         durability = Durability(
             root / f"recover-{kill_at}",
             checkpoint_every=scale["checkpoint_every"],
         )
-        _driver(instance, policy, durability).run(trace, stop_after=kill_at)
+        killed = _driver(instance, policy, durability).run(trace, stop_after=kill_at)
         started = time.perf_counter()
         recovered = recover(durability)
         recover_seconds = time.perf_counter() - started
         resumed = recovered.resume(trace)
+        freezes += killed.freezes + resumed.freezes
         resumed_key = (
             resumed.final_utility,
             dict(resumed.final_schedule),
@@ -153,6 +158,7 @@ def section_recovery(scale: dict, seed: int, policy: str, root: Path) -> dict:
         "kill_points": rows,
         "clean_final_utility": clean.final_utility,
         "gate_bit_identical": identical,
+        "durable_freezes": freezes,
     }
 
 
@@ -219,9 +225,13 @@ def section_faults(scale: dict, seed: int) -> dict:
 def section_overhead(scale: dict, seed: int, policy: str, root: Path) -> dict:
     instance, trace = _workload(scale, seed)
 
+    freezes = 0
+
     def timed(durability):
+        nonlocal freezes
         started = time.perf_counter()
-        _driver(instance, policy, durability).run(trace)
+        result = _driver(instance, policy, durability).run(trace)
+        freezes += result.freezes
         return time.perf_counter() - started
 
     plain_seconds = timed(None)
@@ -236,12 +246,15 @@ def section_overhead(scale: dict, seed: int, policy: str, root: Path) -> dict:
     )
     always_seconds = timed(always_dir)
     journal_bytes = interval_dir.journal_path.stat().st_size
-    checkpoints = len(list(interval_dir.checkpoint_directory.glob("ckpt-*.json")))
+    files = list(interval_dir.checkpoint_directory.glob("ckpt-*.json"))
+    checkpoints = len(files)
+    checkpoint_bytes = sum(path.stat().st_size for path in files)
     print(
         f"  replay: plain {plain_seconds * 1e3:6.1f}ms, "
         f"durable {interval_seconds * 1e3:6.1f}ms, "
         f"fsync-always {always_seconds * 1e3:6.1f}ms "
-        f"({journal_bytes} journal bytes, {checkpoints} checkpoints)"
+        f"({journal_bytes} journal bytes, {checkpoints} checkpoints, "
+        f"{checkpoint_bytes} checkpoint bytes)"
     )
 
     # zero un-journaled mutations: the serve journal offset must equal
@@ -266,7 +279,9 @@ def section_overhead(scale: dict, seed: int, policy: str, root: Path) -> dict:
             interval_seconds / plain_seconds if plain_seconds else None
         ),
         "journal_bytes": journal_bytes,
+        "checkpoint_bytes": checkpoint_bytes,
         "checkpoints": checkpoints,
+        "replay_freezes": freezes,
         "mutations": scale["mutations"],
         "journaled_mutations": journaled,
         "gate_zero_unjournaled": journaled == scale["mutations"],
@@ -292,6 +307,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "recovery_bit_identical": recovery["gate_bit_identical"],
         "faults_converge_to_clean": faults["gate_converges_to_clean"],
         "zero_unjournaled_mutations": overhead["gate_zero_unjournaled"],
+        "zero_checkpoint_freezes": (
+            recovery["durable_freezes"] == 0 and overhead["replay_freezes"] == 0
+        ),
     }
     passed = all(checks.values())
     print(

@@ -95,7 +95,6 @@ import numpy as np
 
 from repro.algorithms.registry import register_solver
 from repro.core.engine import EngineSpec
-from repro.core.entities import CandidateEvent, CompetingEvent
 from repro.core.errors import (
     InfeasibleAssignmentError,
     LockError,
@@ -103,7 +102,7 @@ from repro.core.errors import (
 )
 from repro.core.feasibility import FeasibilityChecker
 from repro.core.instance import SESInstance
-from repro.core.live import LiveDelta, LiveInstance
+from repro.core.live import LiveDelta, LiveInstance, arrival_event, rival_event
 from repro.core.schedule import Assignment, Schedule
 from repro.core.scoreplane import ScorePlane
 from repro.interactive.locks import LockSet
@@ -252,12 +251,8 @@ class IncrementalScheduler:
         whenever swapping strictly improves total utility.  With
         ``maintain=False`` the event is only registered.
         """
-        event = CandidateEvent(
-            index=self._live.n_events,
-            location=location,
-            required_resources=required_resources,
-            name=name or f"arrival-{self._live.n_events}",
-            tags=tags,
+        event = arrival_event(
+            self._live, location, required_resources, name, tags
         )
         delta = self._live.add_event(event, interest_column)
         self._ingest(delta)
@@ -310,11 +305,7 @@ class IncrementalScheduler:
         pass: each is moved to whichever interval now yields the highest
         gain (often away from the newly contested slot).
         """
-        rival = CompetingEvent(
-            index=self._live.n_competing,
-            interval=interval,
-            name=name or f"rival-arrival-{self._live.n_competing}",
-        )
+        rival = rival_event(self._live, interval, name)
         delta = self._live.add_competing(rival, interest_column)
         self._ingest(delta)
         if maintain:

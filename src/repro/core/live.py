@@ -71,6 +71,8 @@ __all__ = [
     "CompetingAdded",
     "LiveInterest",
     "LiveInstance",
+    "arrival_event",
+    "rival_event",
 ]
 
 _EMPTY_ROWS = np.zeros(0, dtype=np.intp)
@@ -682,3 +684,38 @@ class LiveInstance:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()
+
+
+def arrival_event(
+    live: LiveInstance,
+    location: int,
+    required_resources: float,
+    name: str = "",
+    tags: frozenset[str] = frozenset(),
+) -> CandidateEvent:
+    """The candidate event a streaming arrival appends to ``live``.
+
+    It takes the next free index, and an unnamed arrival is called
+    ``arrival-<index>``.  The live scheduler and the recovery replay of
+    a journal both build arrivals here, so the two agree field for field.
+    """
+    index = live.n_events
+    return CandidateEvent(
+        index=index,
+        location=location,
+        required_resources=required_resources,
+        name=name or f"arrival-{index}",
+        tags=tags,
+    )
+
+
+def rival_event(live: LiveInstance, interval: int, name: str = "") -> CompetingEvent:
+    """The competing event a rival announcement appends to ``live``.
+
+    It takes the next free index, and an unnamed rival is called
+    ``rival-arrival-<index>`` (see :func:`arrival_event`).
+    """
+    index = live.n_competing
+    return CompetingEvent(
+        index=index, interval=interval, name=name or f"rival-arrival-{index}"
+    )

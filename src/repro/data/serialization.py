@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -56,12 +57,26 @@ __all__ = [
 _FORMAT_VERSION = 1
 
 
+def _fsync_directory(directory: Path) -> None:
+    """Make the entries just created or renamed in ``directory`` durable."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform-dependent
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _atomic_write(path: Path, write_body) -> None:
     """Write ``path`` via a fsynced tmp sibling + ``os.replace``.
 
     A crash mid-save leaves either the previous artifact or nothing with
-    the final name — never a torn file that a later load half-parses.
-    ``write_body`` receives the open binary tmp handle.
+    the final name — never a torn file that a later load half-parses —
+    and the parent directory is fsynced after the rename, so the new
+    name itself survives a power cut.  A failed write or fsync removes
+    its tmp sibling.  ``write_body`` receives the open binary tmp handle.
     """
     tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
     try:
@@ -73,10 +88,20 @@ def _atomic_write(path: Path, write_body) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    _fsync_directory(path.parent)
 
 
 def instance_to_dict(instance: SESInstance) -> dict:
     """Serialize an instance to a JSON-compatible dict."""
+    payload = _entities_to_dict(instance)
+    payload["interest"] = _interest_to_dict(instance.interest)
+    payload["activity"] = instance.activity.matrix.tolist()
+    return payload
+
+
+def _entities_to_dict(instance: SESInstance) -> dict:
+    """Everything :func:`instance_to_dict` writes except the two matrices
+    (the binary formats store those as arrays)."""
     return {
         "format_version": _FORMAT_VERSION,
         "organizer": {
@@ -115,8 +140,6 @@ def instance_to_dict(instance: SESInstance) -> dict:
             }
             for c in instance.competing
         ],
-        "interest": _interest_to_dict(instance.interest),
-        "activity": instance.activity.matrix.tolist(),
     }
 
 
@@ -257,9 +280,7 @@ def save_instance_npz(instance: SESInstance, path: str | Path) -> None:
     (``data`` / ``indices`` / ``indptr``), so neither saving nor loading
     materializes a dense matrix.
     """
-    metadata = instance_to_dict(instance)
-    del metadata["interest"]
-    del metadata["activity"]
+    metadata = _entities_to_dict(instance)
     arrays: dict[str, np.ndarray] = {
         "activity": instance.activity.matrix,
     }
@@ -294,8 +315,9 @@ def save_instance_npz(instance: SESInstance, path: str | Path) -> None:
     )
 
 
-def load_instance_npz(path: str | Path) -> SESInstance:
-    """Read an instance previously written by :func:`save_instance_npz`."""
+def load_instance_npz(path: str | Path | BinaryIO) -> SESInstance:
+    """Read an instance previously written by :func:`save_instance_npz`
+    from a path or an open binary file."""
     with np.load(path) as archive:
         metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
         if metadata.pop("interest_backend", "dense") == "sparse":
@@ -349,9 +371,7 @@ def save_sharded_instance(instance: SESInstance, directory: str | Path) -> None:
         )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    metadata = instance_to_dict(instance)
-    del metadata["interest"]
-    del metadata["activity"]
+    metadata = _entities_to_dict(instance)
     if all(u["name"] == "" and not u["tags"] for u in metadata["users"]):
         metadata["users"] = {"count": len(metadata["users"])}
     plan = interest.plan

@@ -5,9 +5,12 @@ Four pillars:
 * :class:`DeltaJournal` — an append-only, CRC-framed write-ahead log
   (format ``ses-wal/1``) of every applied change op, with torn-tail
   repair on re-open and configurable fsync policy.
-* :class:`CheckpointStore` — periodic atomic snapshots (``ses-ckpt/1``)
-  of live session state, published via temp sibling + ``os.replace``.
-* :func:`recover` — newest valid checkpoint + journal-tail replay
+* :class:`CheckpointStore` — periodic atomic, instance-free snapshots
+  (``ses-ckpt/2``) of live session state, published via temp sibling +
+  ``os.replace``; the base instance is written once as ``instance.npz``
+  (:mod:`repro.resilience.base`).
+* :func:`recover` — newest valid checkpoint over the instance derived
+  from the base and the journal prefix, then journal-tail replay
   through the normal delta path; a recovered stream session is
   bit-identical to an uninterrupted one (the kill-point suite proves it
   at every op index).  Serving sessions recover through

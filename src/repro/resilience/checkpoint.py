@@ -1,9 +1,15 @@
-"""Atomic checkpoints of durable-session state (``ses-ckpt/1``).
+"""Atomic checkpoints of durable-session state (``ses-ckpt/2``).
 
-A checkpoint is a full snapshot of a durable session's live state —
-frozen instance (via the existing JSON serialization), schedule, locks,
-policy state — stamped with the journal offset it was taken at.  Files
-are written atomically (temp sibling + ``os.replace`` + directory
+A checkpoint is a snapshot of a durable session's state *apart from the
+instance* — schedule, locks, policy state and the bitwise float state
+for a stream; the pool generation for a serving session — stamped with
+the journal offset it was taken at.  The instance is never in it: the
+session's base instance is written once, as ``instance.npz`` next to
+the journal, and recovery derives the instance at a checkpoint's offset
+by replaying the journal prefix onto it (:mod:`repro.resilience.base`),
+so a checkpoint costs O(schedule), not O(instance).
+
+Files are written atomically (temp sibling + ``os.replace`` + directory
 fsync), so a crash mid-checkpoint leaves either the previous checkpoint
 set or the new one, never a torn file; the payload additionally embeds a
 CRC32 over its canonical body so a damaged file is *detected* and
@@ -19,21 +25,25 @@ filter makes recovery robust to that too).  Checkpoint files are named
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from pathlib import Path
 from typing import Any
 
 from repro.core.errors import CheckpointError
+from repro.data.serialization import _atomic_write
 
 __all__ = ["CHECKPOINT_FORMAT", "CheckpointStore"]
 
 #: Format tag embedded in every checkpoint file.
-CHECKPOINT_FORMAT = "ses-ckpt/1"
+CHECKPOINT_FORMAT = "ses-ckpt/2"
 
 
 def _canonical(payload: dict[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _crc(encoded: str) -> int:
+    return zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF
 
 
 class CheckpointStore:
@@ -58,35 +68,20 @@ class CheckpointStore:
         CRC32 of the canonical body encoding; the file lands via temp
         sibling + ``os.replace`` and the directory entry is fsynced, so
         a reader either sees a complete, verifiable checkpoint or none.
+        The body is encoded once: the envelope is the canonical encoding
+        of ``{"body", "crc", "format", "offset"}`` built around it.
         """
         if offset < 0:
             raise ValueError(f"checkpoint offset must be >= 0, got {offset}")
         encoded = _canonical(body)
-        envelope = {
-            "format": CHECKPOINT_FORMAT,
-            "offset": offset,
-            "crc": zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF,
-            "body": body,
-        }
+        # the keys in sorted order, so the text equals _canonical(envelope)
+        text = (
+            f'{{"body":{encoded},"crc":{_crc(encoded)},'
+            f'"format":{json.dumps(CHECKPOINT_FORMAT)},"offset":{offset}}}'
+        ).encode("utf-8")
         path = self._path_for(offset)
-        tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle, sort_keys=True, separators=(",", ":"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        self._fsync_directory()
+        _atomic_write(path, lambda handle: handle.write(text))
         return path
-
-    def _fsync_directory(self) -> None:
-        try:
-            fd = os.open(self._directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform-dependent
-            return
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
 
     # -- reading ---------------------------------------------------------
     def offsets(self) -> list[int]:
@@ -123,8 +118,7 @@ class CheckpointStore:
         body = envelope.get("body")
         if not isinstance(body, dict):
             raise CheckpointError(f"checkpoint {path} has no body")
-        encoded = _canonical(body)
-        if (zlib.crc32(encoded.encode("utf-8")) & 0xFFFFFFFF) != envelope.get("crc"):
+        if _crc(_canonical(body)) != envelope.get("crc"):
             raise CheckpointError(f"checkpoint {path} fails its CRC check")
         if envelope.get("offset") != offset:
             raise CheckpointError(

@@ -1,8 +1,14 @@
 """Durability: the one knob durable sessions take.
 
-``Durability(path)`` names a directory that will hold the session's
-write-ahead journal (``wal.jsonl``, format ``ses-wal/1``) and its
-checkpoint set (``checkpoints/ckpt-<offset>.json``, ``ses-ckpt/1``).
+``Durability(path)`` names a directory that will hold::
+
+    instance.npz                     # the base instance, written once
+    wal.jsonl                        # write-ahead journal, ses-wal/1
+    checkpoints/ckpt-<offset>.json   # instance-free checkpoints, ses-ckpt/2
+
+The journal header records the byte length and CRC32 of
+``instance.npz``; every checkpoint stands on that file plus the journal
+prefix before its offset.
 :class:`~repro.stream.driver.StreamDriver` and
 :class:`~repro.serve.session.ServingSession` both accept it; recovery
 (:func:`repro.resilience.recover` / ``ServingSession.recover``) needs
@@ -66,6 +72,10 @@ class Durability:
     @property
     def directory(self) -> Path:
         return Path(self.path)
+
+    @property
+    def instance_path(self) -> Path:
+        return self.directory / "instance.npz"
 
     @property
     def journal_path(self) -> Path:

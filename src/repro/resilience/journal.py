@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.errors import JournalError
+from repro.data.serialization import _fsync_directory
 
 __all__ = ["JOURNAL_FORMAT", "FSYNC_POLICIES", "DeltaJournal", "JournalScan"]
 
@@ -209,13 +210,13 @@ class DeltaJournal:
         fsync: str = "interval",
         fsync_every: int = 8,
     ) -> "DeltaJournal":
-        """Start a fresh journal; refuses to clobber an existing one."""
+        """Start a fresh journal; refuses to clobber an existing one.
+
+        The header is fsynced, and so is the directory entry of the new
+        file, so a journal that ``create`` returned survives a power cut.
+        """
         path = Path(path)
-        if path.exists():
-            raise JournalError(
-                f"journal {path} already exists; recover() from it or "
-                f"choose a fresh durability directory"
-            )
+        cls.refuse_existing(path)
         header = {"format": JOURNAL_FORMAT}
         header.update(metadata or {})
         handle = open(path, "ab")
@@ -225,7 +226,18 @@ class DeltaJournal:
         )
         handle.write(_frame(header))
         journal.sync()
+        _fsync_directory(path.parent)
         return journal
+
+    @staticmethod
+    def refuse_existing(path: str | Path) -> None:
+        """Raise :class:`JournalError` when ``path`` already holds a journal."""
+        path = Path(path)
+        if path.exists():
+            raise JournalError(
+                f"journal {path} already exists; recover() from it or "
+                f"choose a fresh durability directory"
+            )
 
     @classmethod
     def open(

@@ -12,7 +12,11 @@ a replay of the acknowledged call.
 back through the session's public mutator, which routes it through
 :meth:`~repro.serve.pool.PlanePool.write` just like the original call —
 generation counters and plane contents line up bit-for-bit with an
-uninterrupted session.
+uninterrupted session.  :func:`apply_structure` decodes the same record
+but makes only its structural change, to a bare
+:class:`~repro.core.live.LiveInstance`: recovery derives the instance at
+a checkpoint's offset that way, from the base instance and the journal
+prefix.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ import numpy as np
 from repro.core.errors import RecoveryError
 
 if TYPE_CHECKING:
+    from repro.core.live import LiveInstance
     from repro.serve.session import ServingSession
 
 __all__ = [
     "SERVE_MUTATION_KINDS",
+    "apply_structure",
     "column_payload",
     "replay_mutation",
 ]
@@ -46,32 +52,47 @@ def column_payload(column: Any) -> list[float]:
     return [float(v) for v in np.asarray(column, dtype=float)]
 
 
-def replay_mutation(session: "ServingSession", payload: dict[str, Any]) -> None:
-    """Re-apply one journaled mutation through the session's mutators."""
+def _arguments(payload: dict[str, Any]) -> tuple[str, dict[str, Any]]:
+    """A record's kind and the keyword arguments of its mutator."""
     kind = payload.get("kind")
     if kind == "add_event":
-        session.add_event(
-            location=int(payload["location"]),
-            required_resources=float(payload["required_resources"]),
-            interest_column=np.asarray(payload["interest"], dtype=float),
-            name=str(payload["name"]),
-            tags=frozenset(payload["tags"]),
-        )
+        arguments = {
+            "location": int(payload["location"]),
+            "required_resources": float(payload["required_resources"]),
+            "interest_column": np.asarray(payload["interest"], dtype=float),
+            "name": str(payload["name"]),
+            "tags": frozenset(payload["tags"]),
+        }
     elif kind == "cancel_event":
-        session.cancel_event(int(payload["event"]))
+        arguments = {"event": int(payload["event"])}
     elif kind == "update_event_interest":
-        session.update_event_interest(
-            int(payload["event"]),
-            np.asarray(payload["interest"], dtype=float),
-        )
+        arguments = {
+            "event": int(payload["event"]),
+            "interest_column": np.asarray(payload["interest"], dtype=float),
+        }
     elif kind == "add_competing":
-        session.add_competing(
-            interval=int(payload["interval"]),
-            interest_column=np.asarray(payload["interest"], dtype=float),
-            name=str(payload["name"]),
-        )
+        arguments = {
+            "interval": int(payload["interval"]),
+            "interest_column": np.asarray(payload["interest"], dtype=float),
+            "name": str(payload["name"]),
+        }
     else:
         raise RecoveryError(
             f"unknown serve journal record kind {kind!r}; "
             f"choose from {SERVE_MUTATION_KINDS}"
         )
+    return kind, arguments
+
+
+def replay_mutation(session: "ServingSession", payload: dict[str, Any]) -> None:
+    """Re-apply one journaled mutation through the session's mutators."""
+    kind, arguments = _arguments(payload)
+    getattr(session, kind)(**arguments)
+
+
+def apply_structure(live: "LiveInstance", payload: dict[str, Any]) -> None:
+    """Make one journaled mutation's structural change to ``live`` alone."""
+    from repro.serve.session import STRUCTURAL_MUTATIONS
+
+    kind, arguments = _arguments(payload)
+    STRUCTURAL_MUTATIONS[kind](live, **arguments)

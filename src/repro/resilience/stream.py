@@ -2,21 +2,24 @@
 
 :class:`~repro.stream.driver.StreamDriver` constructed with a
 ``durability=`` config routes every applied change op through a
-:class:`DurableStream`: the op (plus the observation record the driver
-took) is appended to the write-ahead journal *after* it committed to the
-live scheduler, and a full :mod:`checkpoint <repro.resilience.checkpoint>`
-of the live state is published every ``checkpoint_every`` records (the
-journal is fsynced first, so a checkpoint never claims ops the journal
-could lose).
+:class:`DurableStream`: the bound base instance is written once
+(:mod:`repro.resilience.base`), the op (plus the observation record the
+driver took) is appended to the write-ahead journal *after* it committed
+to the live scheduler, and an instance-free
+:mod:`checkpoint <repro.resilience.checkpoint>` of the scheduler state is
+published every ``checkpoint_every`` records (the journal is fsynced
+first, so a checkpoint never claims ops the journal could lose).
 
 :func:`recover` is the other half of the contract: newest valid
 checkpoint + journal-tail replay *through the normal delta path* —
-``policy.apply(op)`` exactly as the original run called it.  Checkpoints
-carry the accumulated float state (engine mass, capacity sums) bitwise,
-restores are verified against the journaled utilities with exact float
-equality, and any checkpoint that fails falls back to the next older
-one — down to the offset-0 floor, where a fresh bind plus full-journal
-replay is bit-exact by construction.  Together this makes the recovered
+``policy.apply(op)`` exactly as the original run called it.  The
+instance at a checkpoint's offset is derived from the base by applying
+the journal prefix structurally.  Checkpoints carry the accumulated
+float state (engine mass, capacity sums) bitwise, restores are verified
+against the journaled utilities with exact float equality, and any
+checkpoint that fails falls back to the next older one — down to the
+offset-0 floor, where a fresh bind plus full-journal replay is
+bit-exact by construction.  Together this makes the recovered
 session bit-identical to an uninterrupted one in every semantic
 observable (utility trajectory, schedules, plane contents).
 Wall-clock observables (latencies, freeze counters, plane fill stats)
@@ -33,14 +36,24 @@ from typing import Any
 from repro.algorithms.registry import solver_registry
 from repro.core.engine import ENGINE_KINDS, EngineSpec
 from repro.core.errors import CheckpointError, RecoveryError
-from repro.data.serialization import instance_from_dict, instance_to_dict
+from repro.core.instance import SESInstance
+from repro.core.live import LiveInstance, arrival_event, rival_event
 from repro.interactive.locks import LockSet
+from repro.resilience.base import create_journal, derive_instance, load_base
 from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.config import Durability
 from repro.resilience.journal import DeltaJournal
 from repro.stream.driver import OpRecord, StreamResult
 from repro.stream.policies import MaintenancePolicy, make_policy
-from repro.stream.trace import ChangeOp, Trace
+from repro.stream.trace import (
+    AnnounceRival,
+    ArriveCandidate,
+    CancelEvent,
+    ChangeOp,
+    DriftInterest,
+    Trace,
+    column_from_entries,
+)
 
 __all__ = ["DurableStream", "RecoveredStream", "recover"]
 
@@ -84,14 +97,15 @@ def _checkpoint_body(
     policy_name: str,
     policy_params: dict[str, Any],
 ) -> dict[str, Any]:
-    """Snapshot everything recovery needs to re-bind at ``offset``."""
+    """Snapshot the scheduler state recovery re-binds at ``offset``.
+
+    The instance is not in it: recovery derives it from the base
+    instance and the journal prefix.
+    """
     scheduler = policy.scheduler
     return {
         "kind": "stream",
         "offset": offset,
-        # checkpoints are the one sanctioned O(instance) snapshot point
-        # in the streaming path: cadence-bounded, never per-op
-        "instance": instance_to_dict(scheduler.instance),  # ses-lint: disable=freeze-ban
         "schedule": {
             str(event): int(interval)
             for event, interval in sorted(scheduler.schedule.as_mapping().items())
@@ -122,6 +136,32 @@ def _op_payload(record: OpRecord, op: ChangeOp) -> dict[str, Any]:
         "regret": record.regret,
         "op": op.to_dict(),
     }
+
+
+def _apply_structure(live: LiveInstance, payload: dict[str, Any]) -> None:
+    """Make one journaled op's structural change to ``live``.
+
+    The same :class:`LiveInstance` mutators and entity constructors the
+    live scheduler uses, without its scheduling.  A budget raise changes
+    no structure (checkpoints carry ``k``).
+    """
+    op = ChangeOp.from_dict(payload["op"])
+    if isinstance(op, ArriveCandidate):
+        live.add_event(
+            arrival_event(live, op.location, op.required_resources, op.name),
+            column_from_entries(op.interest, live.n_users),
+        )
+    elif isinstance(op, CancelEvent):
+        live.remove_event(op.event)
+    elif isinstance(op, AnnounceRival):
+        live.add_competing(
+            rival_event(live, op.interval, op.name),
+            column_from_entries(op.interest, live.n_users),
+        )
+    elif isinstance(op, DriftInterest):
+        live.replace_event_interest(
+            op.event, column_from_entries(op.interest, live.n_users)
+        )
 
 
 def _record_from_payload(payload: dict[str, Any]) -> OpRecord:
@@ -166,6 +206,7 @@ class DurableStream:
         cls,
         config: Durability,
         *,
+        instance: SESInstance,
         policy: MaintenancePolicy,
         policy_name: str,
         policy_params: dict[str, Any],
@@ -174,18 +215,18 @@ class DurableStream:
         oracle_every: int | None = None,
         oracle_solver: str = "grd-heap",
     ) -> "DurableStream":
-        """Open a fresh durability directory for a just-bound policy.
+        """Open a fresh durability directory for a policy bound on ``instance``.
 
-        Writes the journal header and the offset-0 checkpoint (the bound
-        initial state), so recovery always has a floor to stand on.
-        Refuses a directory that already holds a journal — recover from
-        it instead of silently appending.
+        Writes the base instance, the journal header stamping it, and
+        the offset-0 checkpoint (the bound initial state), so recovery
+        always has a floor to stand on.  Refuses a directory that
+        already holds a journal — recover from it instead of silently
+        appending.
         """
         if not policy.bound:
             raise RecoveryError(
                 "DurableStream.begin needs a bound policy (bind first)"
             )
-        config.directory.mkdir(parents=True, exist_ok=True)
         metadata = {
             "kind": "stream",
             "k": k,
@@ -200,12 +241,7 @@ class DurableStream:
             "oracle_every": oracle_every,
             "oracle_solver": oracle_solver,
         }
-        journal = DeltaJournal.create(
-            config.journal_path,
-            metadata,
-            fsync=config.fsync,
-            fsync_every=config.fsync_every,
-        )
+        journal = create_journal(config, instance, metadata)
         store = CheckpointStore(config.checkpoint_directory)
         durable = cls(config, journal, store, policy, policy_name, policy_params)
         durable._checkpoint()
@@ -248,10 +284,12 @@ class DurableStream:
 def _restore_checkpoint(
     checkpoint_offset: int,
     body: dict[str, Any],
+    instance: SESInstance,
     scan: Any,
     engine: EngineSpec,
 ) -> MaintenancePolicy:
-    """Restore one checkpoint and replay the journal tail, verified.
+    """Restore one checkpoint over ``instance`` (the instance at its
+    offset) and replay the journal tail, verified.
 
     Raises :class:`RecoveryError` on any exact-equality mismatch — the
     restored utility against the journal record the checkpoint claims to
@@ -259,7 +297,6 @@ def _restore_checkpoint(
     tail op (JSON round-trips floats losslessly, so exact comparison is
     sound).  The caller falls back to an older checkpoint on failure.
     """
-    instance = instance_from_dict(body["instance"])
     locks = (
         None if body["locks"] is None else LockSet.from_dict(body["locks"])
     )
@@ -272,13 +309,13 @@ def _restore_checkpoint(
     }
     if checkpoint_offset == 0:
         # the recovery floor: bind just re-ran the original initial solve
-        # on the original instance, so the live float state is
+        # on the base instance, so the live float state is
         # bit-identical by construction — adopting would re-accumulate it
         # in sorted order instead
         if dict(policy.scheduler.schedule.as_mapping()) != schedule:
             raise RecoveryError(
                 "offset-0 checkpoint schedule does not match a fresh "
-                "bind on the checkpointed instance"
+                "bind on the base instance"
             )
         policy.load_state(policy_info["state"])
     else:
@@ -312,9 +349,11 @@ def _restore_checkpoint(
 def recover(source: Durability | str) -> "RecoveredStream":
     """Rebuild a durable stream session from its directory.
 
-    Tries checkpoints newest-first among those whose offset the
-    surviving journal can cover: re-binds the policy on the checkpointed
-    instance, adopts the checkpointed schedule plus the bit-exact float
+    Loads and verifies the base instance once, then tries checkpoints
+    newest-first among those whose offset the surviving journal can
+    cover: derives the instance at the checkpoint's offset by applying
+    the journal prefix to the base structurally, re-binds the policy on
+    it, adopts the checkpointed schedule plus the bit-exact float
     state snapshot, restores policy state, and replays the journal tail
     through the normal ``policy.apply`` path — verifying the restored
     and replayed utilities against the journaled ones at every step
@@ -322,7 +361,9 @@ def recover(source: Durability | str) -> "RecoveredStream":
     verification is skipped for the next older one; the offset-0
     checkpoint (written at ``begin``) is the guaranteed floor, where a
     fresh bind plus full-journal replay reproduces the original run's
-    float state bit-for-bit by construction.
+    float state bit-for-bit by construction.  A missing or damaged base
+    instance, or a journal prefix that does not apply to it, fails
+    recovery outright with a :class:`RecoveryError`.
     """
     config = source if isinstance(source, Durability) else Durability(source)
     journal, scan = DeltaJournal.open(
@@ -336,6 +377,7 @@ def recover(source: Durability | str) -> "RecoveredStream":
                 f"{metadata.get('kind')!r} session, not a stream replay"
             )
         engine = engine_spec_from_dict(metadata["engine"], config.journal_path)
+        base = load_base(config, metadata)
         store = CheckpointStore(config.checkpoint_directory)
         candidates = [
             offset
@@ -357,8 +399,14 @@ def recover(source: Durability | str) -> "RecoveredStream":
                     f"checkpoint"
                 )
                 continue
+            instance = derive_instance(
+                base, scan.records[:candidate], _apply_structure,
+                config.journal_path,
+            )
             try:
-                policy = _restore_checkpoint(candidate, body, scan, engine)
+                policy = _restore_checkpoint(
+                    candidate, body, instance, scan, engine
+                )
                 checkpoint_offset = candidate
                 break
             except RecoveryError as error:

@@ -48,7 +48,46 @@ from repro.interactive.locks import LockSet
 from repro.interactive.versions import ScheduleVersion, VersionDiff, VersionStore
 from repro.serve.pool import PlanePool, PoolStats
 
-__all__ = ["ServedResponse", "ServingSession"]
+__all__ = ["ServedResponse", "ServingSession", "STRUCTURAL_MUTATIONS"]
+
+
+def _add_event(
+    live: LiveInstance,
+    location: int,
+    required_resources: float,
+    interest_column: Any,
+    name: str = "",
+    tags: frozenset[str] = frozenset(),
+) -> LiveDelta:
+    """Structural change of :meth:`ServingSession.add_event`."""
+    event = CandidateEvent(
+        index=live.n_events,
+        location=location,
+        required_resources=required_resources,
+        name=name,
+        tags=tags,
+    )
+    return live.add_event(event, interest_column)
+
+
+def _add_competing(
+    live: LiveInstance, interval: int, interest_column: Any, name: str = ""
+) -> LiveDelta:
+    """Structural change of :meth:`ServingSession.add_competing`."""
+    rival = CompetingEvent(index=live.n_competing, interval=interval, name=name)
+    return live.add_competing(rival, interest_column)
+
+
+#: The structural change each mutator makes to the live instance, keyed
+#: by its journal record kind: what the pool writer commits, and what
+#: recovery applies to the base instance to derive a checkpoint's
+#: instance (:func:`repro.resilience.serve.apply_structure`).
+STRUCTURAL_MUTATIONS = {
+    "add_event": _add_event,
+    "cancel_event": LiveInstance.remove_event,
+    "update_event_interest": LiveInstance.replace_event_interest,
+    "add_competing": _add_competing,
+}
 
 
 @dataclass(frozen=True)
@@ -169,29 +208,27 @@ class ServingSession:
             self._open_durability(durability, instance)
 
     def _open_durability(self, durability: Any, instance: SESInstance) -> None:
-        from repro.data.serialization import instance_to_dict
+        from repro.resilience.base import create_journal
         from repro.resilience.checkpoint import CheckpointStore
-        from repro.resilience.journal import DeltaJournal
         from repro.resilience.stream import engine_spec_to_dict
 
-        durability.directory.mkdir(parents=True, exist_ok=True)
-        self._durability = durability
-        self._journal = DeltaJournal.create(
-            durability.journal_path,
+        self._journal = create_journal(
+            durability,
+            instance,
             {
                 "kind": "serve",
                 "n_users": instance.n_users,
                 "engine": engine_spec_to_dict(self.default_engine),
             },
-            fsync=durability.fsync,
-            fsync_every=durability.fsync_every,
         )
+        self._durability = durability
         self._checkpoints = CheckpointStore(durability.checkpoint_directory)
-        self._write_checkpoint(instance_to_dict(instance))
+        self._write_checkpoint()
 
-    def _write_checkpoint(self, instance_payload: dict[str, Any]) -> None:
+    def _write_checkpoint(self) -> None:
         # journal first: a published checkpoint never claims mutations
-        # the journal could still lose to a crash
+        # the journal could still lose to a crash.  The instance is not
+        # in it: recovery derives it from the base and the journal
         self._journal.sync()
         self._checkpoints.write(
             self._journal.offset,
@@ -199,7 +236,6 @@ class ServingSession:
                 "kind": "serve",
                 "offset": self._journal.offset,
                 "generation": self._pool.generation,
-                "instance": instance_payload,
             },
         )
 
@@ -557,15 +593,11 @@ class ServingSession:
         """
         if self._journal is None:
             return self._pool.write(mutate)
-        from repro.data.serialization import instance_to_dict
-
         with self._write_lock:
             delta = self._pool.write(mutate)
             self._journal.append(payload_fn())
             if self._journal.offset % self._durability.checkpoint_every == 0:
-                self._write_checkpoint(
-                    instance_to_dict(self._live.freeze())  # ses-lint: disable=freeze-ban
-                )
+                self._write_checkpoint()
             return delta
 
     def add_event(
@@ -582,14 +614,10 @@ class ServingSession:
         O(delta), the generation bumps, outstanding replicas invalidate.
         """
         def mutate(live: LiveInstance) -> LiveDelta:
-            event = CandidateEvent(
-                index=live.n_events,
-                location=location,
-                required_resources=required_resources,
-                name=name,
-                tags=tags,
+            return _add_event(
+                live, location, required_resources, interest_column, name,
+                tags,
             )
-            return live.add_event(event, interest_column)
 
         def payload() -> dict[str, Any]:
             from repro.resilience.serve import column_payload
@@ -638,10 +666,7 @@ class ServingSession:
     ) -> int:
         """Commit a rival-event announcement; returns its index."""
         def mutate(live: LiveInstance) -> LiveDelta:
-            rival = CompetingEvent(
-                index=live.n_competing, interval=interval, name=name
-            )
-            return live.add_competing(rival, interest_column)
+            return _add_competing(live, interval, interest_column, name)
 
         def payload() -> dict[str, Any]:
             from repro.resilience.serve import column_payload
@@ -666,12 +691,8 @@ class ServingSession:
         """Seal a durable session: final checkpoint, close the journal."""
         if self._journal is None or self._journal.closed:
             return
-        from repro.data.serialization import instance_to_dict
-
         with self._write_lock:
-            self._write_checkpoint(
-                instance_to_dict(self._live.freeze())  # ses-lint: disable=freeze-ban
-            )
+            self._write_checkpoint()
             self._journal.close()
 
     @classmethod
@@ -688,18 +709,20 @@ class ServingSession:
         """Rebuild a durable serving session from its directory.
 
         Newest valid checkpoint + journal-tail replay through the normal
-        mutators: the recovered session's generation, live state and
+        mutators.  The instance at the checkpoint's offset is derived
+        from the verified base instance by applying the journal prefix
+        structurally.  The recovered session's generation, live state and
         plane contents are bit-identical to an uninterrupted session's,
         and it keeps journaling into the same WAL.  Serving-process
         config (engine, replicas, fault plan) is not state and is passed
         fresh.
         """
         from repro.core.errors import RecoveryError
-        from repro.data.serialization import instance_from_dict
+        from repro.resilience.base import derive_instance, load_base
         from repro.resilience.checkpoint import CheckpointStore
         from repro.resilience.config import Durability
         from repro.resilience.journal import DeltaJournal
-        from repro.resilience.serve import replay_mutation
+        from repro.resilience.serve import apply_structure, replay_mutation
         from repro.resilience.stream import engine_spec_from_dict
 
         config = (
@@ -718,6 +741,7 @@ class ServingSession:
                     f"{scan.metadata.get('kind')!r} session, not a "
                     f"serving session"
                 )
+            base = load_base(config, scan.metadata)
             store = CheckpointStore(config.checkpoint_directory)
             found = store.newest_valid(max_offset=scan.offset)
             if found is None:
@@ -735,8 +759,12 @@ class ServingSession:
                 default_engine = engine_spec_from_dict(
                     scan.metadata["engine"], config.journal_path
                 )
+            instance = derive_instance(
+                base, scan.records[:offset], apply_structure,
+                config.journal_path,
+            )
             session = cls(
-                instance_from_dict(body["instance"]),
+                instance,
                 default_engine,
                 registry,
                 max_replicas=max_replicas,

@@ -282,6 +282,7 @@ class StreamDriver:
             assert self._policy_name is not None  # enforced in __init__
             durable = DurableStream.begin(
                 self._durability,
+                instance=self._instance,
                 policy=self._policy,
                 policy_name=self._policy_name,
                 policy_params=self._policy_params,

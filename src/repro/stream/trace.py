@@ -50,6 +50,7 @@ __all__ = [
     "RaiseBudget",
     "Trace",
     "TraceError",
+    "column_from_entries",
     "entries_from_column",
 ]
 
@@ -85,7 +86,9 @@ def _normalize_entries(entries: Iterable[tuple[int, float]]) -> Entries:
     return pairs
 
 
-def _column_from_entries(entries: Entries, n_users: int) -> np.ndarray:
+def column_from_entries(entries: Entries, n_users: int) -> np.ndarray:
+    """Dense ``(n_users,)`` interest column of sparse entries (inverse of
+    :func:`entries_from_column`)."""
     column = np.zeros(n_users)
     for user, value in entries:
         if user >= n_users:
@@ -166,7 +169,7 @@ class ArriveCandidate(ChangeOp):
         live.add_candidate_event(
             location=self.location,
             required_resources=self.required_resources,
-            interest_column=_column_from_entries(
+            interest_column=column_from_entries(
                 self.interest, live.live.n_users
             ),
             name=self.name,
@@ -219,7 +222,7 @@ class AnnounceRival(ChangeOp):
     ) -> None:
         live.add_competing_event(
             interval=self.interval,
-            interest_column=_column_from_entries(
+            interest_column=column_from_entries(
                 self.interest, live.live.n_users
             ),
             name=self.name,
@@ -250,7 +253,7 @@ class DriftInterest(ChangeOp):
     ) -> None:
         live.update_event_interest(
             self.event,
-            _column_from_entries(self.interest, live.live.n_users),
+            column_from_entries(self.interest, live.live.n_users),
             maintain=maintain,
         )
 

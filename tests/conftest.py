@@ -99,6 +99,22 @@ def _plenty_of_cpus(monkeypatch: pytest.MonkeyPatch) -> None:
 
 
 @pytest.fixture
+def fsynced_inodes(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Inode numbers of every file or directory ``os.fsync`` is called on."""
+    import os
+
+    fsync = os.fsync
+    inodes: list[int] = []
+
+    def recording(fd: int) -> None:
+        inodes.append(os.fstat(fd).st_ino)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording)
+    return inodes
+
+
+@pytest.fixture
 def random_instance() -> SESInstance:
     """A small but non-trivial random instance."""
     return make_random_instance(seed=42)

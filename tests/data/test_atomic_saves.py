@@ -46,6 +46,11 @@ class TestAtomicWrites:
             ser._atomic_write(tmp_path / "inst.json", boom)
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_fsyncs_file_and_directory(self, tmp_path, fsynced_inodes):
+        save_instance_npz(make_random_instance(seed=904), tmp_path / "inst.npz")
+        assert (tmp_path / "inst.npz").stat().st_ino in fsynced_inodes
+        assert tmp_path.stat().st_ino in fsynced_inodes
+
     def test_npz_save_appends_suffix_and_stays_atomic(self, tmp_path):
         instance = make_random_instance(seed=903)
         save_instance_npz(instance, tmp_path / "bare")

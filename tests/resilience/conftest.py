@@ -8,6 +8,7 @@ to an uninterrupted one.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.engine import EngineSpec
@@ -75,16 +76,90 @@ def restamp_engine(durability, kind: str) -> None:
     from repro.resilience.checkpoint import CheckpointStore
     from repro.resilience.journal import DeltaJournal
 
-    scan = DeltaJournal.scan(durability.journal_path)
-    metadata = dict(scan.metadata)
-    metadata["engine"] = dict(metadata["engine"], kind=kind)
-    durability.journal_path.unlink()
-    with DeltaJournal.create(durability.journal_path, metadata) as journal:
-        for record in scan.records:
-            journal.append(record)
+    metadata = DeltaJournal.scan(durability.journal_path).metadata
+    rewrite_journal(
+        durability, header=dict(metadata, engine=dict(metadata["engine"], kind=kind))
+    )
     store = CheckpointStore(durability.checkpoint_directory)
     for offset in store.offsets():
         body = store.load(offset)
         if "engine" in body:
             body["engine"] = dict(body["engine"], kind=kind)
             store.write(offset, body)
+
+
+def assert_same_instance(actual, expected) -> None:
+    """Field-for-field equality of two frozen instances.
+
+    Entities compare as dataclasses, names and tags included.  Sparse
+    interest is compared on its CSC components, so two instances that
+    merely densify alike do not pass.
+    """
+    assert actual.users == expected.users
+    assert actual.intervals == expected.intervals
+    assert actual.events == expected.events
+    assert actual.competing == expected.competing
+    assert actual.organizer == expected.organizer
+    np.testing.assert_array_equal(
+        actual.activity.matrix, expected.activity.matrix
+    )
+    assert actual.interest.backend == expected.interest.backend
+    if expected.interest.backend == "dense":
+        for side in ("candidate", "competing"):
+            np.testing.assert_array_equal(
+                getattr(actual.interest, side), getattr(expected.interest, side)
+            )
+    else:
+        for side in ("candidate_sparse", "competing_sparse"):
+            got = getattr(actual.interest, side)
+            want = getattr(expected.interest, side)
+            assert got.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(got, part), getattr(want, part)
+                )
+    assert [list(c) for c in actual.competing_by_interval] == [
+        list(c) for c in expected.competing_by_interval
+    ]
+
+
+def rewrite_journal(durability, header=None, records=None) -> None:
+    """Re-create a directory's journal with a new header and/or records.
+
+    Either argument defaults to what the journal holds now; every other
+    file of the directory is left as it is.
+    """
+    from repro.resilience.journal import DeltaJournal
+
+    scan = DeltaJournal.scan(durability.journal_path)
+    metadata = scan.metadata if header is None else header
+    durability.journal_path.unlink()
+    with DeltaJournal.create(durability.journal_path, metadata) as journal:
+        for record in scan.records if records is None else records:
+            journal.append(record)
+
+
+def mutate_serving(session, n: int, seed: int = 0) -> None:
+    """Apply n deterministic mutations across all four mutator kinds."""
+    rng = np.random.default_rng(seed)
+    for index in range(n):
+        column = rng.uniform(0.0, 1.0, session.version_instance().n_users)
+        kind = index % 4
+        if kind == 0:
+            session.add_event(
+                location=int(rng.integers(3)),
+                required_resources=float(rng.uniform(1.0, 2.0)),
+                interest_column=column,
+                name=f"evt-{index}",
+                tags=frozenset({"late"}),
+            )
+        elif kind == 1:
+            session.add_competing(
+                interval=int(rng.integers(session.version_instance().n_intervals)),
+                interest_column=column[: session.version_instance().n_users],
+                name=f"rival-{index}",
+            )
+        elif kind == 2:
+            session.update_event_interest(0, column)
+        else:
+            session.cancel_event(session.version_instance().n_events - 1)

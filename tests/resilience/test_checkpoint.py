@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,44 @@ class TestWriteLoad:
     def test_missing_offset(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
             CheckpointStore(tmp_path / "ckpt").load(5)
+
+    def test_file_is_the_canonical_envelope(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        body = {
+            "kind": "test",
+            "values": [0.1, 1e-300, 2.5],
+            "nested": {"b": 1, "a": [None, "é"]},
+        }
+        path = store.write(11, body)
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        envelope = {
+            "format": CHECKPOINT_FORMAT,
+            "offset": 11,
+            "crc": zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF,
+            "body": body,
+        }
+        assert path.read_bytes() == json.dumps(
+            envelope, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+
+    def test_publish_fsyncs_the_directory(self, tmp_path, fsynced_inodes):
+        store = CheckpointStore(tmp_path / "ckpt")
+        path = store.write(2, {"a": 1})
+        assert path.stat().st_ino in fsynced_inodes
+        assert store.directory.stat().st_ino in fsynced_inodes
+
+    def test_failed_fsync_leaves_no_tmp_file(self, tmp_path, monkeypatch):
+        import os
+
+        store = CheckpointStore(tmp_path / "ckpt")
+
+        def broken(fd):
+            raise OSError("injected fsync failure")
+
+        monkeypatch.setattr(os, "fsync", broken)
+        with pytest.raises(OSError, match="injected"):
+            store.write(4, {"a": 1})
+        assert list(store.directory.iterdir()) == []
 
     def test_envelope_fields(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")

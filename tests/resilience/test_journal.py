@@ -56,6 +56,12 @@ class TestLifecycle:
         with pytest.raises(JournalError, match="already exists"):
             DeltaJournal.create(path)
 
+    def test_create_fsyncs_file_and_directory(self, tmp_path, fsynced_inodes):
+        path = tmp_path / "wal.jsonl"
+        DeltaJournal.create(path, {"kind": "test"}).close()
+        assert path.stat().st_ino in fsynced_inodes
+        assert tmp_path.stat().st_ino in fsynced_inodes
+
     def test_direct_construction_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="create"):
             DeltaJournal(tmp_path / "wal.jsonl")

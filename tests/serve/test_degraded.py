@@ -18,36 +18,11 @@ from repro.resilience import Durability, FaultPlan
 from repro.serve import ServingSession
 
 from tests.conftest import make_random_instance
+from tests.resilience.conftest import mutate_serving
 
 
 def _session(**kwargs) -> ServingSession:
     return ServingSession(make_random_instance(seed=42), **kwargs)
-
-
-def _mutate_n(session: ServingSession, n: int, seed: int = 0) -> None:
-    """Apply n deterministic mutations across all four mutator kinds."""
-    rng = np.random.default_rng(seed)
-    for index in range(n):
-        column = rng.uniform(0.0, 1.0, session.version_instance().n_users)
-        kind = index % 4
-        if kind == 0:
-            session.add_event(
-                location=int(rng.integers(3)),
-                required_resources=float(rng.uniform(1.0, 2.0)),
-                interest_column=column,
-                name=f"evt-{index}",
-                tags=frozenset({"late"}),
-            )
-        elif kind == 1:
-            session.add_competing(
-                interval=int(rng.integers(session.version_instance().n_intervals)),
-                interest_column=column[: session.version_instance().n_users],
-                name=f"rival-{index}",
-            )
-        elif kind == 2:
-            session.update_event_interest(0, column)
-        else:
-            session.cancel_event(session.version_instance().n_events - 1)
 
 
 class TestDeadlineServing:
@@ -134,7 +109,7 @@ class TestStalledWriterDegradedReads:
 class TestDurableSession:
     def test_every_mutation_is_journaled(self, tmp_path):
         session = _session(durability=Durability(tmp_path / "ses"))
-        _mutate_n(session, 8)
+        mutate_serving(session, 8)
         assert session.journal_offset == 8
         session.close()
 
@@ -143,11 +118,11 @@ class TestDurableSession:
 
     def test_recover_matches_uninterrupted(self, tmp_path):
         reference = _session()
-        _mutate_n(reference, 6)
+        mutate_serving(reference, 6)
 
         durability = Durability(tmp_path / "ses", checkpoint_every=4)
         crashed = _session(durability=durability)
-        _mutate_n(crashed, 6)
+        mutate_serving(crashed, 6)
         expected = crashed.solve(k=4)
         crashed._journal.abandon()  # the crash simulator
 
@@ -162,24 +137,24 @@ class TestDurableSession:
     def test_kill_points_recover_and_converge(self, tmp_path, kill_at):
         durability = Durability(tmp_path / "ses", checkpoint_every=3)
         crashed = _session(durability=durability)
-        _mutate_n(crashed, kill_at)
+        mutate_serving(crashed, kill_at)
         crashed._journal.abandon()
 
         recovered = ServingSession.recover(durability)
         assert recovered.version == kill_at
         # the recovered session keeps journaling into the surviving WAL
-        _mutate_n(recovered, 9 - kill_at, seed=100 + kill_at)
+        mutate_serving(recovered, 9 - kill_at, seed=100 + kill_at)
         assert recovered.journal_offset == 9
         recovered.close()
 
     def test_recovered_session_keeps_journaling(self, tmp_path):
         durability = Durability(tmp_path / "ses")
         session = _session(durability=durability)
-        _mutate_n(session, 3)
+        mutate_serving(session, 3)
         session._journal.abandon()
 
         recovered = ServingSession.recover(durability)
-        _mutate_n(recovered, 2, seed=50)
+        mutate_serving(recovered, 2, seed=50)
         assert recovered.journal_offset == 5
         recovered.close()
         again = ServingSession.recover(durability)
@@ -188,7 +163,7 @@ class TestDurableSession:
     def test_close_then_recover(self, tmp_path):
         durability = Durability(tmp_path / "ses")
         session = _session(durability=durability)
-        _mutate_n(session, 5)
+        mutate_serving(session, 5)
         before = session.solve(k=4)
         session.close()
         recovered = ServingSession.recover(durability)
@@ -218,7 +193,7 @@ class TestDurableSession:
 
         durability = Durability(tmp_path / "ses", checkpoint_every=2)
         crashed = _session(durability=durability)
-        _mutate_n(crashed, 3)
+        mutate_serving(crashed, 3)
         crashed._journal.abandon()
         restamp_engine(durability, "vectorized")
         with pytest.raises(RecoveryError, match="engine kind 'vectorized'") as info:
