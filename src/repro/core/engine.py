@@ -42,10 +42,30 @@ sparse engine exploits this:
   (``InterestMatrix.competing_mass_entries``), so the dense
   ``(|T|, |U|)`` ``competing_mass`` table on the instance is never
   touched;
-* no dense ``(users, events)`` temporary is ever materialized —
-  :meth:`SparseEngine.scores_for_interval` is a per-column loop over
-  gathers, whose total footprint is the number of stored entries of the
-  queried columns.
+* one batched kernel answers the score queries (``score``,
+  ``scores_for_interval``, ``scores_for_event`` and the plane fill's
+  ``scores_for_rows``): it gathers and concatenates the queried columns
+  once, then evaluates every requested interval against them — ``K_t``,
+  ``M_t`` and ``sigma[:, t]`` gathered over the combined rows, the
+  Eq. 4 algebra elementwise, one dot per event over its own slice.  A
+  cold plane fill thus reads each column once, not once per interval,
+  and no dense ``(users, events)`` temporary is ever materialized: the
+  footprint is the stored entries of the queried columns;
+* on an interval where no event is scheduled — every cell of a cold
+  fill, every interval a GRD solve has not touched yet — ``M`` is
+  exactly zero and the per-user gain ``(0 + m) / (K + 0 + m) - 0 / K``
+  equals ``m / (K + m)`` bit for bit: one add and one unguarded divide.
+  That denominator cannot vanish, since ``K >= 0`` (rival columns are
+  only ever added) and every stored ``m > 0`` (storage holds no
+  explicit zeros);
+* where events are scheduled the ``0 / 0 = 0`` rule stays in force:
+  removals can leave ``M_t`` with a tiny *negative* subtraction residue
+  while a contributor remains (``((0.7 + 0.6) + 1e-17) - 0.7 - 0.6`` is
+  ``-1.1e-16``), so ``K + M + m`` can be ``<= 0``; such a query keeps the
+  masked divide.  Without a negative residue the same rule costs plain
+  divides (see ``_eq4_diff``).  The algebra works in place on the
+  query's own temporaries — never on engine-owned buffers, since
+  engines are read from several threads.
 
 Per-cell results never depend on how many cells one query batches, so a
 cached cell (:class:`~repro.core.scoreplane.ScorePlane`) always equals a
@@ -71,7 +91,7 @@ import numpy as np
 from repro.core import attendance, objective, scoring
 from repro.core.errors import DuplicateEventError, UnknownEntityError
 from repro.core.instance import SESInstance
-from repro.core.interest import masked_ratio, merge_entries
+from repro.core.interest import accumulate_entries, masked_ratio
 from repro.core.live import (
     CompetingAdded,
     EventAdded,
@@ -257,11 +277,19 @@ class ScoreEngine(ABC):
 
         The batched form of :meth:`scores_for_interval` that a
         :class:`~repro.core.scoreplane.ScorePlane` flush asks for: all
-        dirty rows in one call.  The default evaluates row by row in the
-        given order — bit-identical to the per-row path — while engines
-        with cross-row parallelism (the sharded engine) override it to
-        fan the whole batch out once.
+        dirty rows in one call, bit-identical to the per-row path.  It
+        answers through :meth:`_scores_for_rows`, which engines with a
+        batched kernel override (the sparse engine gathers the event
+        columns once for all rows); engines with cross-row parallelism
+        (the sharded engine) override this method to fan the whole batch
+        out once.
         """
+        return self._scores_for_rows(intervals, events)
+
+    def _scores_for_rows(
+        self, intervals: Sequence[int], events: Sequence[int]
+    ) -> np.ndarray:
+        """Default :meth:`scores_for_rows`: row by row, in the given order."""
         event_indices = list(events)
         out = np.empty((len(intervals), len(event_indices)))
         for position, interval in enumerate(intervals):
@@ -514,8 +542,14 @@ def _gather_sorted(
     return out
 
 
+#: The smallest positive double.  ``max(x, _TINY)`` is ``x`` for every
+#: positive ``x``; a zero becomes a denominator that divides ``+0.0`` to
+#: ``+0.0``, which is the ``0 / 0 = 0`` rule without a masked divide.
+_TINY = float(np.nextafter(0.0, 1.0))
+
+
 def _eq4_diff(
-    scheduled: np.ndarray, competing: np.ndarray, column: np.ndarray
+    scheduled: np.ndarray | None, competing: np.ndarray, column: np.ndarray
 ) -> np.ndarray:
     """Per-user Eq. 4 gain of adding ``column`` on top of the given masses.
 
@@ -526,16 +560,43 @@ def _eq4_diff(
     with the ``0 / 0 = 0`` rule.  Kept as the single shared
     implementation so the scalar and batched query paths cannot drift
     apart (their bit-identical agreement is a documented contract).
+    The three paths below return the guarded formula's gains bit for
+    bit; they differ only in the work they spend:
+
+    * ``scheduled=None`` states that ``M`` is exactly zero: no event sits
+      at the interval.  The gain is then ``m_r / (K + m_r)`` bit for bit
+      (``0 + m_r`` is ``m_r``, ``0 / K`` is ``+0.0`` or ruled 0, and
+      ``x - 0`` is ``x``), and its denominator needs no guard: ``K >= 0``
+      and every stored ``m_r > 0``, because interest storage holds no
+      explicit zeros.
+    * With ``M >= 0`` everywhere, ``K + M + m_r >= m_r > 0`` needs no
+      guard either, and ``K + M`` is zero only where ``M`` is, so
+      ``M / max(K + M, _TINY)`` applies the rule with plain divides.
+    * ``M`` can also hold a tiny negative subtraction residue while a
+      contributor remains; then ``K + M + m_r`` may be ``<= 0`` and both
+      ratios keep :func:`masked_ratio`'s ``denominator > 0`` guard.
+
+    ``scheduled`` and ``competing`` are the caller's own temporaries and
+    are overwritten; the result is written into one of them.
     """
-    old_denominator = competing + scheduled
-    new_denominator = old_denominator + column
-    after = masked_ratio(scheduled + column, new_denominator)
-    before = masked_ratio(scheduled, old_denominator)
-    return after - before
+    if scheduled is None:
+        np.add(competing, column, out=competing)
+        return np.divide(column, competing, out=competing)
+    after = scheduled + column
+    np.add(competing, scheduled, out=competing)  # K + M
+    if scheduled.min(initial=0.0) < 0.0:
+        before = masked_ratio(scheduled, competing)
+        np.add(competing, column, out=competing)
+        after = masked_ratio(after, competing)
+    else:
+        np.divide(after, competing + column, out=after)
+        np.maximum(competing, _TINY, out=competing)
+        before = np.divide(scheduled, competing, out=scheduled)
+    return np.subtract(after, before, out=after)
 
 
 def _eq4_gain(
-    scheduled: np.ndarray,
+    scheduled: np.ndarray | None,
     competing: np.ndarray,
     column: np.ndarray,
     sigma: np.ndarray,
@@ -564,9 +625,9 @@ class SparseEngine(ScoreEngine):
 
     def __init__(self, instance: SESInstance) -> None:
         self._interest = instance.interest
-        # Fortran order makes the per-query sigma[rows, t] gather walk one
-        # contiguous column instead of striding the whole matrix; the
-        # gathered values (and every downstream dot) are unchanged.
+        # Fortran order makes each interval's column contiguous, so a
+        # query's sigma gather (_sigma_at) reads one column instead of
+        # striding the whole matrix; the gathered values are unchanged.
         self._sigma = np.asfortranarray(instance.activity.matrix)
         self._scheduled_mass: dict[int, _SparseMass] = {}
         # K_t as sparse vectors, accumulated lazily per interval so the
@@ -616,7 +677,7 @@ class SparseEngine(ScoreEngine):
     def _competing_at(self, interval: int, rows: np.ndarray) -> np.ndarray:
         dense = self._competing_dense.get(interval)
         if dense is not None:
-            return dense[rows]
+            return np.take(dense, rows)
         cached = self._competing_entries.get(interval)
         if cached is None:
             cached = self._interest.competing_mass_entries(
@@ -630,27 +691,50 @@ class SparseEngine(ScoreEngine):
             # the sparse entries are dead from here on: reads short-circuit
             # on the dense expansion and rival deltas update it in place
             del self._competing_entries[interval]
-            return dense[rows]
-        return _gather_sorted(cached[0], cached[1], rows)
+            return np.take(dense, rows)
+        return self._gather(cached[0], cached[1], rows)
 
-    #: Route an ``M_t`` gather through a dense scratch vector once the
-    #: query batch is this fraction of the user base: one O(|U|) scatter
-    #: plus direct fancy indexing beats binary-searching the mass
-    #: support per query row.  Gathered values are bit-identical either
-    #: way (same floats, different lookup), so this is purely a
-    #: constant-factor lever for the batched row refreshes GRD-family
-    #: solvers hammer during a re-solve.
+    #: Route a sparse ``M_t`` or ``K_t`` gather through a dense scratch
+    #: vector once the query batch is this fraction of the user base: one
+    #: O(|U|) scatter plus a direct take beats binary-searching the
+    #: vector's support per query row.  Gathered values are
+    #: bit-identical either way (same floats, different lookup), so this
+    #: is purely a constant-factor lever for plane fills and the batched
+    #: row refreshes GRD-family solvers hammer during a re-solve.
     GATHER_DENSE_FRACTION = 0.125
+
+    def _gather(
+        self, vec_rows: np.ndarray, vec_values: np.ndarray, rows: np.ndarray
+    ) -> np.ndarray:
+        if not vec_rows.size:
+            return np.zeros(rows.size)
+        if rows.size > self.GATHER_DENSE_FRACTION * self._instance.n_users:
+            dense = np.zeros(self._instance.n_users)
+            dense[vec_rows] = vec_values
+            return np.take(dense, rows)
+        return _gather_sorted(vec_rows, vec_values, rows)
 
     def _scheduled_at(self, interval: int, rows: np.ndarray) -> np.ndarray:
         mass = self._scheduled_mass.get(interval)
         if mass is None:
             return np.zeros(rows.size)
-        if rows.size > self.GATHER_DENSE_FRACTION * self._instance.n_users:
-            dense = np.zeros(self._instance.n_users)
-            dense[mass.rows] = mass.values
-            return dense[rows]
-        return mass.gather(rows)
+        return self._gather(mass.rows, mass.values, rows)
+
+    def _sigma_at(self, interval: int, rows: np.ndarray) -> np.ndarray:
+        # a 1-D take from the contiguous column reads the same floats as
+        # sigma[rows, t] in about half the time
+        return np.take(self._sigma[:, interval], rows)
+
+    def _diff_at(
+        self, interval: int, rows: np.ndarray, column: np.ndarray
+    ) -> np.ndarray:
+        """Per-entry Eq. 4 gain of the gathered ``column`` at ``interval``."""
+        competing = self._competing_at(interval, rows)
+        mass = self._scheduled_mass.get(interval)
+        if mass is None or not mass.rows.size:
+            # M is exactly zero: the unguarded path of _eq4_diff
+            return _eq4_diff(None, competing, column)
+        return _eq4_diff(self._scheduled_at(interval, rows), competing, column)
 
     # -- live-instance deltas -------------------------------------------
     # column gathers go through the (live) interest store at query time,
@@ -671,12 +755,10 @@ class SparseEngine(ScoreEngine):
             return
         cached = self._competing_entries.get(delta.interval)
         if cached is not None:
-            # merge-add the new rival's column: same left-to-right per-user
+            # add the new rival's column on top: the same per-user
             # accumulation order as a fresh competing_mass_entries() call
-            rows = np.concatenate([cached[0], delta.rows])
-            values = np.concatenate([cached[1], delta.values])
-            self._competing_entries[delta.interval] = merge_entries(
-                rows, values
+            self._competing_entries[delta.interval] = accumulate_entries(
+                [cached, (delta.rows, delta.values)], self._instance.n_users
             )
 
     # ------------------------------------------------------------------
@@ -685,11 +767,8 @@ class SparseEngine(ScoreEngine):
         if rows.size == 0:
             # a zero-interest event changes no denominator: score is 0
             return 0.0
-        return _eq4_gain(
-            self._scheduled_at(interval, rows),
-            self._competing_at(interval, rows),
-            column,
-            self._sigma[rows, interval],
+        return float(
+            self._sigma_at(interval, rows) @ self._diff_at(interval, rows, column)
         )
 
     def score(self, event: int, interval: int) -> float:
@@ -699,7 +778,21 @@ class SparseEngine(ScoreEngine):
             )
         return self._score_unchecked(event, interval)
 
-    def scores_for_interval(self, interval: int, events: Sequence[int]) -> np.ndarray:
+    def _scores_for_rows(
+        self, intervals: Sequence[int], events: Sequence[int]
+    ) -> np.ndarray:
+        """The ``(len(intervals), len(events))`` Eq. 4 kernel.
+
+        Every multi-cell score query lands here, a plane fill through
+        :meth:`ScoreEngine.scores_for_rows`.  The queried columns are
+        gathered and concatenated once, then every interval is evaluated
+        against them: ``K_t``, ``M_t`` and ``sigma[:, t]`` are gathered
+        once over the combined rows, the Eq. 4 algebra runs elementwise,
+        and each event's score is the dot over its own slice.  A cell
+        therefore gets the same gathers, elementwise operations and dot
+        whatever else the request holds, so its bits never depend on the
+        batch.
+        """
         event_indices = [int(event) for event in events]
         for event in event_indices:
             if self._schedule.contains_event(event):
@@ -707,54 +800,31 @@ class SparseEngine(ScoreEngine):
                     f"event {event} is already scheduled; "
                     f"Eq. 4 requires r not in E(S)"
                 )
-        if not event_indices:
-            return np.zeros(0)
-        if len(event_indices) == 1:
-            # lean single-column path: identical gathers and elementwise
-            # ops as the batched path below restricted to one slice (so
-            # the result is bit-identical), minus the concatenation and
-            # per-slice bookkeeping — this is the query the lazy heap's
-            # stale rescoring fires thousands of times per re-solve
-            rows, column = self._interest.event_column_entries(
-                event_indices[0]
-            )
-            if rows.size == 0:
-                return np.zeros(1)
-            diff = _eq4_diff(
-                self._scheduled_at(interval, rows),
-                self._competing_at(interval, rows),
-                column,
-            )
-            return np.array([float(self._sigma[rows, interval] @ diff)])
-        # Batched evaluation: concatenate every queried column's entries,
-        # gather K_t and M_t once over the combined rows, do the Eq. 4
-        # algebra elementwise, then reduce per column over its slice.
-        # Identical floating-point results to the one-column-at-a-time
-        # path (same gathers, same elementwise ops, same per-slice dot),
-        # but the searchsorted/gather overhead is paid once per row
-        # refresh instead of once per candidate event.
+        interval_indices = [int(interval) for interval in intervals]
+        scores = np.zeros((len(interval_indices), len(event_indices)))
         parts = [self._interest.event_column_entries(e) for e in event_indices]
-        sizes = np.array([rows.size for rows, _ in parts], dtype=np.intp)
-        if not sizes.sum():
-            return np.zeros(len(event_indices))
-        rows = np.concatenate([rows for rows, _ in parts])
-        column = np.concatenate([values for _, values in parts])
-        diff = _eq4_diff(
-            self._scheduled_at(interval, rows),
-            self._competing_at(interval, rows),
-            column,
-        )
-        weighted = self._sigma[rows, interval]
-        scores = np.zeros(len(event_indices))
+        slices = []
         offset = 0
-        for position, size in enumerate(sizes):
-            if size:
-                scores[position] = float(
-                    weighted[offset : offset + size]
-                    @ diff[offset : offset + size]
-                )
-            offset += size
+        for position, (rows, _) in enumerate(parts):
+            if rows.size:
+                slices.append((position, offset, offset + rows.size))
+            offset += rows.size
+        if not slices:
+            return scores
+        if len(parts) == 1:
+            rows, column = parts[0]
+        else:
+            rows = np.concatenate([rows for rows, _ in parts])
+            column = np.concatenate([values for _, values in parts])
+        for out, interval in zip(scores, interval_indices):
+            diff = self._diff_at(interval, rows, column)
+            sigma = self._sigma_at(interval, rows)
+            for position, start, stop in slices:
+                out[position] = sigma[start:stop] @ diff[start:stop]
         return scores
+
+    def scores_for_interval(self, interval: int, events: Sequence[int]) -> np.ndarray:
+        return self._scores_for_rows([interval], events)[0]
 
     def _mass_without_at(
         self, interval: int, excluding: int, rows: np.ndarray
@@ -822,7 +892,7 @@ class SparseEngine(ScoreEngine):
             diff = _eq4_diff(
                 scheduled, self._competing_at(interval, rows), column
             )
-            sigma = self._sigma[rows, interval]
+            sigma = self._sigma_at(interval, rows)
             offset = 0
             for position, size in zip(positions, sizes):
                 if size:
@@ -841,7 +911,7 @@ class SparseEngine(ScoreEngine):
             self._mass_without_at(interval, excluding, rows),
             self._competing_at(interval, rows),
             column,
-            self._sigma[rows, interval],
+            self._sigma_at(interval, rows),
         )
 
     def scores_excluding_each(
@@ -873,7 +943,7 @@ class SparseEngine(ScoreEngine):
         base = mass.gather(rows)
         counts = mass.gather_counts(rows)
         competing = self._competing_at(interval, rows)
-        sigma = self._sigma[rows, interval]
+        sigma = self._sigma_at(interval, rows)
         for position, excluded in enumerate(excluded_events):
             excluded_rows, excluded_values = (
                 self._interest.event_column_entries(excluded)
@@ -884,30 +954,16 @@ class SparseEngine(ScoreEngine):
                 scheduled[hits] -= excluded_values[positions]
                 dead = hits & (counts == 1)
                 scheduled[dead] = 0.0
-            scores[position] = _eq4_gain(scheduled, competing, column, sigma)
+            scores[position] = _eq4_gain(
+                scheduled, competing.copy(), column, sigma
+            )
         return scores
 
     def scores_for_event(
         self, event: int, intervals: Sequence[int]
     ) -> np.ndarray:
         """Batched one-column scoring: the column gather is shared."""
-        if self._schedule.contains_event(event):
-            raise DuplicateEventError(
-                f"event {event} is already scheduled; Eq. 4 requires r not in E(S)"
-            )
-        interval_indices = [int(interval) for interval in intervals]
-        rows, column = self._interest.event_column_entries(event)
-        if rows.size == 0:
-            return np.zeros(len(interval_indices))
-        scores = np.empty(len(interval_indices))
-        for position, interval in enumerate(interval_indices):
-            scores[position] = _eq4_gain(
-                self._scheduled_at(interval, rows),
-                self._competing_at(interval, rows),
-                column,
-                self._sigma[rows, interval],
-            )
-        return scores
+        return self._scores_for_rows(intervals, [event])[:, 0]
 
     def omega(self, event: int) -> float:
         interval = self._schedule.interval_of(event)
@@ -923,7 +979,7 @@ class SparseEngine(ScoreEngine):
             interval, rows
         )
         ratio = masked_ratio(column, denominator)
-        return float(self._sigma[rows, interval] @ ratio)
+        return float(self._sigma_at(interval, rows) @ ratio)
 
     def interval_utility(self, interval: int) -> float:
         mass = self._scheduled_mass.get(interval)
@@ -931,7 +987,7 @@ class SparseEngine(ScoreEngine):
             return 0.0
         competing = self._competing_at(interval, mass.rows)
         ratio = masked_ratio(mass.values, competing + mass.values)
-        return float(self._sigma[mass.rows, interval] @ ratio)
+        return float(self._sigma_at(interval, mass.rows) @ ratio)
 
     def total_utility(self) -> float:
         return sum(

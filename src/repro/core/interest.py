@@ -22,9 +22,16 @@ consume:
   nonzero ``(rows, values)`` pair;
 * **per-interval mass accumulation** —
   :meth:`~InterestMatrix.competing_mass_entries` sums a set of competing
-  columns into one sparse vector (``K_t`` of Eq. 1);
+  columns into one sparse vector (``K_t`` of Eq. 1).  Every store
+  (this one, :class:`~repro.core.live.LiveInterest` and the shard
+  stores) answers through :func:`accumulate_entries`: the columns are
+  added into one dense scratch vector in rivals order, whose sorted
+  nonzero entries come back;
 * **masked ratio reduction** — :func:`masked_ratio` implements the
-  ``0 / 0 = 0`` divide every equation needs.
+  ``0 / 0 = 0`` divide every equation needs.  The sparse engine's Eq. 4
+  kernel skips the mask where it provably cannot fire — on intervals
+  with no scheduled event, because stored values are never zero — and
+  keeps it where a subtraction residue can make a denominator ``<= 0``.
 
 Constructors cover the ways interest arises in practice:
 
@@ -43,7 +50,7 @@ with ``interest_backend="sparse"`` the pipeline never materializes a dense
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -59,8 +66,8 @@ except ImportError:  # pragma: no cover - exercised only without scipy
 __all__ = [
     "InterestMatrix",
     "INTEREST_BACKENDS",
+    "accumulate_entries",
     "masked_ratio",
-    "merge_entries",
     "slice_entries",
 ]
 
@@ -94,24 +101,22 @@ def masked_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     )
 
 
-def merge_entries(
-    rows: np.ndarray, values: np.ndarray
+def accumulate_entries(
+    columns: Iterable[tuple[np.ndarray, np.ndarray]], n_rows: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce duplicate rows of a sparse-vector entry list by summation.
+    """Sum sparse columns into one canonical sparse vector.
 
-    Returns sorted unique rows with their summed values, explicit zeros
-    dropped — the canonical form shared by the sparse engine's mass
-    vectors and the serializer.
+    Each column's ``(rows, values)`` is added into a dense scratch vector
+    of ``n_rows`` zeros, in the order given, so every row's sum runs
+    ``0 + v1 + v2 + ...`` in column order.  Returns the scratch vector's
+    sorted nonzero ``(rows, values)``: the canonical form of the sparse
+    engine's competing mass ``K_t``.
     """
-    if rows.size == 0:
-        return _EMPTY_ROWS, _EMPTY_VALUES
-    unique, inverse = np.unique(rows, return_inverse=True)
-    summed = np.zeros(unique.size)
-    np.add.at(summed, inverse, values)
-    keep = summed != 0.0
-    if keep.all():
-        return unique.astype(np.intp, copy=False), summed
-    return unique[keep].astype(np.intp, copy=False), summed[keep]
+    total = np.zeros(n_rows)
+    for rows, values in columns:
+        total[rows] += values
+    rows = np.flatnonzero(total)
+    return rows, total[rows]
 
 
 def slice_entries(
@@ -340,12 +345,10 @@ class InterestMatrix:
         Values are accumulated in ``rivals`` order per user, matching the
         reference :func:`repro.core.attendance.luce_denominator` loop.
         """
-        if not len(rivals):
-            return _EMPTY_ROWS, _EMPTY_VALUES
-        parts = [self.competing_column_entries(rival) for rival in rivals]
-        rows = np.concatenate([rows for rows, _ in parts])
-        values = np.concatenate([values for _, values in parts])
-        return merge_entries(rows, values)
+        return accumulate_entries(
+            (self.competing_column_entries(rival) for rival in rivals),
+            self.n_users,
+        )
 
     # ------------------------------------------------------------------
     # canonical export (serialization)

@@ -56,7 +56,7 @@ from repro.core.entities import (
 )
 from repro.core.errors import InstanceValidationError, UnknownEntityError
 from repro.core.instance import SESInstance
-from repro.core.interest import InterestMatrix, merge_entries, slice_entries
+from repro.core.interest import InterestMatrix, accumulate_entries, slice_entries
 
 try:  # scipy is an optional dependency (the "sparse" extra)
     from scipy import sparse as _sp
@@ -373,12 +373,10 @@ class LiveInterest:
         self, rivals: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """``K_t`` as a sparse vector (see :class:`InterestMatrix`)."""
-        if not len(rivals):
-            return _EMPTY_ROWS, _EMPTY_VALUES
-        parts = [self.competing_column_entries(rival) for rival in rivals]
-        rows = np.concatenate([rows for rows, _ in parts])
-        values = np.concatenate([values for _, values in parts])
-        return merge_entries(rows, values)
+        return accumulate_entries(
+            (self.competing_column_entries(rival) for rival in rivals),
+            self._n_users,
+        )
 
     def nnz_candidate(self) -> int:
         """Number of nonzero candidate-interest entries."""

@@ -31,6 +31,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.engine import ScoreEngine, SparseEngine
+from repro.core.interest import accumulate_entries
 from repro.core.live import (
     CompetingAdded,
     EventAdded,
@@ -139,17 +140,10 @@ class _BlockInterestView:
         block's rows value for value: the per-user sums accumulate the
         same rivals in the same order.
         """
-        from repro.core.interest import merge_entries
-
-        if not len(rivals):
-            return (
-                np.zeros(0, dtype=np.intp),
-                np.zeros(0),
-            )
-        parts = [self.competing_column_entries(rival) for rival in rivals]
-        rows = np.concatenate([rows for rows, _ in parts])
-        values = np.concatenate([values for _, values in parts])
-        return merge_entries(rows, values)
+        return accumulate_entries(
+            (self.competing_column_entries(rival) for rival in rivals),
+            self.n_users,
+        )
 
 
 def _entries_of_block(

@@ -30,7 +30,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.errors import InstanceValidationError
-from repro.core.interest import InterestMatrix, merge_entries, slice_entries
+from repro.core.interest import InterestMatrix, accumulate_entries, slice_entries
 from repro.shard.plan import ShardPlan
 
 try:  # scipy is an optional dependency (the "sparse" extra)
@@ -230,12 +230,10 @@ class ShardedInterest:
         self, rivals: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
         """``K_t`` as a sparse vector (see ``InterestMatrix``); rivals order."""
-        if not len(rivals):
-            return _EMPTY_ROWS, _EMPTY_VALUES
-        parts = [self.competing_column_entries(rival) for rival in rivals]
-        rows = np.concatenate([rows for rows, _ in parts])
-        values = np.concatenate([values for _, values in parts])
-        return merge_entries(rows, values)
+        return accumulate_entries(
+            (self.competing_column_entries(rival) for rival in rivals),
+            self.n_users,
+        )
 
     def event_column(self, event: int) -> np.ndarray:
         return self._dense_column(self._candidate_blocks, event)

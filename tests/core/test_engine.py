@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core import (
+    ActivityModel,
+    InterestMatrix,
+    Organizer,
+    SESInstance,
+    TimeInterval,
+    User,
+)
 from repro.core.engine import (
     ENGINE_KINDS,
     EngineSpec,
@@ -234,6 +242,37 @@ class TestBatchIndependence:
             )
 
 
+def live_deltas_engine(storage):
+    """A placed engine over a live instance after a rival arrival, an
+    event arrival and an interest drift."""
+    live = LiveInstance(
+        make_random_instance(
+            seed=66, n_users=37, n_events=8, n_intervals=4,
+            n_competing=5, interest_backend=storage,
+        )
+    )
+    engine = SparseEngine(live)
+    for event, interval in PLACED.items():
+        engine.assign(event, interval)
+    column = np.zeros(live.n_users)
+    column[::3] = 0.6
+    engine.apply_delta(
+        live.add_competing(
+            CompetingEvent(index=live.n_competing, interval=1), column
+        )
+    )
+    engine.apply_delta(
+        live.add_event(
+            CandidateEvent(
+                index=live.n_events, location=99, required_resources=1.0
+            ),
+            column[::-1].copy(),
+        )
+    )
+    engine.apply_delta(live.replace_event_interest(2, column))
+    return engine
+
+
 #: Every query surface a solver, the score plane or a what-if report reads.
 STORAGE_QUERIES = {
     "scores_for_interval": lambda engine: np.vstack(
@@ -267,39 +306,48 @@ class TestStorageParity:
         )
 
     def test_live_deltas_keep_storages_bit_identical(self):
-        engines = {}
-        for storage in ("dense", "sparse"):
-            live = LiveInstance(
-                make_random_instance(
-                    seed=66, n_users=37, n_events=8, n_intervals=4,
-                    n_competing=5, interest_backend=storage,
-                )
-            )
-            engine = SparseEngine(live)
-            for event, interval in PLACED.items():
-                engine.assign(event, interval)
-            column = np.zeros(live.n_users)
-            column[::3] = 0.6
-            engine.apply_delta(
-                live.add_competing(
-                    CompetingEvent(index=live.n_competing, interval=1), column
-                )
-            )
-            engine.apply_delta(
-                live.add_event(
-                    CandidateEvent(
-                        index=live.n_events, location=99, required_resources=1.0
-                    ),
-                    column[::-1].copy(),
-                )
-            )
-            engine.apply_delta(live.replace_event_interest(2, column))
-            engines[storage] = engine
+        engines = {
+            storage: live_deltas_engine(storage)
+            for storage in ("dense", "sparse")
+        }
         for query in sorted(STORAGE_QUERIES):
             ask = STORAGE_QUERIES[query]
             np.testing.assert_array_equal(
                 ask(engines["dense"]), ask(engines["sparse"]), err_msg=query
             )
+
+
+def residue_engines(storage):
+    """``(sparse engine, reference engine)`` with a negative ``M_t`` residue.
+
+    User 0 is interested in events 0-2 (0.7, 0.6, 1e-17).  All three are
+    assigned at interval 0, then events 0 and 1 are withdrawn: user 0's
+    scheduled mass is ``((0.7 + 0.6) + 1e-17) - 0.7 - 0.6 = -1.11e-16``
+    while event 2 still counts as a contributor.  No rival reaches
+    interval 0, so scoring event 3 (interest 1e-17) there meets a
+    negative ``K + M + m``.  User 1 only gives event 4 a nonzero score.
+    """
+    candidate = np.array(
+        [[0.7, 0.6, 1e-17, 1e-17, 0.0], [0.2, 0.0, 0.0, 0.0, 0.4]]
+    )
+    rivals = np.array([[0.5], [0.3]])
+    interest = InterestMatrix.from_arrays(candidate, rivals).to_backend(storage)
+    instance = SESInstance(
+        [User(index=0), User(index=1)],
+        [TimeInterval(index=0), TimeInterval(index=1)],
+        [CandidateEvent(index=e, location=e) for e in range(5)],
+        [CompetingEvent(index=0, interval=1)],
+        interest,
+        ActivityModel(np.array([[0.9, 0.8], [0.7, 0.6]])),
+        Organizer(resources=1.0),
+    )
+    engines = (SparseEngine(instance), ReferenceEngine(instance))
+    for engine in engines:
+        for event in (0, 1, 2):
+            engine.assign(event, 0)
+        engine.unassign(0)
+        engine.unassign(1)
+    return engines
 
 
 class TestZeroDenominatorConvention:
@@ -331,3 +379,29 @@ class TestZeroDenominatorConvention:
             engine.assign(0, 0)
             assert engine.omega(0) == 0.0
             assert engine.total_utility() == 0.0
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_negative_residue_denominator_scores_zero(self, storage):
+        """The 0/0 rule holds on a non-empty interval whose ``K + M + m``
+        is a tiny negative residue: every query surface answers the
+        reference's 0.0, bit for bit."""
+        engine, oracle = residue_engines(storage)
+        [(_, rows, values, counts)] = [
+            state for state in engine.export_mass_state() if state[0] == 0
+        ]
+        assert rows == [0] and counts == [1] and values[0] < 0.0
+        expected = oracle.score(3, 0)
+        assert expected == 0.0
+        answers = [
+            engine.score(3, 0),
+            engine.scores_for_interval(0, [3])[0],
+            engine.scores_for_interval(0, [3, 4])[0],
+            engine.scores_for_rows([0, 1], [3, 4])[0, 0],
+            engine.scores_for_event(3, [0, 1])[0],
+        ]
+        assert [float(a).hex() for a in answers] == [expected.hex()] * 5
+        np.testing.assert_allclose(
+            engine.scores_for_rows([0, 1], [3, 4]),
+            [oracle.scores_for_interval(t, [3, 4]) for t in (0, 1)],
+            atol=1e-12,
+        )

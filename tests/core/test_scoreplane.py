@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.engine import EngineSpec
 from repro.core.entities import CandidateEvent, CompetingEvent
+from repro.core.interest import InterestMatrix
 from repro.core.live import LiveInstance
 from repro.core.schedule import Assignment
 from repro.core.scoreplane import ScorePlane
@@ -59,6 +60,24 @@ class TestFill:
         assert not plane.filled
         plane.ensure()
         assert plane.fills == 2
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_cold_fill_gathers_each_column_once(self, storage, monkeypatch):
+        """A cold fill reads every event's interest column once, not once
+        per interval (``n_intervals * n_events`` reads at 90 x 120)."""
+        instance = make_random_instance(
+            seed=901, n_events=6, n_intervals=4, interest_backend=storage
+        )
+        gathered = []
+        original = InterestMatrix.event_column_entries
+
+        def counting(self, event):
+            gathered.append(event)
+            return original(self, event)
+
+        monkeypatch.setattr(InterestMatrix, "event_column_entries", counting)
+        ScorePlane(EngineSpec().build(instance)).ensure()
+        assert sorted(gathered) == list(range(instance.n_events))
 
 
 class TestDirtyRows:

@@ -17,7 +17,11 @@ import pytest
 from repro.core.engine import EngineSpec, SparseEngine
 from repro.core.instance import SESInstance
 from repro.core.scoreplane import ScorePlane
-from repro.shard.engine import ShardedEngine, localize_delta
+from repro.shard.engine import (
+    ShardedEngine,
+    _BlockInterestView,
+    localize_delta,
+)
 from repro.shard.executor import ShardExecutor, fork_available
 from repro.shard.interest import ShardedInterest
 from repro.shard.plan import ShardPlan
@@ -290,6 +294,25 @@ class TestPlaneFastPath:
         assert stats["merged_partials"] == engine.plan.n_blocks
         assert stats["blocks"] == engine.plan.n_blocks
         assert stats["shards"] == 3
+
+    def test_cold_fill_gathers_each_column_once_per_block(
+        self, instance, monkeypatch
+    ):
+        engine = sharded(instance, shards=2)
+        gathered = []
+        original = _BlockInterestView.event_column_entries
+
+        def counting(self, event):
+            gathered.append((self._block, event))
+            return original(self, event)
+
+        monkeypatch.setattr(_BlockInterestView, "event_column_entries", counting)
+        ScorePlane(engine).ensure()
+        assert sorted(gathered) == [
+            (block, event)
+            for block in range(engine.plan.n_blocks)
+            for event in range(instance.n_events)
+        ]
 
     def test_plane_matches_flat_fill(self, instance):
         flat_plane = ScorePlane(SparseEngine(instance))
