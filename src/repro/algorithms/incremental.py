@@ -52,10 +52,9 @@ competing mass it touched.
 
 Dirty rows are rescored lazily before the next greedy decision, so a
 typical change op costs a couple of row/column refreshes instead of a
-full sweep — the measured gap versus re-solving from scratch is what
-``benchmarks/bench_stream_policies.py`` reports.  Scheduled events hold
-``-inf`` in their column; feasibility is *not* baked into the cache
-(unlike batch GRD, feasibility can be restored by later ops), so greedy
+full sweep.  Scheduled events hold ``-inf`` in their column;
+feasibility is *not* baked into the cache (unlike batch GRD,
+feasibility can be restored by later ops), so greedy
 pops validate lazily against the live :class:`FeasibilityChecker` and
 evict losers only from the pass-local working copy.
 

@@ -3,13 +3,12 @@
 PR 4's whole point was that the streaming hot path runs in O(delta) over
 :class:`~repro.core.live.LiveInstance`; one careless ``.instance`` read
 or ``.freeze()`` call reintroduces an O(instance) snapshot per op and
-silently erases the 6-88x speedups the benchmarks pin.  Runtime tests
-catch this only when the freeze counter assertion happens to cover the
-offending path; this rule bans the *spelling* in the designated hot-path
-modules.  Deliberate cold baselines (``PeriodicRebuildPolicy(warm=False)``)
-and the cached :attr:`IncrementalScheduler.instance` property itself are
-the allow-listed exceptions, marked with ``# ses-lint: disable=freeze-ban``
-right at the site so every new exception shows up in review.
+silently erases that speedup.  Runtime tests catch this only when the
+freeze counter assertion happens to cover the offending path; this rule
+bans the *spelling* in the designated hot-path modules.  The cached :attr:`IncrementalScheduler.instance` property
+itself and :meth:`PlanePool.version_instance` are the allow-listed
+exceptions, marked with ``# ses-lint: disable=freeze-ban`` right at the
+site so every new exception shows up in review.
 """
 
 from __future__ import annotations

@@ -44,29 +44,14 @@ Subcommands
     Streaming workloads: generate (or load) a change-event trace and
     replay it against one or more maintenance policies, printing per-op
     latency and final-utility lines per policy (see :mod:`repro.stream`).
+    ``solve`` and ``stream`` accept ``--shards`` / ``--workers`` to run
+    their engines sharded (see :mod:`repro.shard`).
 
 ``lint``
     Run the :mod:`repro.analysis` invariant linter over source trees
     (delta exhaustiveness, hot-path freeze bans, frozen-op discipline,
     registry completeness, determinism, dtype discipline).
     Exit code 0 clean / 1 findings / 2 internal error.
-
-``serve-bench``
-    Passthrough to ``benchmarks/bench_serving.py``: the concurrent
-    serving benchmark (warm :class:`~repro.serve.PlanePool` vs cold
-    per-request construction, N client threads, mixed workloads).
-
-``shard-bench``
-    Passthrough to ``benchmarks/bench_shard_scaling.py``: sharded
-    ScorePlane fills and solves across a user-count x shard-count panel
-    with parity checks against the unsharded engine (see
-    :mod:`repro.shard`).  ``solve`` and ``stream`` accept ``--shards`` /
-    ``--workers`` to run their engines sharded.
-
-``resilience-bench``
-    Passthrough to ``benchmarks/bench_resilience.py``: crash-recovery
-    fidelity, fault-injected convergence and journaling overhead (see
-    :mod:`repro.resilience`).
 
 ``demo``
     End-to-end smoke run on a small instance: all methods side by side.
@@ -342,71 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue with rationales and exit",
     )
 
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="run the concurrent-serving benchmark (benchmarks/bench_serving.py)",
-        description=(
-            "Passthrough to benchmarks/bench_serving.py: N client threads "
-            "against a warm ServingSession plane pool vs cold per-request "
-            "construction.  All arguments after the subcommand are forwarded "
-            "(e.g. `ses-repro serve-bench --smoke --json out.json`)."
-        ),
-    )
-    serve_bench.add_argument(
-        "bench_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to bench_serving.py (try `-- --help`)",
-    )
-
-    shard_bench = commands.add_parser(
-        "shard-bench",
-        help="run the shard-scaling benchmark (benchmarks/bench_shard_scaling.py)",
-        description=(
-            "Passthrough to benchmarks/bench_shard_scaling.py: ScorePlane "
-            "fills and solves across a user-count x shard-count panel, with "
-            "sharded-vs-unsharded parity checks.  All arguments after the "
-            "subcommand are forwarded "
-            "(e.g. `ses-repro shard-bench --smoke --json out.json`)."
-        ),
-    )
-    shard_bench.add_argument(
-        "bench_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to bench_shard_scaling.py (try `-- --help`)",
-    )
-
-    resilience_bench = commands.add_parser(
-        "resilience-bench",
-        help="run the resilience benchmark (benchmarks/bench_resilience.py)",
-        description=(
-            "Passthrough to benchmarks/bench_resilience.py: crash-recovery "
-            "fidelity, fault-injected convergence and checkpoint/journal "
-            "overhead.  All arguments after the subcommand are forwarded "
-            "(e.g. `ses-repro resilience-bench --smoke --json out.json`)."
-        ),
-    )
-    resilience_bench.add_argument(
-        "bench_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to bench_resilience.py (try `-- --help`)",
-    )
-
     demo = commands.add_parser("demo", help="small end-to-end comparison run")
     _add_engine_argument(demo)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    resolved = list(sys.argv[1:] if argv is None else argv)
-    if resolved and resolved[0] in _BENCH_MODULES:
-        # route before argparse: REMAINDER refuses to capture leading
-        # option-shaped tokens, and the forwarded benchmark owns all of
-        # its own flags (`serve-bench --smoke` should just work)
-        forwarded = resolved[1:]
-        return _run_bench_passthrough(
-            argparse.Namespace(command=resolved[0], bench_args=forwarded)
-        )
-    args = build_parser().parse_args(resolved)
+    args = build_parser().parse_args(argv)
     handler = {
         "figure": _run_figure,
         "dataset": _run_dataset,
@@ -415,9 +342,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "solvers": _run_solvers,
         "stream": _run_stream,
         "lint": _run_lint,
-        "serve-bench": _run_bench_passthrough,
-        "shard-bench": _run_bench_passthrough,
-        "resilience-bench": _run_bench_passthrough,
         "demo": _run_demo,
     }[args.command]
     return handler(args)
@@ -653,40 +577,6 @@ def _run_lint(args: argparse.Namespace) -> int:
     else:
         print(render_text(result), end="")
     return result.exit_code
-
-
-#: passthrough subcommand -> benchmark module under benchmarks/
-_BENCH_MODULES = {
-    "serve-bench": "bench_serving",
-    "shard-bench": "bench_shard_scaling",
-    "resilience-bench": "bench_resilience",
-}
-
-
-def _run_bench_passthrough(args: argparse.Namespace) -> int:
-    import importlib
-    from pathlib import Path
-
-    stem = _BENCH_MODULES[args.command]
-    try:
-        module = importlib.import_module(f"benchmarks.{stem}")
-    except ModuleNotFoundError:
-        # src-layout checkout: benchmarks/ sits next to src/, two levels
-        # above the installed repro package
-        repo_root = Path(__file__).resolve().parents[3]
-        if not (repo_root / "benchmarks" / f"{stem}.py").exists():
-            print(
-                f"ses-repro {args.command}: benchmarks/{stem}.py not "
-                "found; run from a full repository checkout",
-                file=sys.stderr,
-            )
-            return 2
-        sys.path.insert(0, str(repo_root))
-        module = importlib.import_module(f"benchmarks.{stem}")
-    forwarded = list(args.bench_args)
-    if forwarded and forwarded[0] == "--":
-        forwarded = forwarded[1:]
-    return int(module.main(forwarded))
 
 
 #: demo line-up: registry name -> extra request params

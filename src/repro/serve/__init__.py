@@ -11,10 +11,7 @@ servers (pretalx is the reference in PAPERS.md):
   forked read replicas with generation invalidation, bounded LRU reuse;
 * :mod:`repro.serve.session` — :class:`ServingSession`: the thread-safe
   front-end routing mutations through the writer lock while solves,
-  what-ifs and stream simulations run in parallel on replicas;
-* :mod:`repro.serve.workload` — deterministic mixed request workloads
-  whose outcomes are interleaving-independent (the differential suite's
-  and ``benchmarks/bench_serving.py``'s foundation).
+  what-ifs and stream simulations run in parallel on replicas.
 
 The load-bearing guarantees, all differential-tested: a forked replica's
 solves are bit-identical to the parent plane's; K concurrent clients
@@ -25,12 +22,6 @@ discarded.
 
 from repro.serve.pool import PlanePool, PoolStats, Replica
 from repro.serve.session import ServedResponse, ServingSession
-from repro.serve.workload import (
-    WorkItem,
-    make_workload,
-    run_item,
-    run_item_cold,
-)
 
 __all__ = [
     "PlanePool",
@@ -38,8 +29,4 @@ __all__ = [
     "Replica",
     "ServedResponse",
     "ServingSession",
-    "WorkItem",
-    "make_workload",
-    "run_item",
-    "run_item_cold",
 ]

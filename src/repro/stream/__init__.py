@@ -16,11 +16,11 @@ first-class workload:
   recording per-op latency, the utility trajectory and oracle regret.
 
 Traces are generated from experiment configs by
-:class:`repro.workloads.traces.TraceGenerator`, replayed here, and
-benchmarked policy-against-policy by
-``benchmarks/bench_stream_policies.py``.  The serving facade exposes the
-loop as :meth:`repro.api.ScheduleSession.stream`, and the CLI as
-``ses-repro stream``.
+:class:`repro.workloads.traces.TraceGenerator` and replayed here.  The
+serving facade exposes the loop as
+:meth:`repro.api.ScheduleSession.stream`, and the CLI as
+``ses-repro stream``, which replays one trace under several policies
+side by side.
 """
 
 from repro.stream.driver import OpRecord, StreamDriver, StreamResult

@@ -11,10 +11,10 @@ and decides, per change op, how much re-optimization to pay for:
   a full batch re-solve through the solver registry every
   ``rebuild_every`` ops and once more at end of stream.  With
   ``rebuild_every=1`` this is the classical "re-solve on every change"
-  baseline the benchmark compares against; its end-of-stream schedule is
-  *exactly* a one-shot registry solve on the final instance state (the
-  parity property the streaming test suite enforces).  Re-solves run
-  warm: the solver is fed the scheduler's
+  baseline; its end-of-stream schedule is *exactly* a one-shot registry
+  solve on the final instance state (the parity property the streaming
+  test suite enforces).  Re-solves run warm: the solver is fed the
+  scheduler's
   :meth:`~repro.algorithms.incremental.IncrementalScheduler.base_plane`
   — an empty-schedule score plane kept current by the delta stream — and
   solves directly over the live view, so each rebuild re-scores only the
@@ -170,13 +170,6 @@ class PeriodicRebuildPolicy(MaintenancePolicy):
         change — the classical baseline.
     solver:
         Registry name of the batch solver used for re-solves.
-    warm:
-        When True (the default) re-solves run through the scheduler's
-        warm base plane over the live view.  ``warm=False`` keeps the
-        legacy cold path — freeze an immutable snapshot, build a fresh
-        engine, sweep every score — and exists as the measured baseline
-        for the warm path's speedup (``bench_stream_policies.py``) and
-        as an escape hatch; final schedules are identical either way.
     """
 
     name = "periodic-rebuild"
@@ -185,7 +178,6 @@ class PeriodicRebuildPolicy(MaintenancePolicy):
         self,
         rebuild_every: int = 1,
         solver: str = "grd",
-        warm: bool = True,
     ) -> None:
         super().__init__()
         if rebuild_every <= 0:
@@ -200,7 +192,6 @@ class PeriodicRebuildPolicy(MaintenancePolicy):
             )
         self._rebuild_every = rebuild_every
         self._solver = solver
-        self._warm = warm
         self._ops_since_rebuild = 0
 
     def bind(
@@ -240,23 +231,18 @@ class PeriodicRebuildPolicy(MaintenancePolicy):
         solver = solver_registry.create(
             self._solver, engine=live.engine_spec
         )
-        if self._warm:
-            # warm batch re-solve straight over the live view: the base
-            # plane's cached initial scores make it O(dirty rows), and
-            # no O(instance) snapshot is ever frozen
-            result = solver.solve(
-                live.live, live.k, plane=live.base_plane(), locks=live.locks
-            )
-        else:
-            # legacy baseline: freeze a snapshot, cold-fill every score
-            result = solver.solve(live.instance, live.k, locks=live.locks)  # ses-lint: disable=freeze-ban
+        # warm batch re-solve straight over the live view: the base plane's
+        # cached initial scores make it O(dirty rows), and no O(instance)
+        # snapshot is ever frozen
+        result = solver.solve(
+            live.live, live.k, plane=live.base_plane(), locks=live.locks
+        )
         live.adopt(result.schedule)
         self._rebuilds += 1
         self._ops_since_rebuild = 0
 
     def describe(self) -> str:
-        mode = "" if self._warm else ", cold"
-        return f"{self.name}(every={self._rebuild_every}, {self._solver}{mode})"
+        return f"{self.name}(every={self._rebuild_every}, {self._solver})"
 
 
 class HybridPolicy(MaintenancePolicy):

@@ -49,6 +49,18 @@ def solve(name: str, instance, engine, *, locks=None, seed=11):
     return solver.solve(instance, K, locks=locks)
 
 
+def worst_unchosen_cell(matrix, chosen) -> tuple[int, int]:
+    """The globally worst-scoring ``(interval, event)`` baseline cell
+    outside ``chosen`` (``{event: interval}``): no solver path ever
+    prefers it, so forbidding it must be a no-op."""
+    taken = {(interval, event) for event, interval in chosen.items()}
+    for flat in np.argsort(matrix, axis=None):
+        interval, event = np.unravel_index(int(flat), matrix.shape)
+        if (int(interval), int(event)) not in taken:
+            return int(interval), int(event)
+    raise AssertionError("every cell is chosen")
+
+
 class TestEmptyLocksAreTheUnlockedPath:
     """``LockSet()`` must take the exact unlocked code path, byte for byte."""
 
@@ -88,20 +100,10 @@ class TestNonBindingForbids:
     def test_worst_cell_forbid_is_invisible(self, name, backend):
         instance, engine = build_case(backend)
         unlocked = solve(name, instance, engine)
-        chosen = set(unlocked.schedule.as_mapping().items())
-
-        # the globally worst-scoring baseline cell: no solver path ever
-        # prefers it, so forbidding it must be a no-op
         session = ScheduleSession(instance, default_engine=engine)
-        matrix = session.plane_for(None).ensure()
-        flat_order = np.argsort(matrix, axis=None)
-        worst = None
-        for flat in flat_order:
-            interval, event = np.unravel_index(int(flat), matrix.shape)
-            if (event, interval) not in chosen:
-                worst = (int(interval), int(event))
-                break
-        assert worst is not None
+        worst = worst_unchosen_cell(
+            session.plane_for(None).ensure(), unlocked.schedule.as_mapping()
+        )
 
         locked = solve(name, instance, engine, locks=LockSet().forbid(*worst))
         assert locked.schedule == unlocked.schedule
@@ -121,6 +123,27 @@ class TestFullyPinned:
         locks = LockSet(pins=pins)
         locked = solve(name, instance, engine, locks=locks)
         assert locked.schedule.as_mapping() == unlocked.schedule.as_mapping()
+
+
+class TestWarmSession:
+    """The three differentials through a warm ``ScheduleSession``, whose
+    locked solves read a masked copy of the session's score plane."""
+
+    @pytest.mark.parametrize("name", ("grd", "grd-heap", "top"))
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_locks_never_perturb_warm_solves(self, name, backend):
+        instance, engine = build_case(backend)
+        session = ScheduleSession(instance, default_engine=engine)
+        unlocked = session.solve(k=K, solver=name)
+        chosen = unlocked.schedule.as_mapping()
+        worst = worst_unchosen_cell(session.plane_for(None).ensure(), chosen)
+        for locks in (LockSet(), LockSet().forbid(*worst)):
+            locked = session.solve(k=K, solver=name, locks=locks)
+            assert locked.schedule == unlocked.schedule
+            assert locked.utility == unlocked.utility
+        pins = tuple((t, e) for e, t in sorted(chosen.items()))
+        pinned = session.solve(k=K, solver=name, locks=LockSet(pins=pins))
+        assert pinned.schedule.as_mapping() == chosen
 
 
 class TestLockInvariants:

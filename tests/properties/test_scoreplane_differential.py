@@ -64,11 +64,16 @@ def test_plane_fed_solve_matches_cold(backend, kind, solver_name, seed, k):
 
 
 @pytest.mark.parametrize("backend,kind", BACKENDS)
+@pytest.mark.parametrize("solver_name", ("grd", "grd-heap"))
 @given(seed=st.integers(0, 30), data=st.data())
 @settings(max_examples=10, deadline=None)
-def test_plane_stays_exact_under_live_deltas(backend, kind, seed, data):
-    """After random structural deltas, a warm GRD solve over the live
-    view still equals a cold GRD solve by a fresh engine."""
+def test_plane_stays_exact_under_live_deltas(
+    backend, kind, solver_name, seed, data
+):
+    """After random structural deltas, a warm solve over the live view
+    still equals a cold GRD solve of a frozen snapshot.  With
+    ``grd-heap`` this is the stream oracle's contract: its warm regret
+    sample must reproduce GRD's schedule and utility."""
     instance = build(backend, seed)
     live = LiveInstance(instance)
     spec = EngineSpec(kind=kind)
@@ -110,9 +115,9 @@ def test_plane_stays_exact_under_live_deltas(backend, kind, seed, data):
         plane.apply_delta(delta)
 
     k = min(4, live.n_events)
-    warm = solver_registry.create("grd", engine=spec).solve(
+    warm = solver_registry.create(solver_name, engine=spec).solve(
         live, k, plane=plane
     )
-    cold = solver_registry.create("grd", engine=spec).solve(live, k)
+    cold = solver_registry.create("grd", engine=spec).solve(live.freeze(), k)
     assert warm.schedule.as_mapping() == cold.schedule.as_mapping()
     assert warm.utility == pytest.approx(cold.utility, abs=1e-9)

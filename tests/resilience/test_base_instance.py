@@ -199,7 +199,7 @@ class TestNoCheckpointFreezes:
             golden_instance(name),
             policy=policy,
             engine=ENGINE,
-            durability=Durability(tmp_path / "ses"),
+            durability=Durability(tmp_path / "ses", checkpoint_every=4),
             **POLICY_PARAMS.get(policy, {}),
         ).run(golden_trace(name))
         assert result.freezes == 0

@@ -59,6 +59,7 @@ def _run_killed_then_recovered(
 
 
 def _assert_identical(clean, resumed):
+    assert resumed.freezes == 0  # resuming never freezes the live instance
     assert resumed.final_utility == clean.final_utility
     assert resumed.final_schedule == clean.final_schedule
     assert resumed.final_k == clean.final_k

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from repro.api import EngineSpec, SolveRequest
-from repro.serve import ServingSession, make_workload, run_item, run_item_cold
+from repro.serve import ServingSession
 from repro.workloads.config import ExperimentConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.traces import TraceConfig, TraceGenerator
 
 from tests.conftest import make_random_instance
+from tests.serve.workload import make_workload, run_item, run_item_cold
 
 SEED = 424
 

@@ -1,18 +1,18 @@
 """Deterministic mixed serving workloads (solve / what-if / stream).
 
 The concurrency story of :class:`~repro.serve.session.ServingSession` is
-only testable (and benchmarkable) if the workload itself cannot smuggle
-nondeterminism in: with worker threads stealing items off a shared
-queue, anything sampled *inside* a worker would depend on the
-interleaving.  So randomness is bound to **items, not workers**: the
-whole request list — solver mix, per-item seeds for stochastic solvers,
-what-if targets — is materialized up front from one
+only testable if the workload itself cannot smuggle nondeterminism in:
+with worker threads stealing items off a shared queue, anything sampled
+*inside* a worker would depend on the interleaving.  So randomness is
+bound to **items, not workers**: the whole request list — solver mix,
+per-item seeds for stochastic solvers, what-if targets — is
+materialized up front from one
 :class:`~repro.utils.rng.SeedSequenceFactory` root, and each item's
 outcome is a pure function of (item, instance version).  A concurrent
 run with a fixed root seed therefore produces exactly the same multiset
 of response fingerprints as a serial replay, regardless of thread
-interleaving — the property both the differential suite and
-``benchmarks/bench_serving.py`` assert.
+interleaving — the property ``test_serving_session.py`` asserts.  The
+determinism lint audits this module with the benchmarks and conftests.
 
 :func:`run_item` executes one item through a :class:`ServingSession`;
 :func:`run_item_cold` executes the same item against a bare instance
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.algorithms.registry import SolverRegistry, solver_registry
+from repro.algorithms.registry import solver_registry
 from repro.api.requests import SolveRequest
 from repro.core.engine import EngineSpec
 from repro.core.instance import SESInstance
@@ -76,7 +76,6 @@ def make_workload(
     whatif_every: int = 0,
     trace: Any = None,
     stream_every: int = 0,
-    registry: SolverRegistry | None = None,
 ) -> tuple[WorkItem, ...]:
     """Pre-sample a mixed request list from one root seed.
 
@@ -93,7 +92,6 @@ def make_workload(
         raise ValueError(f"n_items must be non-negative, got {n_items}")
     if not solvers:
         raise ValueError("solvers must name at least one solver")
-    catalog = registry if registry is not None else solver_registry
     factory = SeedSequenceFactory(root_seed)
     mix_rng = factory.spawn()
     items: list[WorkItem] = []
@@ -119,7 +117,7 @@ def make_workload(
         solver = solvers[int(mix_rng.integers(len(solvers)))]
         seed = (
             int(item_rng.integers(_SEED_RANGE))
-            if catalog.get(solver).seeded
+            if solver_registry.get(solver).seeded
             else None
         )
         items.append(
@@ -177,7 +175,6 @@ def run_item_cold(
     item: WorkItem,
     *,
     default_engine: EngineSpec | str | None = None,
-    registry: SolverRegistry | None = None,
 ) -> tuple[Any, ...]:
     """Execute one item with per-request construction (cold baseline).
 
@@ -186,7 +183,6 @@ def run_item_cold(
     are fingerprint-compatible with :func:`run_item`, so warm-vs-cold
     parity is a direct set comparison.
     """
-    catalog = registry if registry is not None else solver_registry
     default_spec = EngineSpec.coerce(default_engine)
     if item.kind == "solve":
         assert item.request is not None
@@ -196,7 +192,7 @@ def run_item_cold(
             if request.engine is not None
             else default_spec
         )
-        solver = catalog.create(
+        solver = solver_registry.create(
             request.solver,
             engine=spec,
             seed=request.seed,
@@ -218,7 +214,7 @@ def run_item_cold(
             instance,
             item.k,
             item.competing_index,
-            solver=catalog.create("grd", engine=default_spec),
+            solver=solver_registry.create("grd", engine=default_spec),
         )
         return fingerprint(item, cost)
     if item.kind == "stream":

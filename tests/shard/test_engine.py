@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.registry import solver_registry
 from repro.core.engine import EngineSpec, SparseEngine
 from repro.core.instance import SESInstance
 from repro.core.scoreplane import ScorePlane
@@ -101,6 +102,17 @@ class TestBitIdenticalAcrossP:
         )
         other = engine.scores_for_rows([0, 1], list(range(8)))
         assert np.array_equal(baseline, other)
+
+    def test_plane_fed_grd_solve_identical_across_p(self, instance):
+        results = [
+            solver_registry.create("grd").solve(
+                instance, 4, plane=ScorePlane(sharded(instance, shards=p))
+            )
+            for p in SHARD_COUNTS
+        ]
+        for other in results[1:]:
+            assert other.schedule == results[0].schedule
+            assert other.utility == results[0].utility
 
 
 class TestFlatParity:

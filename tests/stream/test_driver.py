@@ -222,12 +222,13 @@ class TestStructuralFastPath:
         ).run(trace)
         assert result.freezes == 0
 
-    def test_periodic_rebuild_never_freezes(self):
+    @pytest.mark.parametrize("solver", ["grd", "grd-heap"])
+    def test_periodic_rebuild_never_freezes(self, solver):
         """Warm re-solves run straight over the live view through the
         base plane — no O(instance) snapshot is ever materialized."""
         instance, trace = build_case()
         result = StreamDriver(
-            instance, policy="periodic-rebuild", rebuild_every=3
+            instance, policy="periodic-rebuild", rebuild_every=3, solver=solver
         ).run(trace)
         assert result.rebuilds > 0
         assert result.freezes == 0
@@ -243,6 +244,7 @@ class TestStructuralFastPath:
             instance, policy="periodic-rebuild", rebuild_every=1
         ).run(trace)
         stats = result.base_plane_stats
+        assert stats["fills"] == 1
         warm_solves = result.rebuilds - stats["fills"]
         assert warm_solves > 0
         cold_cells_per_solve = stats["cells_filled"] // stats["fills"]

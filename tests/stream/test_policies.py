@@ -101,33 +101,6 @@ class TestPeriodicRebuild:
         assert policy.rebuilds == 2  # nothing pending: no extra solve
 
 
-class TestColdRebuildBaseline:
-    def test_cold_and_warm_rebuilds_agree(self):
-        """The legacy freeze+cold-fill path must produce the same
-        maintained state as the warm plane path it now baselines."""
-        instance = make_random_instance(seed=508, n_events=6, n_intervals=4)
-        trace = small_trace(seed=9)
-        states = {}
-        for warm in (True, False):
-            policy = PeriodicRebuildPolicy(rebuild_every=2, warm=warm)
-            policy.bind(instance, 4)
-            for op in trace:
-                policy.apply(op)
-            policy.finish()
-            states[warm] = (
-                policy.schedule.as_mapping(),
-                policy.utility(),
-                policy.rebuilds,
-            )
-        assert states[True][0] == states[False][0]
-        assert states[True][1] == pytest.approx(states[False][1], abs=1e-9)
-        assert states[True][2] == states[False][2]
-
-    def test_cold_mode_is_labelled(self):
-        assert ", cold" in PeriodicRebuildPolicy(warm=False).describe()
-        assert ", cold" not in PeriodicRebuildPolicy().describe()
-
-
 class TestHybrid:
     def test_rejects_non_positive_threshold(self):
         with pytest.raises(ValueError, match="positive"):
