@@ -3,19 +3,13 @@
 Every correctness property this repo leans on — 1e-9 engine parity,
 bit-identical warm/cold solves, golden-trace utilities reproduced to the
 last ulp — is calibrated for float64 accumulation.  A drive-by
-``dtype=np.float32`` on a score or mass path (tempting when chasing the
-ROADMAP's million-user memory targets) passes every smoke test and then
-fails parity suites intermittently at scale.  Low-precision storage is a
-deliberate, sharded-aggregate design decision, not a local optimization:
-this rule bans low-precision float dtypes in array construction inside
-the designated score/mass modules.
-
-The sharded design (:mod:`repro.shard`) draws the sanctioned line:
-``shard/interest.py`` is the *storage* layer — float32 blocks are its
-contract, every accessor upcasts to float64 at the gather boundary — so
-it is deliberately **excluded** here, while the shard *compute* modules
-(plan, executor, engine) are covered: a partial-score or mass array born
-float32 there would poison the float64 merge.
+low-precision ``dtype=`` on a score or mass path (tempting when chasing
+memory at a million users) passes every smoke test and then fails parity
+suites intermittently at scale.  This rule bans low-precision float
+dtypes in array construction inside the designated score/mass modules,
+the whole shard subsystem included: its block storage
+(``shard/interest.py``) holds float64 CSC blocks, and its partials merge
+in float64.
 """
 
 from __future__ import annotations
@@ -39,11 +33,10 @@ SCORE_PATH_MODULES = (
     "algorithms/incremental.py",
     "serve/pool.py",
     "serve/session.py",
-    # shard compute layer: partials/merges are float64; shard/interest.py
-    # (the float32 storage layer) is the one sanctioned exemption
     "shard/plan.py",
     "shard/executor.py",
     "shard/engine.py",
+    "shard/interest.py",
 )
 
 #: numpy constructors and the position of their ``dtype`` parameter.

@@ -19,7 +19,6 @@ __all__ = [
     "JournalError",
     "CheckpointError",
     "RecoveryError",
-    "ShardWorkerError",
     "InjectedFault",
 ]
 
@@ -82,10 +81,12 @@ class SerializationError(SESError):
     """A persisted instance/schedule artifact is unreadable or incomplete.
 
     Raised by the loaders in :mod:`repro.data.serialization` when a
-    sharded-instance directory is missing its manifest or references
-    block files that do not exist — torn artifacts are named explicitly
-    instead of surfacing as a raw :class:`FileNotFoundError` deep inside
-    a block loop.
+    sharded-instance directory is missing its manifest, records a format
+    version or block storage this build does not read, or references
+    block files that are missing, unreadable or corrupt — the message
+    names the directory or file instead of a raw
+    :class:`FileNotFoundError` or ``BadZipFile`` surfacing deep inside a
+    block loop.
     """
 
 
@@ -112,15 +113,6 @@ class RecoveryError(SESError):
     """
 
 
-class ShardWorkerError(SESError):
-    """A shard worker failed (or died) executing one dispatched thunk.
-
-    The message names the thunk index so a failing block is identifiable
-    without re-running the fan-out; the original failure is chained as
-    ``__cause__``.
-    """
-
-
 class InjectedFault(SESError):
     """A deterministic fault injected by a :class:`~repro.resilience.faults.FaultPlan`.
 
@@ -132,9 +124,3 @@ class InjectedFault(SESError):
         super().__init__(f"injected {kind} fault at {site}")
         self.site = site
         self.kind = kind
-
-    def __reduce__(self) -> tuple:
-        # default exception pickling replays args=(message,), which does
-        # not match this two-argument constructor; needed when a fault
-        # crosses a process-pool boundary
-        return (InjectedFault, (self.site, self.kind))

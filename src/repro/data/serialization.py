@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
 from repro.core.activity import ActivityModel
-from repro.core.errors import SerializationError
+from repro.core.errors import InstanceValidationError, SerializationError
 from repro.core.entities import (
     CandidateEvent,
     CompetingEvent,
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
+
+#: The one block storage of the sharded directory format: float64 CSC.
+_SHARD_STORAGE = "csc"
 
 
 def _fsync_directory(directory: Path) -> None:
@@ -350,18 +354,20 @@ def save_sharded_instance(instance: SESInstance, directory: str | Path) -> None:
 
     Layout::
 
-        manifest.json              # entities, plan, storage kind
+        manifest.json              # entities, plan, "storage": "csc"
         activity.npy
-        candidate_block00000.npz   # CSC components (csc / csc32 storage)
-        candidate_block00000.npy   # float32 dense   (dense32 / memmap32)
-        competing_block00000.*     # ... one pair per accumulation block
+        candidate_block00000.npz   # CSC components of one block
+        competing_block00000.npz   # ... one pair per accumulation block
 
     Unlike the flat ``.npz`` format this never concatenates blocks, so a
-    10^6-user memmap-backed instance saves without pulling its interest
-    matrix into memory; :func:`load_sharded_instance` maps the block files
-    straight back (``mmap_mode="r"`` for ``memmap32``).  Users with default
-    names/tags are stored as a bare count — a million-user roster is one
-    JSON integer, not a million dicts.
+    10^6-user instance saves without pulling its interest matrix into one
+    array.  Users with default names/tags are stored as a bare count — a
+    million-user roster is one JSON integer, not a million dicts.
+
+    Every file is written through :func:`_atomic_write` (fsynced tmp
+    sibling + rename), and the manifest is the commit point: it lands
+    last, so a directory with a manifest has every file it references on
+    disk, durably.
     """
     interest = instance.interest
     if getattr(interest, "backend", None) != "sharded":
@@ -377,7 +383,7 @@ def save_sharded_instance(instance: SESInstance, directory: str | Path) -> None:
     plan = interest.plan
     manifest = {
         "format_version": _FORMAT_VERSION,
-        "storage": interest.storage,
+        "storage": _SHARD_STORAGE,
         "plan": {
             "n_users": plan.n_users,
             "n_shards": plan.n_shards,
@@ -386,27 +392,25 @@ def save_sharded_instance(instance: SESInstance, directory: str | Path) -> None:
         },
         "metadata": metadata,
     }
-    np.save(directory / "activity.npy", instance.activity.matrix)
-    sparse_storage = interest.storage in ("csc", "csc32")
+    _atomic_write(
+        directory / "activity.npy",
+        lambda handle: np.save(handle, instance.activity.matrix),
+    )
     for name, block_of in (
         ("candidate", interest.candidate_block),
         ("competing", interest.competing_block),
     ):
         for index in range(plan.n_blocks):
-            block = block_of(index)
-            stem = directory / f"{name}_block{index:05d}"
-            if sparse_storage:
-                np.savez(
-                    stem.with_suffix(".npz"),
+            _atomic_write(
+                directory / f"{name}_block{index:05d}.npz",
+                lambda handle, block=block_of(index): np.savez(
+                    handle,
                     data=block.data,
                     indices=block.indices,
                     indptr=block.indptr,
                     shape=np.asarray(block.shape),
-                )
-            else:
-                np.save(stem.with_suffix(".npy"), np.asarray(block))
-    # the manifest is the commit point: it lands last, atomically, so a
-    # directory with a manifest always has every block it references
+                ),
+            )
     manifest_bytes = json.dumps(manifest).encode("utf-8")
     _atomic_write(
         directory / "manifest.json",
@@ -417,10 +421,15 @@ def save_sharded_instance(instance: SESInstance, directory: str | Path) -> None:
 def load_sharded_instance(directory: str | Path) -> SESInstance:
     """Read a directory written by :func:`save_sharded_instance`.
 
-    ``memmap32`` block files are re-mapped read-only rather than loaded, so
-    opening a million-user instance costs file handles, not RAM.
+    Each block is checked as it loads: CSC structure (scipy's full
+    ``check_format``: index bounds, monotone ``indptr``) and values in
+    ``[0, 1]`` without NaN.  A block that is unreadable or fails a check
+    raises :class:`SerializationError` naming its file, as does a
+    manifest with another format version or block storage.
     """
-    from repro.shard.interest import ShardedInterest
+    from scipy import sparse as sp
+
+    from repro.shard.interest import ShardedInterest, check_block
     from repro.shard.plan import ShardPlan
 
     directory = Path(directory)
@@ -434,15 +443,19 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     version = manifest.get("format_version")
     if version != _FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported sharded instance format version {version!r} "
-            f"(expected {_FORMAT_VERSION})"
+        raise SerializationError(
+            f"sharded instance at {directory} has format version "
+            f"{version!r}; this build reads version {_FORMAT_VERSION}"
         )
-    storage = manifest["storage"]
+    storage = manifest.get("storage")
+    if storage != _SHARD_STORAGE:
+        raise SerializationError(
+            f"sharded instance at {directory} stores {storage!r} blocks; "
+            f"this build reads only float64 CSC blocks ({_SHARD_STORAGE!r})"
+        )
     plan = ShardPlan(**manifest["plan"])
-    suffix = ".npz" if storage in ("csc", "csc32") else ".npy"
     expected = ["activity.npy"] + [
-        f"{name}_block{index:05d}{suffix}"
+        f"{name}_block{index:05d}.npz"
         for name in ("candidate", "competing")
         for index in range(plan.n_blocks)
     ]
@@ -458,32 +471,27 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
     def blocks(name: str) -> list:
         out = []
         for index in range(plan.n_blocks):
-            stem = directory / f"{name}_block{index:05d}"
-            if storage in ("csc", "csc32"):
-                from scipy import sparse as sp
-
-                with np.load(stem.with_suffix(".npz")) as parts:
-                    out.append(
-                        sp.csc_matrix(
-                            (
-                                parts["data"],
-                                parts["indices"],
-                                parts["indptr"],
-                            ),
-                            shape=tuple(parts["shape"]),
-                        )
+            path = directory / f"{name}_block{index:05d}.npz"
+            try:
+                with np.load(path) as parts:
+                    csc = sp.csc_matrix(
+                        (parts["data"], parts["indices"], parts["indptr"]),
+                        shape=tuple(parts["shape"]),
                     )
-            elif storage == "memmap32":
-                out.append(np.load(stem.with_suffix(".npy"), mmap_mode="r"))
-            else:
-                dense = np.asfortranarray(np.load(stem.with_suffix(".npy")))
-                dense.setflags(write=False)
-                out.append(dense)
+                csc.check_format(full_check=True)
+                check_block(csc, "the block")
+            except (
+                OSError, EOFError, KeyError, ValueError,
+                zipfile.BadZipFile, InstanceValidationError,
+            ) as error:
+                raise SerializationError(
+                    f"sharded instance block {path} is unreadable or "
+                    f"corrupt: {error}"
+                ) from error
+            out.append(csc)
         return out
 
-    interest = ShardedInterest(
-        plan, blocks("candidate"), blocks("competing"), storage, validate=False
-    )
+    interest = ShardedInterest(plan, blocks("candidate"), blocks("competing"))
     metadata = manifest["metadata"]
     if isinstance(metadata["users"], dict):
         metadata["users"] = [

@@ -6,15 +6,14 @@ dimension shards cleanly into partial aggregates that merge by addition:
 
 - :class:`ShardPlan` -- seeded, deterministic user -> block -> shard layout.
   Accumulation *blocks* are fixed-size and independent of the shard count,
-  so merged results are bit-identical for any P (float64 storage).
-- :class:`ShardedInterest` -- per-block CSC or float32 dense/memmap storage
-  behind the existing interest accessor protocol; values are upcast to
-  float64 at the accessor boundary so accumulation stays double precision.
+  so merged results are bit-identical for any P.
+- :class:`ShardedInterest` -- per-block float64 CSC storage behind the
+  existing interest accessor protocol.
 - :class:`ShardedEngine` -- per-block sub-engines (the existing sparse
   kernel over block views) whose partials merge by addition in a fixed
   global block order.
-- :class:`ShardExecutor` -- serial / thread / fork-process dispatch for
-  per-shard work, with numpy releasing the GIL on the thread path.
+- :class:`ShardExecutor` -- per-shard work inline for one worker, on a
+  shared thread pool for more (numpy releases the GIL there).
 """
 
 from repro.shard.engine import ShardedEngine, localize_delta

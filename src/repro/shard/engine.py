@@ -241,10 +241,9 @@ class ShardedEngine(ScoreEngine):
         :data:`~repro.shard.plan.DEFAULT_BLOCK_USERS`).  Results depend
         on this value (it fixes the merge grouping) but not on P.
     executor:
-        A :class:`ShardExecutor` to dispatch with; default is a thread
-        executor with ``workers`` workers.  Process executors are only
-        sound for *query* fan-outs (children see forked state), which is
-        all the engine dispatches.
+        A :class:`ShardExecutor` to dispatch with; default is one with
+        ``workers`` workers (inline for one, the shared thread pool for
+        more).
     """
 
     def __init__(
@@ -278,7 +277,7 @@ class ShardedEngine(ScoreEngine):
             )
         self._plan = plan
         self._executor = executor or ShardExecutor(
-            workers=shards if workers is None else workers, kind="thread"
+            workers=shards if workers is None else workers
         )
         self._views = [
             _BlockView(instance, block, *plan.block_bounds(block))

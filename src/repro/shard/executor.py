@@ -1,21 +1,13 @@
-"""Dispatch per-shard work across a ``concurrent.futures`` pool.
+"""Dispatch per-shard work inline or on a shared thread pool.
 
-Three kinds:
+The kind follows from ``workers`` alone:
 
-- ``"serial"`` -- run thunks inline (also the automatic choice for
-  ``workers <= 1``).  The reference against which the parallel kinds are
-  differential-tested.
-- ``"thread"`` -- a shared ``ThreadPoolExecutor``; numpy kernels release
-  the GIL so per-block fills overlap on real cores.  Pools are shared
-  process-wide per worker count, so engines rebuilt on every pool
-  generation (PR 7's ``PlanePool`` templates) do not leak threads.
-- ``"process"`` -- a fork-based ``ProcessPoolExecutor`` for memmap-backed
-  blocks: children inherit the task list and the mapped pages
-  copy-on-write, so nothing but the result arrays is pickled.  Falls back
-  to threads where fork is unavailable.  A worker that dies abruptly
-  (OOM-killed, segfault, ``os._exit``) surfaces as a typed
-  :class:`~repro.core.errors.ShardWorkerError` naming the thunk it was
-  running — never a silent hang.
+- ``workers=1`` (the default) -- ``"serial"``: thunks run inline.  The
+  reference against which the thread kind is differential-tested.
+- ``workers > 1`` -- ``"thread"``: a shared ``ThreadPoolExecutor``; numpy
+  kernels release the GIL so per-block fills overlap on real cores.
+  Pools are shared process-wide per worker count, so engines rebuilt on
+  every pool generation (``PlanePool`` templates) do not leak threads.
 
 Requested ``workers`` are clamped to the machine's CPU count (with a
 :class:`RuntimeWarning`): oversubscribed shard fills only add contention.
@@ -39,32 +31,22 @@ block order (the P-independence contract lives in the caller).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.core.errors import InjectedFault, ShardWorkerError
+from repro.core.errors import InjectedFault
 
 if TYPE_CHECKING:
     from repro.resilience.faults import FaultInjector, FaultPlan, RetryPolicy
 
 Thunk = Callable[[], Any]
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
-
 _POOL_LOCK = threading.Lock()
 _THREAD_POOLS: dict[int, ThreadPoolExecutor] = {}
-
-# Fork-based dispatch publishes the thunks through a module global so the
-# children inherit them via fork instead of pickling closures.  Guarded by
-# _FORK_LOCK: one forked batch at a time per process.
-_FORK_TASKS: Sequence[Thunk] | None = None
-_FORK_LOCK = threading.Lock()
 
 
 def _available_cpus() -> int:
@@ -87,16 +69,6 @@ def _call(thunk: Thunk) -> Any:
     return thunk()
 
 
-def _call_fork_task(index: int) -> Any:
-    tasks = _FORK_TASKS
-    assert tasks is not None, "fork task list not published"
-    return tasks[index]()
-
-
-def fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
 class ShardExecutor:
     """Order-preserving map over shard thunks.
 
@@ -104,9 +76,8 @@ class ShardExecutor:
     ----------
     workers:
         Parallelism; clamped to :func:`os.cpu_count` with a warning.
-        ``workers=1`` (or ``None``) collapses to the serial kind.
-    kind:
-        ``"serial"`` / ``"thread"`` / ``"process"``.
+        ``workers=1`` (or ``None``) runs thunks inline; more dispatch on
+        the shared thread pool of that size.
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan`; arms
         deterministic fault injection on every dispatched thunk.
@@ -116,22 +87,17 @@ class ShardExecutor:
     """
 
     __slots__ = (
-        "_kind", "_workers", "_injector", "_retry",
+        "_workers", "_injector", "_retry",
         "_retries", "_fallbacks", "_stats_lock",
     )
 
     def __init__(
         self,
         workers: int | None = None,
-        kind: str = "thread",
         *,
         fault_plan: "FaultPlan | None" = None,
         retry: "RetryPolicy | None" = None,
     ):
-        if kind not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
-            )
         workers = 1 if workers is None else int(workers)
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -144,11 +110,6 @@ class ShardExecutor:
                 stacklevel=2,
             )
             workers = available
-        if kind == "process" and not fork_available():  # pragma: no cover
-            kind = "thread"
-        if workers == 1:
-            kind = "serial"
-        self._kind = kind
         self._workers = workers
         self._injector: "FaultInjector | None" = None
         self._retry: "RetryPolicy | None" = None
@@ -164,7 +125,8 @@ class ShardExecutor:
 
     @property
     def kind(self) -> str:
-        return self._kind
+        """``"serial"`` for one worker, else ``"thread"``."""
+        return "serial" if self._workers == 1 else "thread"
 
     @property
     def workers(self) -> int:
@@ -188,19 +150,17 @@ class ShardExecutor:
         return self._dispatch(thunks)
 
     def _dispatch(self, thunks: Sequence[Thunk]) -> list[Any]:
-        if self._kind == "serial" or len(thunks) <= 1:
+        if self._workers == 1 or len(thunks) <= 1:
             return [thunk() for thunk in thunks]
-        if self._kind == "thread":
-            pool = _shared_thread_pool(self._workers)
-            return list(pool.map(_call, thunks))
-        return self._map_forked(thunks)
+        pool = _shared_thread_pool(self._workers)
+        return list(pool.map(_call, thunks))
 
     # -- fault-injected dispatch -----------------------------------------
     def _map_faulted(self, thunks: list[Thunk]) -> list[Any]:
         """Dispatch with per-thunk fault draws, retries, serial fallback."""
         assert self._injector is not None and self._retry is not None
         injector, retry = self._injector, self._retry
-        site = f"shard.map:{self._kind}"
+        site = f"shard.map:{self.kind}"
         stall = injector.plan.stall_seconds
         results: list[Any] = [None] * len(thunks)
         pending = list(range(len(thunks)))
@@ -260,36 +220,5 @@ class ShardExecutor:
 
         return run
 
-    def _map_forked(self, thunks: Sequence[Thunk]) -> list[Any]:
-        global _FORK_TASKS
-        ctx = multiprocessing.get_context("fork")
-        with _FORK_LOCK:
-            _FORK_TASKS = thunks
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(self._workers, len(thunks)),
-                    mp_context=ctx,
-                ) as pool:
-                    futures = [
-                        pool.submit(_call_fork_task, index)
-                        for index in range(len(thunks))
-                    ]
-                    results = []
-                    for index, future in enumerate(futures):
-                        try:
-                            results.append(future.result())
-                        except BrokenProcessPool as error:
-                            # every in-flight future raises once the pool
-                            # breaks; the first one names the earliest
-                            # thunk whose result was lost
-                            raise ShardWorkerError(
-                                f"shard worker died before completing thunk "
-                                f"{index} of {len(thunks)} (abrupt process "
-                                f"exit — OOM kill, segfault or os._exit)"
-                            ) from error
-                    return results
-            finally:
-                _FORK_TASKS = None
-
     def __repr__(self) -> str:
-        return f"ShardExecutor(kind={self._kind!r}, workers={self._workers})"
+        return f"ShardExecutor(kind={self.kind!r}, workers={self._workers})"

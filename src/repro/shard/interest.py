@@ -1,19 +1,9 @@
-"""``ShardedInterest`` — per-block storage of ``mu`` behind the interest protocol.
+"""``ShardedInterest`` — per-block CSC storage of ``mu`` behind the interest protocol.
 
 Rows (users) are partitioned by a :class:`~repro.shard.plan.ShardPlan` into
-fixed-size blocks; each block owns its own candidate/competing storage:
-
-- ``"csc"``    — scipy CSC, float64 data (bit-identical to unsharded)
-- ``"csc32"``  — scipy CSC, float32 data (half the value memory)
-- ``"dense32"``  — float32 column-major ndarray per block
-- ``"memmap32"`` — float32 column-major ``.npy`` memmap per block; the only
-  storage that lets a 10^6-user instance live mostly on disk and lets
-  fork-based workers read blocks copy-on-write.
-
-float32 is a *storage* concession only: every accessor upcasts values to
-float64 at the gather boundary, so score/mass accumulation downstream stays
-double precision (the dtype-discipline rule enforces this for the rest of
-the shard subsystem — this module is its one sanctioned exemption).
+fixed-size blocks; each block owns a scipy CSC candidate matrix and a CSC
+competing matrix with float64 data, so every gather returns the bits an
+unsharded sparse matrix holds for the same rows.
 
 The global accessor protocol (``event_column_entries`` & co.) matches
 :class:`repro.core.interest.InterestMatrix`, so instances, engines, live
@@ -24,44 +14,30 @@ per-block sub-engines gather from without ever touching global state.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.core.errors import InstanceValidationError
 from repro.core.interest import InterestMatrix, accumulate_entries, slice_entries
 from repro.shard.plan import ShardPlan
 
-try:  # scipy is an optional dependency (the "sparse" extra)
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sp = None
-
-__all__ = ["SHARD_STORAGES", "ShardedInterest"]
-
-#: Supported per-block storage kinds.
-SHARD_STORAGES = ("csc", "csc32", "dense32", "memmap32")
+__all__ = ["ShardedInterest", "check_block"]
 
 _EMPTY_ROWS = np.zeros(0, dtype=np.intp)
 _EMPTY_VALUES = np.zeros(0)
 
 
-def _require_scipy() -> None:
-    if _sp is None:  # pragma: no cover - exercised only without scipy
-        raise ImportError(
-            "sharded interest requires scipy for CSC block storage; "
-            "install it (pip install scipy)"
+def check_block(block: Any, name: str) -> None:
+    """Raise :class:`InstanceValidationError` unless ``block`` is a float64
+    CSC matrix whose stored values lie in ``[0, 1]``."""
+    if getattr(block, "format", None) != "csc" or block.dtype != np.float64:
+        raise InstanceValidationError(
+            f"{name} must be a float64 CSC matrix; "
+            "ShardedInterest.from_blocks converts other inputs"
         )
-
-
-def _is_sparse(block: Any) -> bool:
-    return _sp is not None and _sp.issparse(block)
-
-
-def _check_block(block: Any, name: str) -> None:
-    data = block.data if _is_sparse(block) else block
-    data = np.asarray(data)
+    data = block.data
     if data.size == 0:
         return
     if np.isnan(data).any():
@@ -73,17 +49,26 @@ def _check_block(block: Any, name: str) -> None:
         )
 
 
+def _to_csc(block: Any) -> Any:
+    """A canonical float64 CSC copy of ``block`` (scipy sparse or dense)."""
+    csc = _sp.csc_matrix(block, dtype=np.float64, copy=True)
+    csc.sum_duplicates()
+    csc.eliminate_zeros()
+    csc.sort_indices()
+    return csc
+
+
 class ShardedInterest:
     """Immutable, block-partitioned storage of ``mu``.
 
-    Build with :meth:`from_interest` (reshard an existing matrix) or
-    :meth:`from_blocks` (per-block construction that never materializes a
-    global matrix — the 10^6-user synthesis path).
+    The constructor takes float64 CSC blocks and checks their shapes and
+    values.  Build with :meth:`from_interest` (reshard an existing matrix)
+    or :meth:`from_blocks` (per-block construction that never materializes
+    a global matrix — the 10^6-user synthesis path).
     """
 
     __slots__ = (
         "_plan",
-        "_storage",
         "_candidate_blocks",
         "_competing_blocks",
         "_n_events",
@@ -95,14 +80,7 @@ class ShardedInterest:
         plan: ShardPlan,
         candidate_blocks: Sequence[Any],
         competing_blocks: Sequence[Any],
-        storage: str,
-        *,
-        validate: bool = True,
     ) -> None:
-        if storage not in SHARD_STORAGES:
-            raise ValueError(
-                f"unknown shard storage {storage!r}; choose from {SHARD_STORAGES}"
-            )
         if len(candidate_blocks) != plan.n_blocks:
             raise InstanceValidationError(
                 f"expected {plan.n_blocks} candidate blocks, "
@@ -127,10 +105,8 @@ class ShardedInterest:
                         f"{name} block {block_index} has shape {block.shape}; "
                         f"expected {(hi - lo, width)}"
                     )
-                if validate:
-                    _check_block(block, f"{name} block {block_index}")
+                check_block(block, f"{name} block {block_index}")
         self._plan = plan
-        self._storage = storage
         self._candidate_blocks = tuple(candidate_blocks)
         self._competing_blocks = tuple(competing_blocks)
         self._n_events = n_events
@@ -143,11 +119,6 @@ class ShardedInterest:
     def backend(self) -> str:
         """Always ``"sharded"`` — distinct from the flat backends."""
         return "sharded"
-
-    @property
-    def storage(self) -> str:
-        """Per-block storage kind (one of :data:`SHARD_STORAGES`)."""
-        return self._storage
 
     @property
     def plan(self) -> ShardPlan:
@@ -171,34 +142,28 @@ class ShardedInterest:
     def block_candidate_entries(
         self, block: int, event: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero ``(local_rows, float64 values)`` of one candidate column."""
+        """Nonzero ``(local_rows, values)`` of one candidate column."""
         return self._block_entries(self._candidate_blocks[block], event)
 
     def block_competing_entries(
         self, block: int, competing: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Nonzero ``(local_rows, float64 values)`` of one competing column."""
+        """Nonzero ``(local_rows, values)`` of one competing column."""
         return self._block_entries(self._competing_blocks[block], competing)
 
     def candidate_block(self, block: int) -> Any:
-        """Raw candidate storage of one block (CSC matrix or float32 array)."""
+        """The candidate CSC matrix of one block."""
         return self._candidate_blocks[block]
 
     def competing_block(self, block: int) -> Any:
-        """Raw competing storage of one block (CSC matrix or float32 array)."""
+        """The competing CSC matrix of one block."""
         return self._competing_blocks[block]
 
     @staticmethod
     def _block_entries(block: Any, column: int) -> tuple[np.ndarray, np.ndarray]:
-        if _is_sparse(block):
-            start, stop = block.indptr[column], block.indptr[column + 1]
-            rows = block.indices[start:stop].astype(np.intp, copy=False)
-            values = block.data[start:stop]
-        else:
-            col = block[:, column]
-            rows = np.flatnonzero(col).astype(np.intp, copy=False)
-            values = col[rows]
-        return rows, np.asarray(values, dtype=float)
+        start, stop = block.indptr[column], block.indptr[column + 1]
+        rows = block.indices[start:stop].astype(np.intp, copy=False)
+        return rows, block.data[start:stop]
 
     # ------------------------------------------------------------------
     # global accessor protocol (InterestMatrix-compatible)
@@ -243,13 +208,8 @@ class ShardedInterest:
 
     def _dense_column(self, blocks: tuple[Any, ...], column: int) -> np.ndarray:
         out = np.zeros(self.n_users)
-        for block_index, block in enumerate(blocks):
-            lo, hi = self._plan.block_bounds(block_index)
-            if _is_sparse(block):
-                rows, values = self._block_entries(block, column)
-                out[rows + lo] = values
-            else:
-                out[lo:hi] = block[:, column]
+        rows, values = self._global_entries(blocks, column)
+        out[rows] = values
         return out
 
     def mu_event(self, user: int, event: int) -> float:
@@ -267,37 +227,24 @@ class ShardedInterest:
     # ------------------------------------------------------------------
     @property
     def candidate(self) -> np.ndarray:
-        """Dense float64 candidate matrix — materializes; not a hot path."""
-        return self._dense_matrix(self._candidate_blocks, self._n_events)
+        """Dense candidate matrix — materializes; not a hot path."""
+        return self.candidate_sparse.toarray()
 
     @property
     def competing(self) -> np.ndarray:
-        return self._dense_matrix(self._competing_blocks, self._n_competing)
-
-    def _dense_matrix(self, blocks: tuple[Any, ...], width: int) -> np.ndarray:
-        out = np.empty((self.n_users, width))
-        for block_index, block in enumerate(blocks):
-            lo, hi = self._plan.block_bounds(block_index)
-            out[lo:hi] = block.toarray() if _is_sparse(block) else block
-        return out
+        return self.competing_sparse.toarray()
 
     @property
     def candidate_sparse(self) -> Any:
-        return self._sparse_matrix(self._candidate_blocks, self._n_events)
+        return self._stacked(self._candidate_blocks)
 
     @property
     def competing_sparse(self) -> Any:
-        return self._sparse_matrix(self._competing_blocks, self._n_competing)
+        return self._stacked(self._competing_blocks)
 
-    def _sparse_matrix(self, blocks: tuple[Any, ...], width: int) -> Any:
-        _require_scipy()
-        stacked = _sp.vstack(
-            [
-                blk if _is_sparse(blk) else _sp.csc_matrix(np.asarray(blk, dtype=float))
-                for blk in blocks
-            ],
-            format="csc",
-        ).astype(float)
+    @staticmethod
+    def _stacked(blocks: tuple[Any, ...]) -> Any:
+        stacked = _sp.vstack(blocks, format="csc")
         stacked.sort_indices()
         return stacked
 
@@ -312,12 +259,7 @@ class ShardedInterest:
     # derived statistics
     # ------------------------------------------------------------------
     def nnz_candidate(self) -> int:
-        total = 0
-        for block in self._candidate_blocks:
-            total += int(block.nnz) if _is_sparse(block) else int(
-                np.count_nonzero(block)
-            )
-        return total
+        return sum(int(block.nnz) for block in self._candidate_blocks)
 
     def sparsity(self) -> float:
         size = self.n_users * self.n_events
@@ -328,9 +270,8 @@ class ShardedInterest:
     def mean_positive_interest(self) -> float:
         total, count = 0.0, 0
         for block in self._candidate_blocks:
-            data = np.asarray(block.data if _is_sparse(block) else block)
-            positive = data[data > 0]
-            total += float(positive.sum(dtype=np.float64))
+            positive = block.data[block.data > 0]
+            total += float(positive.sum())
             count += int(positive.size)
         return total / count if count else 0.0
 
@@ -338,18 +279,8 @@ class ShardedInterest:
     # constructors / conversion
     # ------------------------------------------------------------------
     @classmethod
-    def from_interest(
-        cls,
-        interest: Any,
-        plan: ShardPlan,
-        storage: str = "csc",
-        directory: str | Path | None = None,
-    ) -> "ShardedInterest":
-        """Reshard an existing interest matrix (or any accessor-protocol duck).
-
-        ``memmap32`` requires ``directory`` — block files are written there
-        as ``.npy`` and mapped back read-only.
-        """
+    def from_interest(cls, interest: Any, plan: ShardPlan) -> "ShardedInterest":
+        """Reshard an existing interest matrix (or any accessor-protocol duck)."""
         if interest.n_users != plan.n_users:
             raise InstanceValidationError(
                 f"plan covers {plan.n_users} users but interest has "
@@ -361,15 +292,12 @@ class ShardedInterest:
         competing_blocks = cls._slice_blocks(
             interest, plan, interest.n_competing, competing=True
         )
-        return cls.from_blocks(
-            plan, candidate_blocks, competing_blocks, storage, directory=directory
-        )
+        return cls.from_blocks(plan, candidate_blocks, competing_blocks)
 
     @staticmethod
     def _slice_blocks(
         interest: Any, plan: ShardPlan, width: int, *, competing: bool
     ) -> list[Any]:
-        _require_scipy()
         source = getattr(
             interest, "competing_sparse" if competing else "candidate_sparse", None
         )
@@ -415,68 +343,13 @@ class ShardedInterest:
         plan: ShardPlan,
         candidate_blocks: Sequence[Any],
         competing_blocks: Sequence[Any],
-        storage: str = "csc",
-        directory: str | Path | None = None,
     ) -> "ShardedInterest":
-        """Build from per-block matrices (scipy sparse or dense arrays)."""
-        if storage not in SHARD_STORAGES:
-            raise ValueError(
-                f"unknown shard storage {storage!r}; choose from {SHARD_STORAGES}"
-            )
-        candidate = [
-            cls._coerce_block(blk, storage, directory, "candidate", i)
-            for i, blk in enumerate(candidate_blocks)
-        ]
-        competing = [
-            cls._coerce_block(blk, storage, directory, "competing", i)
-            for i, blk in enumerate(competing_blocks)
-        ]
-        return cls(plan, candidate, competing, storage)
-
-    @staticmethod
-    def _coerce_block(
-        block: Any,
-        storage: str,
-        directory: str | Path | None,
-        name: str,
-        index: int,
-    ) -> Any:
-        if storage in ("csc", "csc32"):
-            _require_scipy()
-            dtype = np.float64 if storage == "csc" else np.float32
-            csc = _sp.csc_matrix(block, dtype=dtype, copy=True)
-            csc.sum_duplicates()
-            csc.eliminate_zeros()
-            csc.sort_indices()
-            return csc
-        dense = (
-            block.toarray() if _is_sparse(block) else np.asarray(block)
-        ).astype(np.float32)
-        dense = np.asfortranarray(dense)
-        if storage == "dense32":
-            dense.setflags(write=False)
-            return dense
-        # memmap32: persist as .npy and map back read-only
-        if directory is None:
-            raise ValueError("storage='memmap32' requires a directory")
-        path = Path(directory)
-        path.mkdir(parents=True, exist_ok=True)
-        file = path / f"{name}_block{index:05d}.npy"
-        np.save(file, dense)
-        return np.load(file, mmap_mode="r")
-
-    def with_storage(
-        self, storage: str, directory: str | Path | None = None
-    ) -> "ShardedInterest":
-        """This matrix re-encoded with a different block storage."""
-        if storage == self._storage:
-            return self
-        return ShardedInterest.from_blocks(
-            self._plan,
-            self._candidate_blocks,
-            self._competing_blocks,
-            storage,
-            directory=directory,
+        """Build from per-block matrices (scipy sparse or dense arrays),
+        each copied into canonical float64 CSC storage."""
+        return cls(
+            plan,
+            [_to_csc(block) for block in candidate_blocks],
+            [_to_csc(block) for block in competing_blocks],
         )
 
     def to_interest(self, backend: str = "sparse") -> InterestMatrix:
@@ -493,6 +366,5 @@ class ShardedInterest:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedInterest(users={self.n_users}, events={self.n_events}, "
-            f"competing={self.n_competing}, blocks={self._plan.n_blocks}, "
-            f"storage={self._storage!r})"
+            f"competing={self.n_competing}, blocks={self._plan.n_blocks})"
         )

@@ -14,8 +14,6 @@ so grid point ``i`` is reproducible regardless of what ran before it.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro.core.instance import SESInstance
@@ -110,8 +108,6 @@ def synthesize_sharded_instance(
     n_locations: int = 8,
     shards: int = 1,
     block_users: int | None = None,
-    storage: str = "csc",
-    directory: str | Path | None = None,
     seed: int = 0,
 ) -> SESInstance:
     """Synthesize a million-user-scale instance directly into shard blocks.
@@ -121,12 +117,11 @@ def synthesize_sharded_instance(
     (:meth:`~repro.shard.plan.ShardPlan.block_streams`), so the generated
     numbers are identical for any ``shards`` value and any worker
     scheduling — and no dense ``(n_users, n_events)`` array is ever
-    materialized: each block's columns go straight into CSC (or float32
-    dense/memmap) block storage.
+    materialized: each block's columns go straight into float64 CSC block
+    storage (:class:`~repro.shard.interest.ShardedInterest`).
 
     ``density`` is the expected fraction of nonzero ``mu`` entries per
-    column (Binomial row counts per block).  ``storage``/``directory``
-    follow :class:`~repro.shard.interest.ShardedInterest`.
+    column (Binomial row counts per block).
     """
     from repro.core.activity import ActivityModel
     from repro.core.entities import (
@@ -186,7 +181,7 @@ def synthesize_sharded_instance(
         competing_blocks.append(_sample_csc(stream, hi - lo, n_competing))
         sigma[lo:hi] = stream.uniform(0.0, 1.0, size=(hi - lo, n_intervals))
     interest = ShardedInterest.from_blocks(
-        plan, candidate_blocks, competing_blocks, storage, directory=directory
+        plan, candidate_blocks, competing_blocks
     )
 
     entity_rng = np.random.default_rng(

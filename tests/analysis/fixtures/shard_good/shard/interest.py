@@ -1,12 +1,11 @@
-# The sanctioned exemption: shard/interest.py is the float32 *storage*
-# layer — low-precision block construction here must stay clean.
+# Clean twin of the shard storage layer: blocks are built float64.
 import numpy as np
 
 
 def coerce_block(block):
-    dense = np.asarray(block, dtype=np.float32)
-    return np.asfortranarray(dense, dtype="float32")
+    dense = np.asarray(block, dtype=np.float64)
+    return np.asfortranarray(dense, dtype="float64")
 
 
 def empty_block(rows, columns):
-    return np.zeros((rows, columns), dtype="f4")
+    return np.zeros((rows, columns), dtype="f8")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from tests.analysis.conftest import rules_of
 
 
@@ -122,17 +124,23 @@ class TestDtypeDiscipline:
         )
         assert culprits == ["f2", "float32", "float32"]
 
-    def test_float32_partial_on_shard_compute_path_fires(self, lint_fixture):
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "engine.py",  # a merged score partial
+            "interest.py",  # a storage block: no shard module is exempt
+        ],
+    )
+    def test_float32_partial_on_shard_compute_path_fires(
+        self, lint_fixture, module
+    ):
         result = lint_fixture("shard_bad", "dtype-discipline")
-        assert len(result.findings) == 1
-        finding = result.findings[0]
-        assert finding.path.endswith("shard_bad/shard/engine.py")
+        (finding,) = [
+            f for f in result.findings
+            if f.path.endswith(f"shard_bad/shard/{module}")
+        ]
         assert "float32" in finding.message
-
-    def test_shard_storage_layer_is_exempt(self, lint_fixture):
-        """shard/interest.py may construct float32 blocks (storage layer)."""
-        result = lint_fixture("shard_good", "dtype-discipline")
-        assert result.clean, rules_of(result)
+        assert len(result.findings) == 2
 
 
 def test_full_battery_on_clean_twin(lint_fixture):

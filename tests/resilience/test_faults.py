@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
-from repro.core.errors import InjectedFault, ShardWorkerError
+from repro.core.errors import InjectedFault
 from repro.resilience import FaultPlan, RetryPolicy
 from repro.resilience.faults import EXECUTOR_FAULT_KINDS
 from repro.shard.executor import ShardExecutor
@@ -87,10 +85,6 @@ class TestInjectedFault:
         assert fault.kind == "io_error"
         assert "io_error" in str(fault)
 
-    def test_pickles_across_process_boundaries(self):
-        fault = pickle.loads(pickle.dumps(InjectedFault("s", "worker_crash")))
-        assert (fault.site, fault.kind) == ("s", "worker_crash")
-
 
 FAST_RETRY = RetryPolicy(backoff_base=1e-5, fallback_after=2, max_retries=3)
 
@@ -102,14 +96,16 @@ class TestExecutorInjection:
     def _expected(self, n=10):
         return [i * i for i in range(n)]
 
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
-    def test_faulted_map_converges_to_clean(self, kind):
+    @pytest.mark.parametrize(
+        "workers", [pytest.param(1, id="serial"), pytest.param(4, id="thread")]
+    )
+    def test_faulted_map_converges_to_clean(self, workers):
         plan = FaultPlan(
             seed=7, worker_crash=0.3, io_error=0.2, worker_stall=0.2,
             stall_seconds=1e-4,
         )
         executor = ShardExecutor(
-            workers=4, kind=kind, fault_plan=plan, retry=FAST_RETRY
+            workers=workers, fault_plan=plan, retry=FAST_RETRY
         )
         assert executor.map(self._thunks()) == self._expected()
         stats = executor.stats()
@@ -119,7 +115,6 @@ class TestExecutorInjection:
         def build():
             return ShardExecutor(
                 workers=4,
-                kind="thread",
                 fault_plan=FaultPlan(seed=7, worker_crash=0.4, io_error=0.2),
                 retry=FAST_RETRY,
             )
@@ -131,7 +126,6 @@ class TestExecutorInjection:
     def test_certain_crash_converges_via_serial_fallback(self):
         executor = ShardExecutor(
             workers=4,
-            kind="thread",
             fault_plan=FaultPlan(seed=1, worker_crash=1.0),
             retry=FAST_RETRY,
         )
@@ -141,7 +135,7 @@ class TestExecutorInjection:
         assert stats["retries"] > 0
 
     def test_no_plan_means_zero_overhead_counters(self):
-        executor = ShardExecutor(workers=2, kind="thread")
+        executor = ShardExecutor(workers=2)
         assert executor.map(self._thunks(4)) == self._expected(4)
         assert executor.stats() == {"faults": {}, "retries": 0, "fallbacks": 0}
 
@@ -154,7 +148,6 @@ class TestExecutorInjection:
 
         executor = ShardExecutor(
             workers=2,
-            kind="thread",
             fault_plan=FaultPlan(seed=9),  # armed but never fires
             retry=FAST_RETRY,
         )
@@ -167,30 +160,17 @@ class TestWorkerClamp:
     def test_oversubscription_clamps_with_warning(self, monkeypatch):
         monkeypatch.setattr("repro.shard.executor._available_cpus", lambda: 2)
         with pytest.warns(RuntimeWarning, match="clamping to 2"):
-            executor = ShardExecutor(workers=16, kind="thread")
+            executor = ShardExecutor(workers=16)
         assert executor.workers == 2
 
     def test_single_cpu_collapses_to_serial(self, monkeypatch):
         monkeypatch.setattr("repro.shard.executor._available_cpus", lambda: 1)
         with pytest.warns(RuntimeWarning):
-            executor = ShardExecutor(workers=4, kind="thread")
+            executor = ShardExecutor(workers=4)
         assert executor.kind == "serial"
 
     def test_within_budget_is_silent(self, recwarn):
-        executor = ShardExecutor(workers=4, kind="thread")
+        executor = ShardExecutor(workers=4)
         assert executor.workers == 4
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
-
-class TestDeadWorker:
-    def test_abrupt_death_raises_typed_error(self):
-        import os
-
-        def die():
-            os._exit(17)
-
-        executor = ShardExecutor(workers=2, kind="process")
-        if executor.kind != "process":  # pragma: no cover - no fork
-            pytest.skip("fork start method unavailable")
-        with pytest.raises(ShardWorkerError, match=r"thunk \d of 3"):
-            executor.map([lambda: 1, die, lambda: 3])

@@ -3,10 +3,10 @@
 The two contracts under test, per the shard design:
 
 * **bit-identical across P** — with ``block_users`` fixed, every query
-  returns the *same bits* for any shard count and executor kind, because
+  returns the *same bits* for any shard count and worker count, because
   partials always merge in ascending global block order;
-* **parity with the unsharded engine** — 1e-9 relative on float64 block
-  storage (regrouped float sums), 1e-6 absolute on float32 storages.
+* **parity with the unsharded engine** — 1e-9 relative (regrouped float
+  sums over the same float64 values).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.shard.engine import (
     _BlockInterestView,
     localize_delta,
 )
-from repro.shard.executor import ShardExecutor, fork_available
+from repro.shard.executor import ShardExecutor
 from repro.shard.interest import ShardedInterest
 from repro.shard.plan import ShardPlan
 
@@ -88,17 +88,15 @@ class TestBitIdenticalAcrossP:
                 other.scores_excluding_each(2, 1, [0]),
             )
 
-    @pytest.mark.parametrize("executor_kind", ["serial", "thread", "process"])
-    def test_executor_kind_never_changes_bits(self, instance, executor_kind):
-        if executor_kind == "process" and not fork_available():
-            pytest.skip("fork start method unavailable")
+    @pytest.mark.parametrize(
+        "workers", [pytest.param(1, id="serial"), pytest.param(3, id="thread")]
+    )
+    def test_executor_kind_never_changes_bits(self, instance, workers):
         baseline = sharded(instance, shards=3).scores_for_rows(
             [0, 1], list(range(8))
         )
         engine = sharded(
-            instance,
-            shards=3,
-            executor=ShardExecutor(workers=3, kind=executor_kind),
+            instance, shards=3, executor=ShardExecutor(workers=workers)
         )
         other = engine.scores_for_rows([0, 1], list(range(8)))
         assert np.array_equal(baseline, other)
@@ -113,6 +111,20 @@ class TestBitIdenticalAcrossP:
         for other in results[1:]:
             assert other.schedule == results[0].schedule
             assert other.utility == results[0].utility
+
+    def test_plane_fed_grd_solve_identical_across_workers(self, instance):
+        def solve(shards, workers):
+            engine = sharded(
+                instance, shards=shards, executor=ShardExecutor(workers=workers)
+            )
+            return solver_registry.create("grd").solve(
+                instance, 4, plane=ScorePlane(engine)
+            )
+
+        for shards in SHARD_COUNTS:
+            inline, threaded = solve(shards, 1), solve(shards, 3)
+            assert threaded.schedule == inline.schedule
+            assert threaded.utility == inline.utility
 
 
 class TestFlatParity:
@@ -172,16 +184,13 @@ class TestFlatParity:
 
 class TestShardedInterestBacked:
     @pytest.fixture(scope="class")
-    def pair(self, tmp_path_factory):
+    def pair(self):
         flat_instance = make_random_instance(
             n_users=80, n_events=7, n_intervals=4, seed=8,
             interest_backend="sparse",
         )
         plan = ShardPlan(n_users=80, n_shards=2, block_users=BLOCK_USERS)
-        directory = tmp_path_factory.mktemp("blocks")
-        interest = ShardedInterest.from_interest(
-            flat_instance.interest, plan, "memmap32", directory=directory
-        )
+        interest = ShardedInterest.from_interest(flat_instance.interest, plan)
         sharded_instance = SESInstance(
             users=flat_instance.users,
             intervals=flat_instance.intervals,
@@ -204,7 +213,7 @@ class TestShardedInterestBacked:
         with pytest.raises(ValueError, match="cannot override"):
             ShardedEngine(inst, block_users=BLOCK_USERS + 1)
 
-    def test_memmap_parity_1e6(self, pair):
+    def test_parity_1e9(self, pair):
         flat_instance, inst = pair
         flat = SparseEngine(flat_instance)
         shard = ShardedEngine(inst, shards=3)
@@ -214,16 +223,21 @@ class TestShardedInterestBacked:
         np.testing.assert_allclose(
             flat.scores_for_rows([0, 1, 2, 3], free),
             shard.scores_for_rows([0, 1, 2, 3], free),
-            atol=1e-6,
+            rtol=1e-9,
+            atol=1e-12,
         )
         assert flat.total_utility() == pytest.approx(
-            shard.total_utility(), abs=1e-4
+            shard.total_utility(), rel=1e-9
         )
 
-    def test_bit_identical_across_p_on_memmap(self, pair):
+    @pytest.mark.parametrize(
+        "workers", [pytest.param(1, id="serial"), pytest.param(3, id="thread")]
+    )
+    def test_bit_identical_across_p(self, pair, workers):
         _, inst = pair
+        executor = ShardExecutor(workers=workers)
         results = [
-            ShardedEngine(inst, shards=p).scores_for_rows(
+            ShardedEngine(inst, shards=p, executor=executor).scores_for_rows(
                 [0, 1, 2, 3], list(range(7))
             )
             for p in SHARD_COUNTS

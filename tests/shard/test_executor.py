@@ -1,4 +1,4 @@
-"""ShardExecutor: serial / thread / fork-process dispatch equivalence."""
+"""ShardExecutor: inline and thread-pool dispatch equivalence."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.shard.executor import (
-    EXECUTOR_KINDS,
-    ShardExecutor,
-    fork_available,
-)
+from repro.shard.executor import ShardExecutor
 
 
 def make_thunks(n=6, size=32):
@@ -20,59 +16,52 @@ def make_thunks(n=6, size=32):
 
 
 class TestConstruction:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor kind"):
-            ShardExecutor(workers=2, kind="gpu")
+    def test_kind_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            ShardExecutor(workers=2, kind="thread")
 
     def test_nonpositive_workers_rejected(self):
         with pytest.raises(ValueError, match="workers must be positive"):
             ShardExecutor(workers=0)
 
     def test_single_worker_collapses_to_serial(self):
-        for kind in EXECUTOR_KINDS:
-            assert ShardExecutor(workers=1, kind=kind).kind == "serial"
+        assert ShardExecutor(workers=1).kind == "serial"
         assert ShardExecutor().kind == "serial"
 
     def test_kind_and_workers_exposed(self):
-        executor = ShardExecutor(workers=3, kind="thread")
+        executor = ShardExecutor(workers=3)
         assert executor.kind == "thread"
         assert executor.workers == 3
         assert "thread" in repr(executor)
 
 
 class TestMapEquivalence:
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_parallel_matches_serial_in_order(self, kind):
-        if kind == "process" and not fork_available():
-            pytest.skip("fork start method unavailable")
+    def test_parallel_matches_serial_in_order(self):
         serial = ShardExecutor(workers=1).map(make_thunks())
-        parallel = ShardExecutor(workers=3, kind=kind).map(make_thunks())
+        parallel = ShardExecutor(workers=3).map(make_thunks())
         assert len(serial) == len(parallel) == 6
         for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a, b)
 
     def test_single_thunk_runs_inline(self):
-        executor = ShardExecutor(workers=4, kind="thread")
+        executor = ShardExecutor(workers=4)
         main = threading.get_ident()
         assert executor.map([lambda: threading.get_ident()]) == [main]
 
     def test_thread_map_actually_uses_the_pool(self):
-        executor = ShardExecutor(workers=2, kind="thread")
+        executor = ShardExecutor(workers=2)
         main = threading.get_ident()
         idents = executor.map([threading.get_ident for _ in range(4)])
         assert all(ident != main for ident in idents)
 
-    def test_empty_thunks(self):
-        assert ShardExecutor(workers=3, kind="thread").map([]) == []
+    def test_serial_map_runs_inline(self):
+        executor = ShardExecutor(workers=1)
+        main = threading.get_ident()
+        idents = executor.map([threading.get_ident for _ in range(4)])
+        assert idents == [main] * 4
 
-    def test_fork_children_see_parent_state(self):
-        if not fork_available():
-            pytest.skip("fork start method unavailable")
-        payload = np.arange(17.0)  # inherited by fork, not pickled in
-        executor = ShardExecutor(workers=2, kind="process")
-        results = executor.map([lambda: payload * 2, lambda: payload + 1])
-        np.testing.assert_array_equal(results[0], payload * 2)
-        np.testing.assert_array_equal(results[1], payload + 1)
+    def test_empty_thunks(self):
+        assert ShardExecutor(workers=3).map([]) == []
 
     def test_thread_pools_are_shared_per_worker_count(self):
         from repro.shard.executor import _shared_thread_pool

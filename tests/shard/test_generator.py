@@ -82,18 +82,18 @@ class TestShape:
 
 
 class TestStorage:
-    def test_memmap_storage(self, tmp_path):
+    def test_blocks_are_float64_csc(self):
         inst = synthesize_sharded_instance(
-            600, shards=2, block_users=256, storage="memmap32",
-            directory=tmp_path, seed=6, **SHAPE,
-        )
-        assert inst.interest.storage == "memmap32"
-        ref = synthesize_sharded_instance(
             600, shards=2, block_users=256, seed=6, **SHAPE
         )
-        np.testing.assert_allclose(
-            inst.interest.candidate, ref.interest.candidate, atol=1e-6
-        )
+        for index in range(inst.interest.plan.n_blocks):
+            for block in (
+                inst.interest.candidate_block(index),
+                inst.interest.competing_block(index),
+            ):
+                assert block.format == "csc" and block.dtype == np.float64
+        with pytest.raises(TypeError):
+            synthesize_sharded_instance(600, storage="csc")
 
     def test_synthesized_instance_solves_with_parity(self):
         inst = synthesize_sharded_instance(

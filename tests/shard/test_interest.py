@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.errors import InstanceValidationError
 from repro.core.interest import InterestMatrix, slice_entries
-from repro.shard.interest import SHARD_STORAGES, ShardedInterest
+from repro.shard.interest import ShardedInterest
 from repro.shard.plan import ShardPlan
 
 pytest.importorskip("scipy")
@@ -30,15 +30,8 @@ def plan() -> ShardPlan:
     return ShardPlan(n_users=N_USERS, n_shards=3, block_users=16)
 
 
-def tolerance(storage: str) -> float:
-    return 0.0 if storage == "csc" else 1e-6
-
-
-def build(flat, plan, storage, tmp_path=None):
-    directory = tmp_path if storage == "memmap32" else None
-    return ShardedInterest.from_interest(
-        flat, plan, storage, directory=directory
-    )
+def build(flat, plan):
+    return ShardedInterest.from_interest(flat, plan)
 
 
 class TestSliceEntries:
@@ -55,71 +48,79 @@ class TestSliceEntries:
         assert local.size == 0 and vals.size == 0
 
 
-@pytest.mark.parametrize("storage", SHARD_STORAGES)
 class TestAccessorProtocolParity:
-    def test_shape_and_backend(self, flat, plan, storage, tmp_path):
-        sharded = build(flat, plan, storage, tmp_path)
+    @pytest.fixture(
+        params=[1, 16, 50, 128],
+        ids=["block1", "block16", "block50", "block128"],
+    )
+    def plan(self, request) -> ShardPlan:
+        """Block layouts for the parity checks: one user per block, a
+        ragged one-user tail, two unequal blocks, and one block wider
+        than the user axis."""
+        return ShardPlan(n_users=N_USERS, n_shards=3, block_users=request.param)
+
+    def test_shape_and_backend(self, flat, plan):
+        sharded = build(flat, plan)
         assert sharded.backend == "sharded"
-        assert sharded.storage == storage
         assert (sharded.n_users, sharded.n_events, sharded.n_competing) == (
             N_USERS,
             N_EVENTS,
             N_COMPETING,
         )
 
-    def test_dense_matrices_match(self, flat, plan, storage, tmp_path):
-        sharded = build(flat, plan, storage, tmp_path)
-        atol = tolerance(storage)
-        np.testing.assert_allclose(sharded.candidate, flat.candidate, atol=atol)
-        np.testing.assert_allclose(sharded.competing, flat.competing, atol=atol)
+    def test_dense_matrices_match(self, flat, plan):
+        sharded = build(flat, plan)
+        np.testing.assert_array_equal(sharded.candidate, flat.candidate)
+        np.testing.assert_array_equal(sharded.competing, flat.competing)
 
-    def test_column_entries_match(self, flat, plan, storage, tmp_path):
-        sharded = build(flat, plan, storage, tmp_path)
-        atol = tolerance(storage)
+    def test_column_entries_match(self, flat, plan):
+        sharded = build(flat, plan)
         for event in range(N_EVENTS):
             rows, values = sharded.event_column_entries(event)
             frows, fvalues = flat.event_column_entries(event)
             np.testing.assert_array_equal(rows, frows)
-            np.testing.assert_allclose(values, fvalues, atol=atol)
-            assert values.dtype == np.float64  # float64 at the gather boundary
-            np.testing.assert_allclose(
-                sharded.event_column(event), flat.event_column(event), atol=atol
+            np.testing.assert_array_equal(values, fvalues)
+            assert values.dtype == np.float64
+            np.testing.assert_array_equal(
+                sharded.event_column(event), flat.event_column(event)
             )
 
-    def test_competing_mass_entries_match(self, flat, plan, storage, tmp_path):
-        sharded = build(flat, plan, storage, tmp_path)
+    def test_competing_mass_entries_match(self, flat, plan):
+        sharded = build(flat, plan)
         rivals = [0, 2, 4]
         rows, values = sharded.competing_mass_entries(rivals)
         frows, fvalues = flat.competing_mass_entries(rivals)
         np.testing.assert_array_equal(rows, frows)
-        np.testing.assert_allclose(values, fvalues, atol=tolerance(storage))
+        np.testing.assert_array_equal(values, fvalues)
         assert sharded.competing_mass_entries([])[0].size == 0
 
-    def test_pointwise_mu(self, flat, plan, storage, tmp_path):
-        sharded = build(flat, plan, storage, tmp_path)
-        atol = tolerance(storage)
-        for user in (0, 15, 16, 96):
+    def test_pointwise_mu(self, flat, plan):
+        sharded = build(flat, plan)
+        edges = {
+            user
+            for block in range(plan.n_blocks)
+            for lo, hi in [plan.block_bounds(block)]
+            for user in (lo, hi - 1)
+        }
+        for user in sorted(edges):
             for event in range(N_EVENTS):
-                assert sharded.mu_event(user, event) == pytest.approx(
-                    flat.mu_event(user, event), abs=atol
+                assert sharded.mu_event(user, event) == flat.mu_event(
+                    user, event
                 )
-            assert sharded.mu_competing(user, 1) == pytest.approx(
-                flat.mu_competing(user, 1), abs=atol
-            )
+            assert sharded.mu_competing(user, 1) == flat.mu_competing(user, 1)
 
-    def test_sparse_and_coo_views(self, flat, plan, storage, tmp_path):
-        sharded = build(flat, plan, storage, tmp_path)
-        atol = tolerance(storage)
-        np.testing.assert_allclose(
-            sharded.candidate_sparse.toarray(), flat.candidate, atol=atol
+    def test_sparse_and_coo_views(self, flat, plan):
+        sharded = build(flat, plan)
+        np.testing.assert_array_equal(
+            sharded.candidate_sparse.toarray(), flat.candidate
         )
         rows, cols, values = sharded.candidate_coo()
         dense = np.zeros((N_USERS, N_EVENTS))
         dense[rows, cols] = values
-        np.testing.assert_allclose(dense, flat.candidate, atol=atol)
+        np.testing.assert_array_equal(dense, flat.candidate)
 
-    def test_statistics(self, flat, plan, storage, tmp_path):
-        sharded = build(flat, plan, storage, tmp_path)
+    def test_statistics(self, flat, plan):
+        sharded = build(flat, plan)
         assert sharded.nnz_candidate() == flat.nnz_candidate()
         assert sharded.sparsity() == pytest.approx(flat.sparsity())
         assert sharded.mean_positive_interest() == pytest.approx(
@@ -128,33 +129,38 @@ class TestAccessorProtocolParity:
 
 
 class TestConstruction:
-    def test_unknown_storage_rejected(self, flat, plan):
-        with pytest.raises(ValueError, match="unknown shard storage"):
-            ShardedInterest.from_interest(flat, plan, "csr")
-
-    def test_memmap_requires_directory(self, flat, plan):
-        with pytest.raises(ValueError, match="requires a directory"):
-            ShardedInterest.from_interest(flat, plan, "memmap32")
-
     def test_plan_user_mismatch_rejected(self, flat):
         with pytest.raises(InstanceValidationError, match="plan covers"):
             ShardedInterest.from_interest(
-                flat, ShardPlan(n_users=N_USERS + 1, block_users=16), "csc"
+                flat, ShardPlan(n_users=N_USERS + 1, block_users=16)
             )
 
     def test_wrong_block_count_rejected(self, flat, plan):
-        sharded = build(flat, plan, "csc")
+        sharded = build(flat, plan)
         blocks = [sharded.candidate_block(i) for i in range(plan.n_blocks)]
         with pytest.raises(InstanceValidationError, match="candidate blocks"):
-            ShardedInterest(plan, blocks[:-1], blocks, "csc")
+            ShardedInterest(plan, blocks[:-1], blocks)
 
     def test_wrong_block_shape_rejected(self, flat, plan):
-        sharded = build(flat, plan, "csc")
+        sharded = build(flat, plan)
         candidate = [sharded.candidate_block(i) for i in range(plan.n_blocks)]
         competing = [sharded.competing_block(i) for i in range(plan.n_blocks)]
         candidate[0] = candidate[0][:5]
         with pytest.raises(InstanceValidationError, match="has shape"):
-            ShardedInterest(plan, candidate, competing, "csc")
+            ShardedInterest(plan, candidate, competing)
+
+    def test_constructor_takes_only_float64_csc_blocks(self, flat, plan):
+        sharded = build(flat, plan)
+        competing = [sharded.competing_block(i) for i in range(plan.n_blocks)]
+        for wrong in (
+            sharded.candidate_block(0).toarray(),
+            sharded.candidate_block(0).astype(np.float32),
+            sharded.candidate_block(0).tocsr(),
+        ):
+            candidate = [sharded.candidate_block(i) for i in range(plan.n_blocks)]
+            candidate[0] = wrong
+            with pytest.raises(InstanceValidationError, match="float64 CSC"):
+                ShardedInterest(plan, candidate, competing)
 
     def test_out_of_range_values_rejected(self, plan):
         bad = np.full((16, 2), 1.5)
@@ -166,7 +172,7 @@ class TestConstruction:
         candidate = list(blocks)
         candidate[0] = bad
         with pytest.raises(InstanceValidationError, match=r"\[0, 1\]"):
-            ShardedInterest(plan, candidate, blocks, "dense32")
+            ShardedInterest.from_blocks(plan, candidate, blocks)
 
     def test_nan_rejected(self, plan):
         blocks = [
@@ -177,13 +183,13 @@ class TestConstruction:
         candidate = list(blocks)
         candidate[0] = np.full((16, 2), np.nan)
         with pytest.raises(InstanceValidationError, match="NaN"):
-            ShardedInterest(plan, candidate, blocks, "dense32")
+            ShardedInterest.from_blocks(plan, candidate, blocks)
 
     def test_generic_duck_source_matches_sparse_source(self, flat, plan):
         """A dense-backed matrix reshards through the entries fallback."""
         dense_flat = flat.to_backend("dense")
-        from_entries = ShardedInterest.from_interest(dense_flat, plan, "csc")
-        from_sparse = ShardedInterest.from_interest(flat, plan, "csc")
+        from_entries = ShardedInterest.from_interest(dense_flat, plan)
+        from_sparse = ShardedInterest.from_interest(flat, plan)
         np.testing.assert_array_equal(
             from_entries.candidate, from_sparse.candidate
         )
@@ -193,28 +199,11 @@ class TestConstruction:
 
 
 class TestConversion:
-    def test_with_storage_round_trip(self, flat, plan, tmp_path):
-        csc = build(flat, plan, "csc")
-        assert csc.with_storage("csc") is csc
-        chain = csc.with_storage("dense32").with_storage(
-            "memmap32", directory=tmp_path
-        )
-        assert chain.storage == "memmap32"
-        assert type(chain.candidate_block(0)).__name__ == "memmap"
-        np.testing.assert_allclose(chain.candidate, flat.candidate, atol=1e-6)
-
     def test_to_interest_backends(self, flat, plan):
-        sharded = build(flat, plan, "csc")
+        sharded = build(flat, plan)
         back_sparse = sharded.to_interest("sparse")
         assert back_sparse.backend == "sparse"
         np.testing.assert_array_equal(back_sparse.candidate, flat.candidate)
         back_dense = sharded.to_interest("dense")
         assert back_dense.backend == "dense"
         np.testing.assert_array_equal(back_dense.candidate, flat.candidate)
-
-    def test_dense32_blocks_are_readonly_fortran(self, flat, plan):
-        sharded = build(flat, plan, "dense32")
-        block = sharded.candidate_block(0)
-        assert block.dtype == np.float32
-        assert block.flags.f_contiguous
-        assert not block.flags.writeable

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.errors import SerializationError
 from repro.data.serialization import (
     instance_from_dict,
     instance_to_dict,
@@ -20,6 +21,10 @@ from repro.workloads.generator import synthesize_sharded_instance
 from tests.conftest import make_random_instance
 
 pytest.importorskip("scipy")
+
+#: Block storages earlier builds wrote (float32 CSC, float32 dense,
+#: float32 memmap); this build refuses their directories by name.
+RETIRED_STORAGES = [f"{prefix}32" for prefix in ("csc", "dense", "memmap")]
 
 
 @pytest.fixture(scope="module")
@@ -55,8 +60,9 @@ class TestDirectoryFormat:
     def test_csc_round_trip_is_exact(self, instance, tmp_path):
         save_sharded_instance(instance, tmp_path / "d")
         back = load_sharded_instance(tmp_path / "d")
+        manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert manifest["storage"] == "csc"
         assert back.interest.backend == "sharded"
-        assert back.interest.storage == "csc"
         assert back.interest.plan == instance.interest.plan
         np.testing.assert_array_equal(
             back.interest.candidate, instance.interest.candidate
@@ -70,32 +76,17 @@ class TestDirectoryFormat:
         assert back.n_users == instance.n_users
         assert back.events == instance.events
 
-    @pytest.mark.parametrize("storage", ["dense32", "memmap32"])
-    def test_float32_storages_round_trip(self, instance, tmp_path, storage):
-        directory = tmp_path / "src" if storage == "memmap32" else None
-        converted = instance.interest.with_storage(storage, directory=directory)
-        from repro.core.instance import SESInstance
-
-        inst32 = SESInstance(
-            users=instance.users,
-            intervals=instance.intervals,
-            events=instance.events,
-            competing=instance.competing,
-            interest=converted,
-            activity=instance.activity,
-            organizer=instance.organizer,
-        )
-        save_sharded_instance(inst32, tmp_path / "d32")
-        back = load_sharded_instance(tmp_path / "d32")
-        assert back.interest.storage == storage
-        if storage == "memmap32":
-            assert type(back.interest.candidate_block(0)).__name__ == "memmap"
-        else:
-            block = back.interest.candidate_block(0)
-            assert block.dtype == np.float32 and not block.flags.writeable
-        np.testing.assert_allclose(
-            back.interest.candidate, instance.interest.candidate, atol=1e-6
-        )
+    def test_every_file_is_fsynced_before_the_manifest(
+        self, instance, tmp_path, fsynced_inodes
+    ):
+        directory = tmp_path / "d"
+        save_sharded_instance(instance, directory)
+        files = {path.stat().st_ino: path.name for path in directory.iterdir()}
+        assert len(files) == 2 + 2 * instance.interest.plan.n_blocks
+        synced = [inode for inode in fsynced_inodes if inode in files]
+        assert set(synced) == set(files)
+        # the manifest, the commit point, is the last file made durable
+        assert files[synced[-1]] == "manifest.json"
 
     def test_default_users_stored_as_count(self, instance, tmp_path):
         save_sharded_instance(instance, tmp_path / "d")
@@ -114,7 +105,7 @@ class TestDirectoryFormat:
             User(index=u.index, name=f"user-{u.index}") for u in base.users
         )
         interest = ShardedInterest.from_interest(
-            base.interest, ShardPlan(n_users=20, block_users=8), "csc"
+            base.interest, ShardPlan(n_users=20, block_users=8)
         )
         named = SESInstance(
             users=users,
@@ -138,11 +129,38 @@ class TestDirectoryFormat:
         with pytest.raises(ValueError, match="ShardedInterest"):
             save_sharded_instance(flat, tmp_path / "flat")
 
-    def test_version_mismatch_rejected(self, instance, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value",
+        [("format_version", 99), ("format_version", None)]
+        + [("storage", storage) for storage in RETIRED_STORAGES],
+    )
+    def test_unsupported_format_rejected(self, instance, tmp_path, key, value):
         save_sharded_instance(instance, tmp_path / "d")
         manifest_path = tmp_path / "d" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["format_version"] = 99
+        manifest[key] = value
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format version"):
+        with pytest.raises(SerializationError) as caught:
+            load_sharded_instance(tmp_path / "d")
+        assert str(tmp_path / "d") in str(caught.value)
+        assert repr(value) in str(caught.value)
+
+    @pytest.mark.parametrize("corruption", ["nan", "row-past-block", "truncated"])
+    def test_corrupt_block_rejected_naming_its_file(
+        self, instance, tmp_path, corruption
+    ):
+        save_sharded_instance(instance, tmp_path / "d")
+        path = tmp_path / "d" / "candidate_block00000.npz"
+        if corruption == "truncated":
+            raw = path.read_bytes()
+            path.write_bytes(raw[: len(raw) // 2])
+        else:
+            with np.load(path) as parts:
+                arrays = dict(parts)
+            if corruption == "nan":
+                arrays["data"][0] = np.nan
+            else:
+                arrays["indices"][-1] = arrays["shape"][0]
+            np.savez(path, **arrays)
+        with pytest.raises(SerializationError, match="candidate_block00000.npz"):
             load_sharded_instance(tmp_path / "d")
