@@ -237,7 +237,6 @@ class Scheduler(ABC):
 
     @staticmethod
     def _base_scores(
-        instance: SESInstance,
         engine: ScoreEngine,
         stats: SolverStats,
         plane: ScorePlane | None,
@@ -245,9 +244,11 @@ class Scheduler(ABC):
     ) -> "np.ndarray":
         """The ``(n_intervals, n_events)`` empty-schedule Eq. 4 matrix.
 
-        Cold path: one batched row fill per interval (what GRD's
-        Algorithm 1 lines 2–4 always did).  Warm path: the plane's
-        cached matrix, re-scoring only rows dirtied since the last use.
+        Read through ``plane`` — the caller's warm cache, re-scoring only
+        rows dirtied since its last use — or, without one, through a
+        throwaway :class:`ScorePlane` over ``engine``, whose cold fill
+        reads each interest column once for all intervals.  Warm and
+        cold cells are bit-identical (the plane's warm-start contract).
         Either way the caller gets a private copy it may mutate, and
         ``stats.initial_scores`` counts the Eq. 4 evaluations actually
         performed — equal to ``|T| * |E|`` cold, typically ~0 warm.
@@ -256,28 +257,16 @@ class Scheduler(ABC):
         back as ``-inf`` (pinned events are committed separately via
         :meth:`_apply_pins`, so no sweep may pick them again).
         """
-        if plane is not None:
-            spent = plane.cells_filled + plane.cells_refreshed
-            if locks is None:
-                matrix = np.array(plane.ensure(), copy=True)
-            else:
-                matrix = plane.masked_copy(
-                    sorted(locks.forbids), sorted(locks.pinned_events)
-                )
-            stats.initial_scores += (
-                plane.cells_filled + plane.cells_refreshed - spent
+        if plane is None:
+            plane = ScorePlane(engine)
+        spent = plane.cells_filled + plane.cells_refreshed
+        if locks is None:
+            matrix = np.array(plane.ensure(), copy=True)
+        else:
+            matrix = plane.masked_copy(
+                sorted(locks.forbids), sorted(locks.pinned_events)
             )
-            return matrix
-        all_events = list(range(instance.n_events))
-        matrix = np.empty((instance.n_intervals, instance.n_events))
-        for interval in range(instance.n_intervals):
-            matrix[interval] = engine.scores_for_interval(interval, all_events)
-            stats.initial_scores += instance.n_events
-        if locks is not None:
-            for event in locks.pinned_events:
-                matrix[:, event] = -np.inf
-            for interval, event in locks.forbids:
-                matrix[interval, event] = -np.inf
+        stats.initial_scores += plane.cells_filled + plane.cells_refreshed - spent
         return matrix
 
     @staticmethod

@@ -76,7 +76,7 @@ class BeamSearchScheduler(Scheduler):
         # the empty schedule — exactly the base matrix, read warm from
         # the plane when one is injected.  One work engine serves every
         # deeper expansion (reset + replayed per node).
-        base = self._base_scores(instance, engine, stats, plane, locks)
+        base = self._base_scores(engine, stats, plane, locks)
         work_engine = self._engine_spec.build(instance)
         forbidden = locks.forbids if locks is not None else frozenset()
 

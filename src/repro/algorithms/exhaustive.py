@@ -77,7 +77,7 @@ class ExhaustiveScheduler(Scheduler):
         # contribute) and pinned columns drop out of the search entirely:
         # pins are committed up front as fixed branch constraints and the
         # DFS explores only the free events.
-        base = self._base_scores(instance, engine, stats, plane, locks)
+        base = self._base_scores(engine, stats, plane, locks)
         optimistic = base.max(axis=0, initial=0.0)
 
         n = instance.n_events

@@ -81,7 +81,7 @@ class GraspScheduler(Scheduler):
         # state, so the base matrix is computed once (or read warm from
         # the plane) and shared across restarts; one work engine is
         # likewise reset and reused for every construction and polish.
-        base = self._base_scores(instance, engine, stats, plane, locks)
+        base = self._base_scores(engine, stats, plane, locks)
         work_engine = self._engine_spec.build(instance)
         best_utility = -1.0
         best_mapping: dict[int, int] = {}

@@ -67,7 +67,7 @@ class GreedyScheduler(Scheduler):
         plane: ScorePlane | None = None,
         locks: LockSet | None = None,
     ) -> None:
-        scores = self._base_scores(instance, engine, stats, plane, locks)
+        scores = self._base_scores(engine, stats, plane, locks)
         if locks is not None:
             # commit the pins first (they count toward k), then refresh
             # each pinned interval's row — its denominators changed, and

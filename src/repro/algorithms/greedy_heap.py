@@ -79,7 +79,7 @@ class LazyGreedyScheduler(Scheduler):
         # cells come back -inf from _base_scores and are kept out of the
         # heap entirely; pinned intervals start at version 1, so entries
         # scored before the pins were committed rescore before acceptance.
-        initial = self._base_scores(instance, engine, stats, plane, locks)
+        initial = self._base_scores(engine, stats, plane, locks)
         if locks is not None:
             self._apply_pins(locks, engine, checker, stats)
             for pinned_interval, _ in locks.pins:

@@ -46,7 +46,7 @@ class TopKScheduler(Scheduler):
     ) -> None:
         # TOP is *entirely* initial scores, so a warm plane turns the
         # whole scoring phase into a cache read
-        matrix = self._base_scores(instance, engine, stats, plane, locks)
+        matrix = self._base_scores(engine, stats, plane, locks)
         if locks is not None:
             self._apply_pins(locks, engine, checker, stats)
 

@@ -31,11 +31,13 @@ HOT_PATH_MODULES = (
     "algorithms/incremental.py",
     "serve/pool.py",
     "serve/session.py",
-    # durability sits on the same per-op path: journal appends and
-    # checkpoints must be O(delta) and O(schedule) — checkpoints carry no
-    # instance, so they have no snapshot to allow-list.  Recovery's one
-    # freeze (deriving a checkpoint's instance from the base instance and
-    # the journal prefix) lives in resilience/base.py, off this list
+    # durability sits on the same per-op path: the DurableWriter in
+    # resilience/journal.py journals every applied op of both session
+    # kinds and checkpoints on the cadence, in O(delta) and O(schedule) —
+    # checkpoints carry no instance, so they have no snapshot to
+    # allow-list.  Recovery's one freeze (deriving a checkpoint's
+    # instance from the base instance and the journal prefix) lives in
+    # resilience/base.py, off this list
     "resilience/stream.py",
     "resilience/serve.py",
     "resilience/journal.py",

@@ -27,11 +27,13 @@ class SESError(Exception):
     """Base class for every error raised by the repro library."""
 
 
-class InstanceValidationError(SESError):
+class InstanceValidationError(SESError, ValueError):
     """A problem instance violates a structural requirement.
 
     Raised at :class:`~repro.core.instance.SESInstance` construction time,
-    e.g. for interest values outside [0, 1] or mismatched array shapes.
+    e.g. for interest values outside [0, 1] or mismatched array shapes,
+    and by the mutators for such an interest column.  Also a
+    :class:`ValueError`, so callers catching the builtin keep working.
     """
 
 
@@ -66,14 +68,16 @@ class LockError(SESError):
     """
 
 
-class TraceError(SESError):
+class TraceError(SESError, ValueError):
     """A streaming change trace is not replayable.
 
     Raised by :class:`~repro.stream.trace.Trace` validation when an op
     references an event index that is not live at its replay position
     (a cancel/drift of an unknown id), duplicates a still-live named
     arrival, or shrinks the budget.  The message names the offending op
-    index so broken traces are debuggable without replaying them.
+    index so broken traces are debuggable without replaying them.  Bad
+    interest entries of an op raise it too.  Also a :class:`ValueError`,
+    so callers catching the builtin keep working.
     """
 
 

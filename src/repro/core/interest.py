@@ -146,9 +146,9 @@ def _validate_sparse_matrix(matrix: Any, name: str) -> Any:
     csc.sort_indices()
     data = csc.data
     if np.isnan(data).any():
-        raise ValueError(f"{name} contains NaN entries")
+        raise InstanceValidationError(f"{name} contains NaN entries")
     if data.size and (data.min() < 0.0 or data.max() > 1.0):
-        raise ValueError(
+        raise InstanceValidationError(
             f"{name} entries must lie in [0, 1]; observed range "
             f"[{data.min()}, {data.max()}]"
         )
@@ -479,7 +479,7 @@ class InterestMatrix:
     def _as_column(self, column: Any) -> "np.ndarray":
         column = np.asarray(column, dtype=float)
         if column.shape != (self.n_users,):
-            raise ValueError(
+            raise InstanceValidationError(
                 f"interest column must have shape ({self.n_users},), "
                 f"got {column.shape}"
             )

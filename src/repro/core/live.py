@@ -289,14 +289,14 @@ class LiveInterest:
     def _as_column(self, column: Any) -> np.ndarray:
         column = np.asarray(column, dtype=float)
         if column.shape != (self._n_users,):
-            raise ValueError(
+            raise InstanceValidationError(
                 f"interest column must have shape ({self._n_users},), "
                 f"got {column.shape}"
             )
         if np.isnan(column).any():
-            raise ValueError("interest column contains NaN entries")
+            raise InstanceValidationError("interest column contains NaN entries")
         if column.size and (column.min() < 0.0 or column.max() > 1.0):
-            raise ValueError(
+            raise InstanceValidationError(
                 f"interest column entries must lie in [0, 1]; observed "
                 f"range [{column.min()}, {column.max()}]"
             )

@@ -203,10 +203,10 @@ class ScorePlane:
         rules out; ``consumed_events`` are whole columns (events already
         committed by pins) no solver may pick again.  Both become
         ``-inf`` in the returned copy, so a flat argmax over the masked
-        matrix can never select a locked cell — the warm-path analogue of
-        the cold masking in :meth:`Scheduler._base_scores`.  The cached
-        matrix itself is untouched; accounting is identical to a plain
-        :meth:`ensure` plus copy.
+        matrix can never select a locked cell; this is the only lock
+        masking :meth:`Scheduler._base_scores` does, warm or cold.  The
+        cached matrix itself is untouched; accounting is identical to a
+        plain :meth:`ensure` plus copy.
         """
         matrix = np.array(self.ensure(), copy=True)
         consumed = list(consumed_events)

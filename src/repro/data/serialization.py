@@ -21,16 +21,18 @@ Interest matrices serialize according to their backend:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zipfile
+from collections.abc import Iterator
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
 from repro.core.activity import ActivityModel
-from repro.core.errors import InstanceValidationError, SerializationError
+from repro.core.errors import SerializationError
 from repro.core.entities import (
     CandidateEvent,
     CompetingEvent,
@@ -423,9 +425,10 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
 
     Each block is checked as it loads: CSC structure (scipy's full
     ``check_format``: index bounds, monotone ``indptr``) and values in
-    ``[0, 1]`` without NaN.  A block that is unreadable or fails a check
-    raises :class:`SerializationError` naming its file, as does a
-    manifest with another format version or block storage.
+    ``[0, 1]`` without NaN.  A block, ``manifest.json`` or
+    ``activity.npy`` that is unreadable or fails a check raises
+    :class:`SerializationError` naming its file, as does a manifest with
+    another format version or block storage.
     """
     from scipy import sparse as sp
 
@@ -440,7 +443,8 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
             "save did not complete (the manifest is written last, as the "
             "commit point)"
         )
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    with _reading(manifest_path):
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     version = manifest.get("format_version")
     if version != _FORMAT_VERSION:
         raise SerializationError(
@@ -453,7 +457,8 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
             f"sharded instance at {directory} stores {storage!r} blocks; "
             f"this build reads only float64 CSC blocks ({_SHARD_STORAGE!r})"
         )
-    plan = ShardPlan(**manifest["plan"])
+    with _reading(manifest_path):
+        plan = ShardPlan(**manifest["plan"])
     expected = ["activity.npy"] + [
         f"{name}_block{index:05d}.npz"
         for name in ("candidate", "competing")
@@ -472,7 +477,7 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
         out = []
         for index in range(plan.n_blocks):
             path = directory / f"{name}_block{index:05d}.npz"
-            try:
+            with _reading(path):
                 with np.load(path) as parts:
                     csc = sp.csc_matrix(
                         (parts["data"], parts["indices"], parts["indptr"]),
@@ -480,14 +485,6 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
                     )
                 csc.check_format(full_check=True)
                 check_block(csc, "the block")
-            except (
-                OSError, EOFError, KeyError, ValueError,
-                zipfile.BadZipFile, InstanceValidationError,
-            ) as error:
-                raise SerializationError(
-                    f"sharded instance block {path} is unreadable or "
-                    f"corrupt: {error}"
-                ) from error
             out.append(csc)
         return out
 
@@ -499,8 +496,23 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
             for index in range(metadata["users"]["count"])
         ]
     metadata["interest"] = interest
-    metadata["activity"] = np.load(directory / "activity.npy")
+    with _reading(directory / "activity.npy"):
+        metadata["activity"] = np.load(directory / "activity.npy")
     return instance_from_dict(metadata)
+
+
+@contextlib.contextmanager
+def _reading(path: Path) -> Iterator[None]:
+    """Raise a failure to read or decode ``path`` as a
+    :class:`SerializationError` naming the file."""
+    try:
+        yield
+    except (
+        OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile,
+    ) as error:
+        raise SerializationError(
+            f"sharded instance file {path} is unreadable or corrupt: {error}"
+        ) from error
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:

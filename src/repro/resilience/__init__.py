@@ -1,27 +1,32 @@
 """Crash safety and fault tolerance for durable SES sessions.
 
-Four pillars:
+Both durable session kinds — a :class:`~repro.stream.StreamDriver`
+replay and a :class:`~repro.serve.ServingSession` — share one core:
 
 * :class:`DeltaJournal` — an append-only, CRC-framed write-ahead log
-  (format ``ses-wal/1``) of every applied change op, with torn-tail
-  repair on re-open and configurable fsync policy.
-* :class:`CheckpointStore` — periodic atomic, instance-free snapshots
-  (``ses-ckpt/2``) of live session state, published via temp sibling +
-  ``os.replace``; the base instance is written once as ``instance.npz``
-  (:mod:`repro.resilience.base`).
-* :func:`recover` — newest valid checkpoint over the instance derived
-  from the base and the journal prefix, then journal-tail replay
-  through the normal delta path; a recovered stream session is
-  bit-identical to an uninterrupted one (the kill-point suite proves it
-  at every op index).  Serving sessions recover through
-  :meth:`repro.serve.session.ServingSession.recover`.
+  (format ``ses-wal/1``) with torn-tail repair on re-open and a
+  configurable fsync policy.
+* :class:`CheckpointStore` — atomic, instance-free snapshots
+  (``ses-ckpt/2``); the base instance is written once as
+  ``instance.npz``.
+* :class:`DurableWriter` — the one commit path: apply -> journal ->
+  ack, a journal sync before every checkpoint, a checkpoint every
+  ``checkpoint_every`` records.
+* :func:`repro.resilience.base.recover_session` — the one recovery
+  routine: the newest checkpoint the journal covers that restores
+  cleanly, over the instance derived from the base and the journal
+  prefix, then journal-tail replay through the session's normal path;
+  older checkpoints are the fallback.  :func:`recover` (streams) and
+  ``ServingSession.recover`` run it, and a recovered session is
+  bit-identical to an uninterrupted one (the kill-point suites prove
+  it at every op index).
 * :class:`FaultPlan` / :class:`RetryPolicy` — deterministic seeded
   fault injection for executors and pool writers, with bounded
   seeded-jitter retries and a serial fallback that makes fault-injected
   runs converge to the fault-free result.
 
-:class:`Durability` is the single config object the driver and serving
-session take to turn all of this on.
+:class:`Durability` is the single config object both session kinds
+take to turn all of this on.
 """
 
 from repro.core.errors import (
@@ -37,6 +42,7 @@ from repro.resilience.journal import (
     FSYNC_POLICIES,
     JOURNAL_FORMAT,
     DeltaJournal,
+    DurableWriter,
     JournalScan,
 )
 from repro.resilience.stream import DurableStream, RecoveredStream, recover
@@ -44,6 +50,7 @@ from repro.resilience.stream import DurableStream, RecoveredStream, recover
 __all__ = [
     "Durability",
     "DeltaJournal",
+    "DurableWriter",
     "JournalScan",
     "JOURNAL_FORMAT",
     "FSYNC_POLICIES",

@@ -1,17 +1,22 @@
-"""The base instance of a durable session: written once, replayed forward.
+"""Opening a durable session's directory: fresh, or after a crash.
 
-A durability directory holds the instance its session was bound on
-exactly once, as ``instance.npz`` (written by
-:func:`~repro.data.serialization.save_instance_npz`), and the journal
-header stamps that file's byte length and CRC32.  Checkpoints carry no
-instance.  Recovery loads and verifies the base once, then derives the
-instance at a checkpoint's offset by applying the journal records before
-that offset to a :class:`~repro.core.live.LiveInstance` through the same
-mutators the live session used — structure only, with no engine, plane
-or scoring work — and freezes the result once.
+Both session kinds open their directories here — :func:`begin_session`
+for a fresh one, :func:`recover_session` for one a crash left behind —
+and then commit through the
+:class:`~repro.resilience.journal.DurableWriter` they hold.  The
+recovery contract is the same for stream replays and serving sessions:
+the newest checkpoint the surviving journal covers that restores
+cleanly wins, older ones are the fallback, and the recovered session
+equals an uninterrupted one after the same journaled records.
 
-The derivation lives here, outside the per-op modules the ``freeze-ban``
-lint rule guards: recovery's single freeze is the only one a durable
+The instance a session was bound on is written once, as
+``instance.npz``, and the journal header stamps its byte length and
+CRC32; checkpoints carry no instance.  Recovery verifies the base once,
+then derives the instance at a checkpoint's offset by applying the
+journal prefix to a :class:`~repro.core.live.LiveInstance` through the
+mutators the live session used — structure only — and freezes the
+result once.  This module sits outside the per-op modules the
+``freeze-ban`` lint rule guards: that freeze is the only one a durable
 session pays.
 """
 
@@ -27,36 +32,115 @@ from repro.core.errors import RecoveryError, SESError
 from repro.core.instance import SESInstance
 from repro.core.live import LiveInstance
 from repro.data.serialization import load_instance_npz, save_instance_npz
-from repro.resilience.checkpoint import CHECKPOINT_FORMAT
+from repro.resilience.checkpoint import CHECKPOINT_FORMAT, CheckpointStore
 from repro.resilience.config import Durability
-from repro.resilience.journal import DeltaJournal
+from repro.resilience.journal import DeltaJournal, DurableWriter, JournalScan
 
-__all__ = ["create_journal", "derive_instance", "load_base"]
+__all__ = ["begin_session", "derive_instance", "load_base", "recover_session"]
+
+#: A snapshot of a session's state after ``offset`` records: a checkpoint body.
+Snapshot = Callable[[int], dict[str, Any]]
+
+#: A checkpoint's restore step: ``(offset, body, instance at offset)`` ->
+#: the restored session and its :data:`Snapshot`.  It raises
+#: :class:`RecoveryError` when the checkpoint does not restore.
+Restore = Callable[[int, dict[str, Any], SESInstance], tuple[Any, Snapshot]]
 
 
 def _stamp(raw: bytes) -> dict[str, int]:
     return {"bytes": len(raw), "crc32": zlib.crc32(raw) & 0xFFFFFFFF}
 
 
-def create_journal(
-    config: Durability, instance: SESInstance, metadata: dict[str, Any]
-) -> DeltaJournal:
+def begin_session(
+    config: Durability,
+    instance: SESInstance,
+    metadata: dict[str, Any],
+    snapshot: Snapshot,
+) -> DurableWriter:
     """Start a fresh durability directory for a session bound on ``instance``.
 
-    Refuses a directory that already holds a journal, writes the base
-    instance atomically, then writes the journal header with
-    ``metadata`` plus the base file's ``{"bytes", "crc32"}`` stamp.
+    Refuses a directory that already holds a journal, then writes the
+    base instance, the journal header (``metadata`` plus the base file's
+    ``{"bytes", "crc32"}`` stamp) and the offset-0 checkpoint — the
+    floor recovery stands on.  Returns the session's writer.
     """
     config.directory.mkdir(parents=True, exist_ok=True)
     DeltaJournal.refuse_existing(config.journal_path)
     save_instance_npz(instance, config.instance_path)
     header = dict(metadata, base=_stamp(config.instance_path.read_bytes()))
-    return DeltaJournal.create(
+    journal = DeltaJournal.create(
         config.journal_path,
         header,
         fsync=config.fsync,
         fsync_every=config.fsync_every,
     )
+    writer = DurableWriter(config, journal, snapshot)
+    writer.checkpoint()
+    return writer
+
+
+def recover_session(
+    config: Durability,
+    kind: str,
+    apply: Callable[[LiveInstance, dict[str, Any]], object],
+    restorer: Callable[[JournalScan], Restore],
+) -> tuple[Any, int, DurableWriter, JournalScan]:
+    """Re-open the durable ``kind`` session a crash left in ``config``'s directory.
+
+    Opens the journal (repairing a torn tail), checks its kind and
+    verifies the base instance.  ``restorer(scan)`` decodes what the
+    caller needs from the journal (a failure there is fatal) and returns
+    its :data:`Restore` step.  Checkpoints the journal covers are tried
+    newest-first: each one's instance is derived with ``apply``
+    (:func:`derive_instance`) and the restore step runs on it.  A
+    damaged checkpoint, one of another kind, or a restore step raising
+    :class:`RecoveryError` falls back to the next older one.  On any
+    failure the journal is abandoned.
+
+    Returns the restored session, its checkpoint's offset, the writer it
+    commits through from here on (appending after the last intact
+    journal record) and the journal's scan.
+    """
+    journal, scan = DeltaJournal.open(
+        config.journal_path, fsync=config.fsync, fsync_every=config.fsync_every
+    )
+    try:
+        recorded = scan.metadata.get("kind")
+        if recorded != kind:
+            raise RecoveryError(
+                f"journal {config.journal_path} holds a {recorded!r} session, "
+                f"not a {kind!r} session"
+            )
+        base = load_base(config, scan.metadata)
+        restore = restorer(scan)
+        store = CheckpointStore(config.checkpoint_directory)
+        failures: list[str] = []
+        bound = scan.offset
+        while (found := store.newest_valid(max_offset=bound)) is not None:
+            offset, body = found
+            bound = offset - 1
+            if body.get("kind") != kind:
+                failures.append(
+                    f"checkpoint at offset {offset} is not a {kind!r} checkpoint"
+                )
+                continue
+            instance = derive_instance(
+                base, scan.records[:offset], apply, config.journal_path
+            )
+            try:
+                session, snapshot = restore(offset, body, instance)
+            except RecoveryError as error:
+                failures.append(str(error))
+                continue
+            return session, offset, DurableWriter(config, journal, snapshot), scan
+        detail = f" ({'; '.join(failures[-3:])})" if failures else ""
+        raise RecoveryError(
+            f"no checkpoint at or below journal offset {scan.offset} in "
+            f"{config.checkpoint_directory} could be restored{detail}"
+        )
+    except BaseException:
+        journal.abandon()
+        raise
 
 
 def load_base(config: Durability, metadata: dict[str, Any]) -> SESInstance:

@@ -10,9 +10,11 @@ The journal header records the byte length and CRC32 of
 ``instance.npz``; every checkpoint stands on that file plus the journal
 prefix before its offset.
 :class:`~repro.stream.driver.StreamDriver` and
-:class:`~repro.serve.session.ServingSession` both accept it; recovery
-(:func:`repro.resilience.recover` / ``ServingSession.recover``) needs
-only the directory.
+:class:`~repro.serve.session.ServingSession` both accept it and commit
+through the same :class:`~repro.resilience.journal.DurableWriter`;
+recovery (:func:`repro.resilience.recover` /
+``ServingSession.recover``, one routine underneath) needs only the
+directory.
 """
 
 from __future__ import annotations

@@ -29,9 +29,15 @@ Fsync policy
 ``"always"`` fsyncs after every append (each acknowledged op survives a
 power cut), ``"interval"`` fsyncs every ``fsync_every`` appends and on
 :meth:`sync`/:meth:`close` (bounded loss window, much cheaper), and
-``"never"`` leaves flushing to the OS (benchmarks).  Checkpoint writers
-call :meth:`sync` before publishing a checkpoint, so a checkpoint's
-offset never points past the durable journal prefix.
+``"never"`` leaves flushing to the OS (benchmarks).
+
+The commit protocol
+-------------------
+:class:`DurableWriter` is the one writer of every durable session's
+journal and checkpoints.  A session applies a change, then appends its
+record, then acknowledges the caller: *apply -> journal -> ack*.  Every
+``checkpoint_every`` records the writer syncs the journal before it
+publishes a checkpoint, so no checkpoint outruns the durable journal.
 """
 
 from __future__ import annotations
@@ -39,13 +45,24 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from collections.abc import Callable
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import JournalError
 from repro.data.serialization import _fsync_directory
+from repro.resilience.checkpoint import CheckpointStore
 
-__all__ = ["JOURNAL_FORMAT", "FSYNC_POLICIES", "DeltaJournal", "JournalScan"]
+if TYPE_CHECKING:
+    from repro.resilience.config import Durability
+
+__all__ = [
+    "JOURNAL_FORMAT",
+    "FSYNC_POLICIES",
+    "DeltaJournal",
+    "DurableWriter",
+    "JournalScan",
+]
 
 #: Format tag written into every journal header.
 JOURNAL_FORMAT = "ses-wal/1"
@@ -254,11 +271,7 @@ class DeltaJournal:
         them without reading the file twice.
         """
         path = Path(path)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError as exc:
-            raise JournalError(f"journal {path} does not exist") from exc
-        scan = _scan_bytes(raw, path)
+        scan = cls.scan(path)
         if scan.truncated_bytes:
             with open(path, "r+b") as repair:
                 repair.truncate(scan.valid_bytes)
@@ -353,3 +366,56 @@ class DeltaJournal:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else f"offset={self._offset}"
         return f"DeltaJournal({str(self._path)!r}, {state})"
+
+
+class DurableWriter:
+    """The commit side of a durable session: its journal and checkpoints.
+
+    ``snapshot(offset)`` returns the checkpoint body of the session's
+    state after ``offset`` journal records.
+    """
+
+    def __init__(
+        self,
+        config: "Durability",
+        journal: DeltaJournal,
+        snapshot: Callable[[int], dict[str, Any]],
+    ) -> None:
+        self._journal = journal
+        self._store = CheckpointStore(config.checkpoint_directory)
+        self._checkpoint_every = config.checkpoint_every
+        self._snapshot = snapshot
+
+    @property
+    def offset(self) -> int:
+        """Records journaled so far."""
+        return self._journal.offset
+
+    @property
+    def closed(self) -> bool:
+        return self._journal.closed
+
+    def checkpoint(self) -> None:
+        """Sync the journal, then publish a checkpoint at its offset."""
+        # journal first: a published checkpoint must never claim records
+        # the journal could still lose to a crash
+        self._journal.sync()
+        offset = self._journal.offset
+        self._store.write(offset, self._snapshot(offset))
+
+    def append(self, payload: dict[str, Any]) -> None:
+        """Journal one applied change; checkpoint when the cadence comes due."""
+        if self._journal.append(payload) % self._checkpoint_every == 0:
+            self.checkpoint()
+
+    def close(self) -> None:
+        """Seal the session: a final checkpoint, then close the journal."""
+        if self._journal.closed:
+            return
+        self.checkpoint()
+        self._journal.close()
+
+    def abandon(self) -> None:
+        """Drop the journal as a process crash would (see
+        :meth:`DeltaJournal.abandon`): no checkpoint, no fsync."""
+        self._journal.abandon()

@@ -1,49 +1,49 @@
-"""Durable stream replays: journal + checkpoint wiring and recovery.
+"""Durable stream replays: what a stream journals, checkpoints and restores.
 
 :class:`~repro.stream.driver.StreamDriver` constructed with a
-``durability=`` config routes every applied change op through a
-:class:`DurableStream`: the bound base instance is written once
-(:mod:`repro.resilience.base`), the op (plus the observation record the
-driver took) is appended to the write-ahead journal *after* it committed
-to the live scheduler, and an instance-free
-:mod:`checkpoint <repro.resilience.checkpoint>` of the scheduler state is
-published every ``checkpoint_every`` records (the journal is fsynced
-first, so a checkpoint never claims ops the journal could lose).
+``durability=`` config hands every applied change op, plus the
+observation record the driver took, to a :class:`DurableStream`, which
+journals it through the session's
+:class:`~repro.resilience.journal.DurableWriter` (the commit protocol
+serving sessions share).  A checkpoint snapshots the scheduler state:
+schedule, locks, policy state and the accumulated float state, bitwise.
 
-:func:`recover` is the other half of the contract: newest valid
-checkpoint + journal-tail replay *through the normal delta path* —
-``policy.apply(op)`` exactly as the original run called it.  The
-instance at a checkpoint's offset is derived from the base by applying
-the journal prefix structurally.  Checkpoints carry the accumulated
-float state (engine mass, capacity sums) bitwise, restores are verified
-against the journaled utilities with exact float equality, and any
-checkpoint that fails falls back to the next older one — down to the
-offset-0 floor, where a fresh bind plus full-journal replay is
-bit-exact by construction.  Together this makes the recovered
-session bit-identical to an uninterrupted one in every semantic
-observable (utility trajectory, schedules, plane contents).
-Wall-clock observables (latencies, freeze counters, plane fill stats)
-are measured on the resumed process and naturally differ; the kill-point
-test suite pins down exactly this split.
+:func:`recover` runs the shared recovery routine
+(:func:`repro.resilience.base.recover_session`) with the stream's
+restore step: re-bind the policy on the instance at the checkpoint's
+offset, adopt the checkpointed state, and replay the journal tail
+*through the normal delta path* — ``policy.apply(op)`` exactly as the
+original run called it — verifying every utility against the journaled
+one with exact float equality.  The recovered session is bit-identical
+to an uninterrupted one in every semantic observable (utility
+trajectory, schedules, plane contents); wall-clock observables
+(latencies, freeze counters, plane fill stats) are measured on the
+resumed process and naturally differ, and the kill-point test suite
+pins down exactly this split.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import time
 from pathlib import Path
 from typing import Any
 
-from repro.algorithms.registry import solver_registry
 from repro.core.engine import ENGINE_KINDS, EngineSpec
-from repro.core.errors import CheckpointError, RecoveryError
+from repro.core.errors import RecoveryError
 from repro.core.instance import SESInstance
 from repro.core.live import LiveInstance, arrival_event, rival_event
 from repro.interactive.locks import LockSet
-from repro.resilience.base import create_journal, derive_instance, load_base
-from repro.resilience.checkpoint import CheckpointStore
+from repro.resilience.base import (
+    Restore,
+    Snapshot,
+    begin_session,
+    recover_session,
+)
 from repro.resilience.config import Durability
-from repro.resilience.journal import DeltaJournal
-from repro.stream.driver import OpRecord, StreamResult
+from repro.resilience.journal import DurableWriter, JournalScan
+from repro.stream.driver import OpRecord, StreamResult, replay_ops
 from repro.stream.policies import MaintenancePolicy, make_policy
 from repro.stream.trace import (
     AnnounceRival,
@@ -60,13 +60,7 @@ __all__ = ["DurableStream", "RecoveredStream", "recover"]
 
 def engine_spec_to_dict(spec: EngineSpec) -> dict[str, Any]:
     """JSON-ready form of an :class:`EngineSpec` (checkpoint/journal use)."""
-    return {
-        "kind": spec.kind,
-        "backend": spec.backend,
-        "shards": spec.shards,
-        "workers": spec.workers,
-        "block_users": spec.block_users,
-    }
+    return dataclasses.asdict(spec)
 
 
 def engine_spec_from_dict(payload: dict[str, Any], journal: Path) -> EngineSpec:
@@ -93,9 +87,9 @@ def engine_spec_from_dict(payload: dict[str, Any], journal: Path) -> EngineSpec:
 
 def _checkpoint_body(
     policy: MaintenancePolicy,
-    offset: int,
     policy_name: str,
     policy_params: dict[str, Any],
+    offset: int,
 ) -> dict[str, Any]:
     """Snapshot the scheduler state recovery re-binds at ``offset``.
 
@@ -176,30 +170,18 @@ def _record_from_payload(payload: dict[str, Any]) -> OpRecord:
 
 
 class DurableStream:
-    """The journal+checkpoint side-car of one durable stream replay.
+    """The journal side of one durable stream replay.
 
-    Created by the driver right after :meth:`MaintenancePolicy.bind`;
-    owns the op-commit ordering contract (apply -> journal -> ack) and
-    the checkpoint cadence.  ``stop_after`` kill points call
-    :meth:`crash` instead of :meth:`finish`, leaving the directory in
-    exactly the state a process crash would.
+    Created by the driver right after :meth:`MaintenancePolicy.bind`
+    (:meth:`begin`), or by :meth:`RecoveredStream.resume` over the
+    recovered session's writer.  The driver's op loop hands it every
+    applied op (:meth:`record`), then seals the replay with
+    ``writer.close()`` or, at a ``stop_after`` kill point, leaves the
+    directory as a process crash would with ``writer.abandon()``.
     """
 
-    def __init__(
-        self,
-        config: Durability,
-        journal: DeltaJournal,
-        store: CheckpointStore,
-        policy: MaintenancePolicy,
-        policy_name: str,
-        policy_params: dict[str, Any],
-    ) -> None:
-        self._config = config
-        self._journal = journal
-        self._store = store
-        self._policy = policy
-        self._policy_name = policy_name
-        self._policy_params = dict(policy_params)
+    def __init__(self, writer: DurableWriter) -> None:
+        self.writer = writer
 
     @classmethod
     def begin(
@@ -218,10 +200,10 @@ class DurableStream:
         """Open a fresh durability directory for a policy bound on ``instance``.
 
         Writes the base instance, the journal header stamping it, and
-        the offset-0 checkpoint (the bound initial state), so recovery
-        always has a floor to stand on.  Refuses a directory that
-        already holds a journal — recover from it instead of silently
-        appending.
+        the offset-0 checkpoint (the bound initial state) through
+        :func:`~repro.resilience.base.begin_session`.  Refuses a
+        directory that already holds a journal — recover from it instead
+        of silently appending.
         """
         if not policy.bound:
             raise RecoveryError(
@@ -241,55 +223,26 @@ class DurableStream:
             "oracle_every": oracle_every,
             "oracle_solver": oracle_solver,
         }
-        journal = create_journal(config, instance, metadata)
-        store = CheckpointStore(config.checkpoint_directory)
-        durable = cls(config, journal, store, policy, policy_name, policy_params)
-        durable._checkpoint()
-        return durable
-
-    @property
-    def offset(self) -> int:
-        return self._journal.offset
-
-    def _checkpoint(self) -> None:
-        # journal first: a published checkpoint must never claim records
-        # the journal could still lose to a crash
-        self._journal.sync()
-        self._store.write(
-            self._journal.offset,
-            _checkpoint_body(
-                self._policy,
-                self._journal.offset,
-                self._policy_name,
-                self._policy_params,
-            ),
+        snapshot = functools.partial(
+            _checkpoint_body, policy, policy_name, dict(policy_params)
         )
+        return cls(begin_session(config, instance, metadata, snapshot))
 
     def record(self, op: ChangeOp, record: OpRecord) -> None:
         """Journal one applied op; checkpoint when the cadence comes due."""
-        offset = self._journal.append(_op_payload(record, op))
-        if offset % self._config.checkpoint_every == 0:
-            self._checkpoint()
-
-    def finish(self) -> None:
-        """Seal a completed replay: final checkpoint, then close."""
-        self._checkpoint()
-        self._journal.close()
-
-    def crash(self) -> None:
-        """Simulate a process crash (no final checkpoint, no fsync)."""
-        self._journal.abandon()
+        self.writer.append(_op_payload(record, op))
 
 
 def _restore_checkpoint(
     checkpoint_offset: int,
     body: dict[str, Any],
     instance: SESInstance,
-    scan: Any,
+    scan: JournalScan,
     engine: EngineSpec,
-) -> MaintenancePolicy:
+) -> tuple[MaintenancePolicy, Snapshot]:
     """Restore one checkpoint over ``instance`` (the instance at its
-    offset) and replay the journal tail, verified.
+    offset) and replay the journal tail, verified: the recovery
+    routine's :data:`~repro.resilience.base.Restore` step.
 
     Raises :class:`RecoveryError` on any exact-equality mismatch — the
     restored utility against the journal record the checkpoint claims to
@@ -343,96 +296,41 @@ def _restore_checkpoint(
                 f"recorded utility {payload['utility']!r} but replay "
                 f"produced {replayed!r}"
             )
-    return policy
+    return policy, functools.partial(
+        _checkpoint_body, policy, policy_info["name"], policy_info["params"]
+    )
 
 
 def recover(source: Durability | str) -> "RecoveredStream":
     """Rebuild a durable stream session from its directory.
 
-    Loads and verifies the base instance once, then tries checkpoints
-    newest-first among those whose offset the surviving journal can
-    cover: derives the instance at the checkpoint's offset by applying
-    the journal prefix to the base structurally, re-binds the policy on
-    it, adopts the checkpointed schedule plus the bit-exact float
-    state snapshot, restores policy state, and replays the journal tail
-    through the normal ``policy.apply`` path — verifying the restored
-    and replayed utilities against the journaled ones at every step
-    (exact float equality).  A checkpoint that is damaged or fails
-    verification is skipped for the next older one; the offset-0
-    checkpoint (written at ``begin``) is the guaranteed floor, where a
-    fresh bind plus full-journal replay reproduces the original run's
-    float state bit-for-bit by construction.  A missing or damaged base
-    instance, or a journal prefix that does not apply to it, fails
-    recovery outright with a :class:`RecoveryError`.
+    Runs :func:`~repro.resilience.base.recover_session` with the stream
+    restore step: re-bind the policy on the checkpoint's instance, adopt
+    its schedule and bitwise float state, and replay the journal tail
+    through ``policy.apply``, checking every utility against the
+    journaled one with exact float equality.  At the offset-0 floor a
+    fresh bind re-runs the original initial solve, so it is bit-exact by
+    construction.  An engine this build cannot rebuild fails recovery.
     """
     config = source if isinstance(source, Durability) else Durability(source)
-    journal, scan = DeltaJournal.open(
-        config.journal_path, fsync=config.fsync, fsync_every=config.fsync_every
+
+    def restorer(scan: JournalScan) -> Restore:
+        engine = engine_spec_from_dict(scan.metadata["engine"], config.journal_path)
+        return functools.partial(_restore_checkpoint, scan=scan, engine=engine)
+
+    policy, checkpoint_offset, writer, scan = recover_session(
+        config, "stream", _apply_structure, restorer
     )
-    try:
-        metadata = scan.metadata
-        if metadata.get("kind") != "stream":
-            raise RecoveryError(
-                f"journal {config.journal_path} holds a "
-                f"{metadata.get('kind')!r} session, not a stream replay"
-            )
-        engine = engine_spec_from_dict(metadata["engine"], config.journal_path)
-        base = load_base(config, metadata)
-        store = CheckpointStore(config.checkpoint_directory)
-        candidates = [
-            offset
-            for offset in reversed(store.offsets())
-            if offset <= scan.offset
-        ]
-        policy: MaintenancePolicy | None = None
-        checkpoint_offset = -1
-        failures: list[str] = []
-        for candidate in candidates:
-            try:
-                body = store.load(candidate)
-            except CheckpointError as error:
-                failures.append(str(error))
-                continue
-            if body.get("kind") != "stream":
-                failures.append(
-                    f"checkpoint at offset {candidate} is not a stream "
-                    f"checkpoint"
-                )
-                continue
-            instance = derive_instance(
-                base, scan.records[:candidate], _apply_structure,
-                config.journal_path,
-            )
-            try:
-                policy = _restore_checkpoint(
-                    candidate, body, instance, scan, engine
-                )
-                checkpoint_offset = candidate
-                break
-            except RecoveryError as error:
-                failures.append(str(error))
-                continue
-        if policy is None:
-            detail = f" ({'; '.join(failures[-3:])})" if failures else ""
-            raise RecoveryError(
-                f"no checkpoint at or below journal offset {scan.offset} "
-                f"in {config.checkpoint_directory} could be "
-                f"restored{detail}"
-            )
-    except BaseException:
-        journal.abandon()
-        raise
     return RecoveredStream(
-        config=config,
-        journal=journal,
-        store=store,
+        writer=writer,
         policy=policy,
-        metadata=metadata,
+        metadata=scan.metadata,
         prefix=list(scan.records),
         checkpoint_offset=checkpoint_offset,
     )
 
 
+@dataclasses.dataclass(frozen=True)
 class RecoveredStream:
     """A durable stream session restored to its last journaled op.
 
@@ -442,45 +340,22 @@ class RecoveredStream:
     resumed tail).
     """
 
-    def __init__(
-        self,
-        *,
-        config: Durability,
-        journal: DeltaJournal,
-        store: CheckpointStore,
-        policy: MaintenancePolicy,
-        metadata: dict[str, Any],
-        prefix: list[dict[str, Any]],
-        checkpoint_offset: int,
-    ) -> None:
-        self._config = config
-        self._journal = journal
-        self._store = store
-        self._policy = policy
-        self._metadata = metadata
-        self._prefix = prefix
-        self._checkpoint_offset = checkpoint_offset
+    writer: DurableWriter
+    policy: MaintenancePolicy
+    #: The journal header.
+    metadata: dict[str, Any]
+    #: The journal records recovery found: the ops already absorbed.
+    prefix: list[dict[str, Any]]
+    #: Offset of the checkpoint recovery restarted from.
+    checkpoint_offset: int
 
     @property
     def offset(self) -> int:
         """Journal records already absorbed (where :meth:`resume` starts)."""
-        return len(self._prefix)
-
-    @property
-    def checkpoint_offset(self) -> int:
-        """Offset of the checkpoint recovery restarted from."""
-        return self._checkpoint_offset
-
-    @property
-    def policy(self) -> MaintenancePolicy:
-        return self._policy
-
-    @property
-    def metadata(self) -> dict[str, Any]:
-        return dict(self._metadata)
+        return len(self.prefix)
 
     def utility(self) -> float:
-        return self._policy.utility()
+        return self.policy.utility()
 
     def _validate_trace(self, trace: Trace) -> None:
         checks = (
@@ -490,7 +365,7 @@ class RecoveredStream:
             ("n_intervals", trace.n_intervals),
         )
         for name, value in checks:
-            recorded = self._metadata.get(name)
+            recorded = self.metadata.get(name)
             if recorded is not None and value is not None and recorded != value:
                 raise RecoveryError(
                     f"trace {name}={value} does not match the journaled "
@@ -501,7 +376,7 @@ class RecoveredStream:
                 f"trace has {len(trace)} ops but the journal already "
                 f"holds {self.offset}"
             )
-        for payload in self._prefix:
+        for payload in self.prefix:
             index = int(payload["index"])
             if trace.ops[index].to_dict() != payload["op"]:
                 raise RecoveryError(
@@ -509,86 +384,30 @@ class RecoveredStream:
                     f"resume needs the exact original trace"
                 )
 
-    def _oracle_regret(self, solver_name: str) -> float:
-        live = self._policy.scheduler
-        oracle = solver_registry.create(
-            solver_name, engine=live.engine_spec
-        ).solve(live.live, live.k, plane=live.base_plane(), locks=live.locks)
-        return oracle.utility - self._policy.utility()
-
     def resume(self, trace: Trace, *, stop_after: int | None = None) -> StreamResult:
         """Run the un-absorbed remainder of ``trace`` to completion.
 
-        Journaling and checkpoint cadence continue exactly as in the
-        original run, so a resumed session is itself durable (and can be
+        The remainder runs through the driver's own op loop
+        (:func:`~repro.stream.driver.replay_ops`), so journaling, oracle
+        sampling and the checkpoint cadence continue exactly as in the
+        original run, and a resumed session is itself durable (it can be
         killed and recovered again — the kill-point suite does).  The
         returned result covers the *whole* replay: per-op records of the
         journaled prefix are reconstructed from the journal (their
         latencies are the original run's measurements), the tail's are
         measured live.
         """
-        if self._journal.closed:
+        if self.writer.closed:
             raise RecoveryError("this RecoveredStream was already resumed")
         self._validate_trace(trace)
-        policy = self._policy
-        oracle_every = self._metadata.get("oracle_every")
-        oracle_solver = self._metadata.get("oracle_solver") or "grd-heap"
-        durable = DurableStream(
-            self._config,
-            self._journal,
-            self._store,
-            policy,
-            self._metadata["policy"]["name"],
-            self._metadata["policy"]["params"],
-        )
         started = time.perf_counter()
-        records = [_record_from_payload(payload) for payload in self._prefix]
-        interrupted = False
-        for index in range(self.offset, len(trace)):
-            if stop_after is not None and index >= stop_after:
-                interrupted = True
-                break
-            op = trace.ops[index]
-            op_started = time.perf_counter()
-            policy.apply(op)
-            latency = time.perf_counter() - op_started
-            regret: float | None = None
-            if oracle_every is not None and (index + 1) % oracle_every == 0:
-                regret = self._oracle_regret(oracle_solver)
-            record = OpRecord(
-                index=index,
-                label=op.label(),
-                latency_seconds=latency,
-                utility=policy.utility(),
-                schedule_size=len(policy.schedule),
-                regret=regret,
-            )
-            records.append(record)
-            durable.record(op, record)
-
-        if interrupted:
-            durable.crash()
-            finish_seconds = 0.0
-        else:
-            finish_started = time.perf_counter()
-            policy.finish()
-            finish_seconds = time.perf_counter() - finish_started
-            durable.finish()
-
-        live = policy.scheduler
-        base_plane = live.materialized_base_plane
-        return StreamResult(
-            policy=policy.describe(),
-            engine=live.engine_spec,
-            records=tuple(records),
-            final_utility=policy.utility(),
-            final_schedule=live.schedule.as_mapping(),
-            final_k=live.k,
-            rebuilds=policy.rebuilds,
-            finish_seconds=finish_seconds,
-            total_seconds=time.perf_counter() - started,
-            freezes=live.live.freezes,
-            base_plane_stats=(
-                None if base_plane is None else base_plane.stats()
-            ),
+        return replay_ops(
+            self.policy,
+            trace,
+            [_record_from_payload(payload) for payload in self.prefix],
+            started=started,
+            stop_after=stop_after,
+            oracle_every=self.metadata.get("oracle_every"),
+            oracle_solver=self.metadata.get("oracle_solver") or "grd-heap",
+            durable=DurableStream(self.writer),
         )

@@ -30,10 +30,11 @@ reads: a client can tell exactly which version of the instance answered.
 
 from __future__ import annotations
 
+import functools
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.algorithms.registry import SolverRegistry
 from repro.api.requests import SolveRequest, SolveResponse
@@ -47,6 +48,10 @@ from repro.interactive.gaps import GapReport, build_gap_report
 from repro.interactive.locks import LockSet
 from repro.interactive.versions import ScheduleVersion, VersionDiff, VersionStore
 from repro.serve.pool import PlanePool, PoolStats
+
+if TYPE_CHECKING:
+    from repro.resilience.base import Restore, Snapshot
+    from repro.resilience.journal import DurableWriter, JournalScan
 
 __all__ = ["ServedResponse", "ServingSession", "STRUCTURAL_MUTATIONS"]
 
@@ -76,6 +81,12 @@ def _add_competing(
     """Structural change of :meth:`ServingSession.add_competing`."""
     rival = CompetingEvent(index=live.n_competing, interval=interval, name=name)
     return live.add_competing(rival, interest_column)
+
+
+def _checkpoint_body(pool: PlanePool, offset: int) -> dict[str, Any]:
+    """A durable session's checkpoint: the pool generation.  The instance
+    is not in it — recovery derives it from the base and the journal."""
+    return {"kind": "serve", "offset": offset, "generation": pool.generation}
 
 
 #: The structural change each mutator makes to the live instance, keyed
@@ -201,43 +212,21 @@ class ServingSession:
         # durable sessions serialize [pool write -> journal append] under
         # one lock so the journal order always equals the apply order
         self._write_lock = threading.Lock()
-        self._durability: Any = None
-        self._journal: Any = None
-        self._checkpoints: Any = None
+        self._writer: DurableWriter | None = None
         if durability is not None:
-            self._open_durability(durability, instance)
+            from repro.resilience.base import begin_session
+            from repro.resilience.stream import engine_spec_to_dict
 
-    def _open_durability(self, durability: Any, instance: SESInstance) -> None:
-        from repro.resilience.base import create_journal
-        from repro.resilience.checkpoint import CheckpointStore
-        from repro.resilience.stream import engine_spec_to_dict
-
-        self._journal = create_journal(
-            durability,
-            instance,
-            {
-                "kind": "serve",
-                "n_users": instance.n_users,
-                "engine": engine_spec_to_dict(self.default_engine),
-            },
-        )
-        self._durability = durability
-        self._checkpoints = CheckpointStore(durability.checkpoint_directory)
-        self._write_checkpoint()
-
-    def _write_checkpoint(self) -> None:
-        # journal first: a published checkpoint never claims mutations
-        # the journal could still lose to a crash.  The instance is not
-        # in it: recovery derives it from the base and the journal
-        self._journal.sync()
-        self._checkpoints.write(
-            self._journal.offset,
-            {
-                "kind": "serve",
-                "offset": self._journal.offset,
-                "generation": self._pool.generation,
-            },
-        )
+            self._writer = begin_session(
+                durability,
+                instance,
+                {
+                    "kind": "serve",
+                    "n_users": instance.n_users,
+                    "engine": engine_spec_to_dict(self.default_engine),
+                },
+                functools.partial(_checkpoint_body, self._pool),
+            )
 
     # -- introspection ---------------------------------------------------
     @property
@@ -585,19 +574,19 @@ class ServingSession:
 
         Non-durable sessions go straight to the pool.  Durable sessions
         hold the session write lock across [pool write -> journal
-        append] so journal order always equals apply order, and publish
-        a checkpoint when the cadence comes due.  CONTRIBUTING requires
-        every new mutator to route through here — an un-journaled
-        mutation is unrecoverable by construction (the chaos smoke
-        gate counts them).
+        append], so journal order always equals apply order, and hand
+        the record to the session's
+        :class:`~repro.resilience.journal.DurableWriter`, which
+        checkpoints when the cadence comes due — the commit protocol
+        durable stream replays share.  CONTRIBUTING requires every new
+        mutator to route through here: an un-journaled mutation is
+        unrecoverable by construction.
         """
-        if self._journal is None:
+        if self._writer is None:
             return self._pool.write(mutate)
         with self._write_lock:
             delta = self._pool.write(mutate)
-            self._journal.append(payload_fn())
-            if self._journal.offset % self._durability.checkpoint_every == 0:
-                self._write_checkpoint()
+            self._writer.append(payload_fn())
             return delta
 
     def add_event(
@@ -685,15 +674,14 @@ class ServingSession:
     @property
     def journal_offset(self) -> int | None:
         """Journaled mutation count (``None`` on non-durable sessions)."""
-        return None if self._journal is None else self._journal.offset
+        return None if self._writer is None else self._writer.offset
 
     def close(self) -> None:
         """Seal a durable session: final checkpoint, close the journal."""
-        if self._journal is None or self._journal.closed:
+        if self._writer is None:
             return
         with self._write_lock:
-            self._write_checkpoint()
-            self._journal.close()
+            self._writer.close()
 
     @classmethod
     def recover(
@@ -708,20 +696,19 @@ class ServingSession:
     ) -> "ServingSession":
         """Rebuild a durable serving session from its directory.
 
-        Newest valid checkpoint + journal-tail replay through the normal
-        mutators.  The instance at the checkpoint's offset is derived
-        from the verified base instance by applying the journal prefix
-        structurally.  The recovered session's generation, live state and
-        plane contents are bit-identical to an uninterrupted session's,
-        and it keeps journaling into the same WAL.  Serving-process
-        config (engine, replicas, fault plan) is not state and is passed
-        fresh.
+        Runs :func:`~repro.resilience.base.recover_session` with the
+        serving restore step: a session over the instance derived at the
+        checkpoint's offset, at the checkpointed generation, replays the
+        journal tail through the normal mutators.  A damaged checkpoint
+        falls back to the next older one, exactly as a stream's does.
+        The recovered session's generation, live state and plane
+        contents are bit-identical to an uninterrupted session's, and it
+        keeps journaling into the same WAL.  Serving-process config
+        (engine, replicas, fault plan) is not state and is passed fresh;
+        without ``default_engine`` the journaled engine is rebuilt.
         """
-        from repro.core.errors import RecoveryError
-        from repro.resilience.base import derive_instance, load_base
-        from repro.resilience.checkpoint import CheckpointStore
+        from repro.resilience.base import recover_session
         from repro.resilience.config import Durability
-        from repro.resilience.journal import DeltaJournal
         from repro.resilience.serve import apply_structure, replay_mutation
         from repro.resilience.stream import engine_spec_from_dict
 
@@ -730,58 +717,38 @@ class ServingSession:
             if isinstance(durability, Durability)
             else Durability(durability)
         )
-        journal, scan = DeltaJournal.open(
-            config.journal_path, fsync=config.fsync,
-            fsync_every=config.fsync_every,
-        )
-        try:
-            if scan.metadata.get("kind") != "serve":
-                raise RecoveryError(
-                    f"journal {config.journal_path} holds a "
-                    f"{scan.metadata.get('kind')!r} session, not a "
-                    f"serving session"
-                )
-            base = load_base(config, scan.metadata)
-            store = CheckpointStore(config.checkpoint_directory)
-            found = store.newest_valid(max_offset=scan.offset)
-            if found is None:
-                raise RecoveryError(
-                    f"no valid checkpoint at or below journal offset "
-                    f"{scan.offset} in {config.checkpoint_directory}"
-                )
-            offset, body = found
-            if body.get("kind") != "serve":
-                raise RecoveryError(
-                    f"checkpoint at offset {offset} is not a serving "
-                    f"checkpoint"
-                )
-            if default_engine is None and scan.metadata.get("engine"):
-                default_engine = engine_spec_from_dict(
+
+        def restorer(scan: JournalScan) -> Restore:
+            engine = default_engine
+            if engine is None and scan.metadata.get("engine"):
+                engine = engine_spec_from_dict(
                     scan.metadata["engine"], config.journal_path
                 )
-            instance = derive_instance(
-                base, scan.records[:offset], apply_structure,
-                config.journal_path,
-            )
-            session = cls(
-                instance,
-                default_engine,
-                registry,
-                max_replicas=max_replicas,
-                fault_plan=fault_plan,
-                keep_stale_replica=keep_stale_replica,
-                generation=int(body["generation"]),
-            )
-            for payload in scan.records[offset:]:
-                replay_mutation(session, payload)
-        except BaseException:
-            journal.abandon()
-            raise
+
+            def restore(
+                offset: int, body: dict[str, Any], instance: SESInstance
+            ) -> tuple[ServingSession, Snapshot]:
+                session = cls(
+                    instance,
+                    engine,
+                    registry,
+                    max_replicas=max_replicas,
+                    fault_plan=fault_plan,
+                    keep_stale_replica=keep_stale_replica,
+                    generation=int(body["generation"]),
+                )
+                for payload in scan.records[offset:]:
+                    replay_mutation(session, payload)
+                return session, functools.partial(_checkpoint_body, session._pool)
+
+            return restore
+
+        session, _, writer, _ = recover_session(
+            config, "serve", apply_structure, restorer
+        )
         # re-arm durability on the surviving WAL: future mutations append
         # where the journal left off
-        session._durability = config
-        session._journal = journal
-        session._checkpoints = store
+        session._writer = writer
         return session
 
     # -- internals -------------------------------------------------------

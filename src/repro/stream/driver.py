@@ -38,8 +38,9 @@ from repro.stream.trace import Trace
 
 if TYPE_CHECKING:
     from repro.resilience.config import Durability
+    from repro.resilience.stream import DurableStream
 
-__all__ = ["OpRecord", "StreamResult", "StreamDriver"]
+__all__ = ["OpRecord", "StreamResult", "StreamDriver", "replay_ops"]
 
 
 @dataclass(frozen=True)
@@ -291,61 +292,15 @@ class StreamDriver:
                 oracle_every=self._oracle_every,
                 oracle_solver=self._oracle_solver,
             )
-
-        records: list[OpRecord] = []
-        interrupted = False
-        for index, op in enumerate(trace):
-            if stop_after is not None and index >= stop_after:
-                interrupted = True
-                break
-            op_started = time.perf_counter()
-            self._policy.apply(op)
-            latency = time.perf_counter() - op_started
-            regret: float | None = None
-            if (
-                self._oracle_every is not None
-                and (index + 1) % self._oracle_every == 0
-            ):
-                regret = self._oracle_regret()
-            record = OpRecord(
-                index=index,
-                label=op.label(),
-                latency_seconds=latency,
-                utility=self._policy.utility(),
-                schedule_size=len(self._policy.schedule),
-                regret=regret,
-            )
-            records.append(record)
-            if durable is not None:
-                durable.record(op, record)
-
-        if interrupted:
-            if durable is not None:
-                durable.crash()
-            finish_seconds = 0.0
-        else:
-            finish_started = time.perf_counter()
-            self._policy.finish()
-            finish_seconds = time.perf_counter() - finish_started
-            if durable is not None:
-                durable.finish()
-
-        live = self._policy.scheduler
-        base_plane = live.materialized_base_plane
-        return StreamResult(
-            policy=self._policy.describe(),
-            engine=self._engine,
-            records=tuple(records),
-            final_utility=self._policy.utility(),
-            final_schedule=live.schedule.as_mapping(),
-            final_k=live.k,
-            rebuilds=self._policy.rebuilds,
-            finish_seconds=finish_seconds,
-            total_seconds=time.perf_counter() - started,
-            freezes=live.live.freezes,
-            base_plane_stats=(
-                None if base_plane is None else base_plane.stats()
-            ),
+        return replay_ops(
+            self._policy,
+            trace,
+            [],
+            started=started,
+            stop_after=stop_after,
+            oracle_every=self._oracle_every,
+            oracle_solver=self._oracle_solver,
+            durable=durable,
         )
 
     def _validate_shape(self, trace: Trace) -> None:
@@ -363,10 +318,79 @@ class StreamDriver:
                     f"instance has {actual}"
                 )
 
-    def _oracle_regret(self) -> float:
-        """Utility gap to a warm batch re-solve on the current live state."""
-        live = self._policy.scheduler
-        oracle = solver_registry.create(
-            self._oracle_solver, engine=live.engine_spec
-        ).solve(live.live, live.k, plane=live.base_plane(), locks=live.locks)
-        return oracle.utility - self._policy.utility()
+
+def replay_ops(
+    policy: MaintenancePolicy,
+    trace: Trace,
+    records: list[OpRecord],
+    *,
+    started: float,
+    stop_after: int | None,
+    oracle_every: int | None,
+    oracle_solver: str,
+    durable: "DurableStream | None" = None,
+) -> StreamResult:
+    """Apply ``trace`` from op ``len(records)`` on to a bound ``policy``.
+
+    The one op loop of a stream replay, from op 0 (:meth:`StreamDriver.run`)
+    or from a recovered offset with ``records`` holding the journaled
+    prefix (:meth:`repro.resilience.RecoveredStream.resume`).  Stopping
+    at ``stop_after`` with ops left ends the replay as a process crash
+    would: no ``finish()``, the journal abandoned.
+    """
+    stop = len(trace) if stop_after is None else min(stop_after, len(trace))
+    for index in range(len(records), stop):
+        op = trace.ops[index]
+        op_started = time.perf_counter()
+        policy.apply(op)
+        latency = time.perf_counter() - op_started
+        regret: float | None = None
+        if oracle_every is not None and (index + 1) % oracle_every == 0:
+            regret = _oracle_regret(policy, oracle_solver)
+        record = OpRecord(
+            index=index,
+            label=op.label(),
+            latency_seconds=latency,
+            utility=policy.utility(),
+            schedule_size=len(policy.schedule),
+            regret=regret,
+        )
+        records.append(record)
+        if durable is not None:
+            durable.record(op, record)
+
+    finish_seconds = 0.0
+    if len(records) < len(trace):
+        if durable is not None:
+            durable.writer.abandon()
+    else:
+        finish_started = time.perf_counter()
+        policy.finish()
+        finish_seconds = time.perf_counter() - finish_started
+        if durable is not None:
+            durable.writer.close()
+
+    live = policy.scheduler
+    base_plane = live.materialized_base_plane
+    return StreamResult(
+        policy=policy.describe(),
+        engine=live.engine_spec,
+        records=tuple(records),
+        final_utility=policy.utility(),
+        final_schedule=live.schedule.as_mapping(),
+        final_k=live.k,
+        rebuilds=policy.rebuilds,
+        finish_seconds=finish_seconds,
+        total_seconds=time.perf_counter() - started,
+        freezes=live.live.freezes,
+        base_plane_stats=None if base_plane is None else base_plane.stats(),
+    )
+
+
+def _oracle_regret(policy: MaintenancePolicy, solver_name: str) -> float:
+    """Utility gap to a warm batch re-solve on the current live state."""
+    live = policy.scheduler
+    oracle = solver_registry.create(
+        solver_name, engine=live.engine_spec
+    ).solve(live.live, live.k, plane=live.base_plane(), locks=live.locks)
+    return oracle.utility - policy.utility()

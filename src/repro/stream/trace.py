@@ -74,11 +74,11 @@ def _normalize_entries(entries: Iterable[tuple[int, float]]) -> Entries:
     seen: set[int] = set()
     for user, value in pairs:
         if user < 0:
-            raise ValueError(f"interest entry user must be non-negative, got {user}")
+            raise TraceError(f"interest entry user must be non-negative, got {user}")
         if user in seen:
-            raise ValueError(f"duplicate interest entry for user {user}")
+            raise TraceError(f"duplicate interest entry for user {user}")
         if not 0.0 < value <= 1.0:
-            raise ValueError(
+            raise TraceError(
                 f"interest entry values must lie in (0, 1], got {value} "
                 f"for user {user}"
             )
@@ -92,7 +92,7 @@ def column_from_entries(entries: Entries, n_users: int) -> np.ndarray:
     column = np.zeros(n_users)
     for user, value in entries:
         if user >= n_users:
-            raise ValueError(
+            raise TraceError(
                 f"interest entry user {user} out of range for {n_users} users"
             )
         column[user] = value

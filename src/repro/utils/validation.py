@@ -2,12 +2,16 @@
 
 The guards raise :class:`ValueError`/:class:`IndexError` with messages that
 name the offending argument, so failures surface at construction time rather
-than as NaNs deep inside a solver run.
+than as NaNs deep inside a solver run.  A probability matrix that fails its
+check raises :class:`~repro.core.errors.InstanceValidationError` (itself a
+:class:`ValueError`).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.errors import InstanceValidationError
 
 __all__ = [
     "check_fraction",
@@ -52,9 +56,9 @@ def check_probability_matrix(matrix: np.ndarray, name: str) -> np.ndarray:
     """Require every entry of ``matrix`` to lie in [0, 1]; return it."""
     array = np.asarray(matrix, dtype=float)
     if np.isnan(array).any():
-        raise ValueError(f"{name} contains NaN entries")
+        raise InstanceValidationError(f"{name} contains NaN entries")
     if array.size and (array.min() < 0.0 or array.max() > 1.0):
-        raise ValueError(
+        raise InstanceValidationError(
             f"{name} entries must lie in [0, 1]; observed range "
             f"[{array.min()}, {array.max()}]"
         )

@@ -8,6 +8,7 @@ matching rule fires.  ``src/`` itself is never touched.
 
 from __future__ import annotations
 
+import inspect
 import shutil
 from pathlib import Path
 
@@ -126,6 +127,20 @@ class TestServeHotPathCoverage:
         target = tmp_path / "serve"
         target.mkdir()
         bad = target / "session.py"
+        bad.write_text("def peek(live):\n    return live.freeze()\n")
+        result = run_lint([bad], resolve_rules(["freeze-ban"]))
+        assert rules_of(result) == ["freeze-ban"]
+
+    def test_durable_writer_is_in_freeze_ban_scope(self, tmp_path):
+        # the shared durable writer runs on every applied op of both
+        # session kinds: a .freeze() in a file at its module's path
+        # (package dir + file name) must fire
+        from repro.resilience.journal import DurableWriter
+
+        module = Path(inspect.getfile(DurableWriter))
+        target = tmp_path / module.parent.name
+        target.mkdir()
+        bad = target / module.name
         bad.write_text("def peek(live):\n    return live.freeze()\n")
         result = run_lint([bad], resolve_rules(["freeze-ban"]))
         assert rules_of(result) == ["freeze-ban"]

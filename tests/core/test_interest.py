@@ -160,6 +160,18 @@ class TestSparseBackend:
         with pytest.raises(ValueError, match="NaN"):
             InterestMatrix.from_scipy(nan)
 
+    @pytest.mark.parametrize("value", [np.nan, 1.5])
+    def test_sparse_failures_are_typed(self, value):
+        import scipy.sparse as sp
+
+        with pytest.raises(InstanceValidationError):
+            InterestMatrix.from_scipy(sp.csc_matrix(np.array([[value]])))
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_column_shape_failure_is_typed(self, backend):
+        with pytest.raises(InstanceValidationError, match="shape"):
+            self._matrix(backend).with_event_column(np.zeros(1))
+
     def test_to_backend_round_trip(self):
         dense = self._matrix("dense")
         there = dense.to_backend("sparse")

@@ -119,6 +119,21 @@ class TestMutators:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             live.add_event(event, np.full(live.n_users, 1.5))
 
+    @pytest.mark.parametrize(
+        "column", ["short", "nan", "above-one"]
+    )
+    def test_column_failures_are_typed(self, column):
+        live = make_live()
+        event = CandidateEvent(index=live.n_events, location=1,
+                               required_resources=1.0)
+        values = {
+            "short": np.zeros(3),
+            "nan": np.full(live.n_users, np.nan),
+            "above-one": np.full(live.n_users, 1.5),
+        }[column]
+        with pytest.raises(InstanceValidationError):
+            live.add_event(event, values)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_remove_event_renumbers(self, backend):
         live = make_live(backend)

@@ -56,7 +56,7 @@ def _crashed(kind, tmp_path, stop_after=9):
             make_random_instance(seed=42), durability=durability
         )
         mutate_serving(session, stop_after)
-        session._journal.abandon()  # the crash simulator
+        session._writer.abandon()  # the crash simulator
     return durability
 
 
@@ -244,7 +244,7 @@ class TestRecoveredServingInstance:
             make_random_instance(seed=42), durability=durability
         )
         mutate_serving(crashed, kill_at)
-        crashed._journal.abandon()
+        crashed._writer.abandon()
 
         recovered = ServingSession.recover(durability)
         assert recovered.version == reference.version

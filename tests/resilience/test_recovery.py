@@ -15,16 +15,19 @@ import pytest
 
 from repro.core.engine import EngineSpec
 from repro.core.errors import RecoveryError
-from repro.resilience import Durability, recover
+from repro.resilience import CheckpointStore, Durability, recover
 from repro.resilience.stream import engine_spec_from_dict, engine_spec_to_dict
+from repro.serve import ServingSession
 from repro.stream import StreamDriver
 
+from tests.conftest import make_random_instance
 from tests.resilience.conftest import (
     ENGINE,
     GOLDEN_CASES,
     POLICY_PARAMS,
     golden_instance,
     golden_trace,
+    mutate_serving,
     restamp_engine,
 )
 
@@ -191,6 +194,63 @@ class TestDamagedArtifacts:
             path.unlink()
         with pytest.raises(RecoveryError, match="checkpoint"):
             recover(durability)
+
+
+class TestDamagedServingArtifacts:
+    """The damaged-artifact cases above, against a durable serving
+    session: it recovers through the same routine as a stream replay, so
+    it must fall back, repair and fail the same way."""
+
+    def _killed_session(self, tmp_path, kill_at=9):
+        durability = Durability(tmp_path / "ses", checkpoint_every=4)
+        crashed = ServingSession(
+            make_random_instance(seed=42), durability=durability
+        )
+        mutate_serving(crashed, kill_at)
+        crashed._writer.abandon()  # the crash simulator
+        return durability
+
+    def _assert_uninterrupted(self, recovered, n_mutations):
+        reference = ServingSession(make_random_instance(seed=42))
+        mutate_serving(reference, n_mutations)
+        # and both keep going alike: the recovered one journals on
+        for session in (reference, recovered):
+            mutate_serving(session, 2, seed=100)
+        assert recovered.version == reference.version == n_mutations + 2
+        expected, got = reference.solve(k=4), recovered.solve(k=4)
+        assert got.utility == expected.utility
+        assert got.schedule.as_mapping() == expected.schedule.as_mapping()
+        assert got.version == expected.version
+        recovered.close()
+
+    def test_newest_checkpoint_damaged_falls_back(self, tmp_path):
+        durability = self._killed_session(tmp_path)
+        ckpts = sorted(durability.checkpoint_directory.glob("ckpt-*.json"))
+        assert len(ckpts) >= 2
+        ckpts[-1].write_text(ckpts[-1].read_text()[:20])
+        self._assert_uninterrupted(ServingSession.recover(durability), 9)
+
+    def test_unrestorable_newest_checkpoint_falls_back(self, tmp_path):
+        durability = self._killed_session(tmp_path)
+        store = CheckpointStore(durability.checkpoint_directory)
+        newest = store.offsets()[-1]
+        store.write(newest, dict(store.load(newest), kind="stream"))
+        self._assert_uninterrupted(ServingSession.recover(durability), 9)
+
+    def test_torn_journal_tail_is_repaired(self, tmp_path):
+        durability = self._killed_session(tmp_path)
+        raw = durability.journal_path.read_bytes()
+        durability.journal_path.write_bytes(raw[:-5])
+        recovered = ServingSession.recover(durability)
+        assert recovered.journal_offset == 8
+        self._assert_uninterrupted(recovered, 8)
+
+    def test_all_checkpoints_destroyed_raises(self, tmp_path):
+        durability = self._killed_session(tmp_path)
+        for path in durability.checkpoint_directory.glob("ckpt-*.json"):
+            path.unlink()
+        with pytest.raises(RecoveryError, match="checkpoint"):
+            ServingSession.recover(durability)
 
 
 class TestRemovedEngineKind:

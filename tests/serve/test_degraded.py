@@ -124,7 +124,7 @@ class TestDurableSession:
         crashed = _session(durability=durability)
         mutate_serving(crashed, 6)
         expected = crashed.solve(k=4)
-        crashed._journal.abandon()  # the crash simulator
+        crashed._writer.abandon()  # the crash simulator
 
         recovered = ServingSession.recover(durability)
         assert recovered.version == reference.version == 6
@@ -138,7 +138,7 @@ class TestDurableSession:
         durability = Durability(tmp_path / "ses", checkpoint_every=3)
         crashed = _session(durability=durability)
         mutate_serving(crashed, kill_at)
-        crashed._journal.abandon()
+        crashed._writer.abandon()
 
         recovered = ServingSession.recover(durability)
         assert recovered.version == kill_at
@@ -151,7 +151,7 @@ class TestDurableSession:
         durability = Durability(tmp_path / "ses")
         session = _session(durability=durability)
         mutate_serving(session, 3)
-        session._journal.abandon()
+        session._writer.abandon()
 
         recovered = ServingSession.recover(durability)
         mutate_serving(recovered, 2, seed=50)
@@ -194,7 +194,7 @@ class TestDurableSession:
         durability = Durability(tmp_path / "ses", checkpoint_every=2)
         crashed = _session(durability=durability)
         mutate_serving(crashed, 3)
-        crashed._journal.abandon()
+        crashed._writer.abandon()
         restamp_engine(durability, "vectorized")
         with pytest.raises(RecoveryError, match="engine kind 'vectorized'") as info:
             ServingSession.recover(durability)

@@ -164,3 +164,22 @@ class TestDirectoryFormat:
             np.savez(path, **arrays)
         with pytest.raises(SerializationError, match="candidate_block00000.npz"):
             load_sharded_instance(tmp_path / "d")
+
+    @pytest.mark.parametrize("name", ["manifest.json", "activity.npy"])
+    def test_truncated_file_rejected_naming_it(self, instance, tmp_path, name):
+        save_sharded_instance(instance, tmp_path / "d")
+        path = tmp_path / "d" / name
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(SerializationError) as caught:
+            load_sharded_instance(tmp_path / "d")
+        assert str(path) in str(caught.value)
+
+    def test_manifest_without_a_valid_plan_rejected(self, instance, tmp_path):
+        save_sharded_instance(instance, tmp_path / "d")
+        path = tmp_path / "d" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["plan"] = dict(manifest["plan"], n_blocks_typo=1)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(SerializationError, match="manifest.json"):
+            load_sharded_instance(tmp_path / "d")

@@ -12,6 +12,7 @@ from repro.stream.trace import (
     RaiseBudget,
     Trace,
     TraceError,
+    column_from_entries,
     entries_from_column,
 )
 
@@ -48,6 +49,18 @@ class TestOps:
     def test_zero_interest_value_rejected(self):
         with pytest.raises(ValueError, match=r"\(0, 1\]"):
             AnnounceRival(time=0.0, interval=0, interest=((1, 0.0),))
+
+    @pytest.mark.parametrize(
+        "interest", [((-1, 0.5),), ((1, 0.5), (1, 0.6)), ((1, 1.5),)]
+    )
+    def test_entry_failures_are_typed(self, interest):
+        with pytest.raises(TraceError):
+            ArriveCandidate(time=0.0, interest=interest)
+        assert issubclass(TraceError, ValueError)
+
+    def test_entry_past_the_users_is_typed(self):
+        with pytest.raises(TraceError, match="out of range for 3 users"):
+            column_from_entries(((3, 0.5),), 3)
 
     def test_entries_sorted_by_user(self):
         op = DriftInterest(time=0.0, event=0, interest=((5, 0.3), (1, 0.8)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.errors import InstanceValidationError
 from repro.utils.validation import (
     check_fraction,
     check_index,
@@ -59,6 +60,12 @@ class TestMatrixGuard:
     def test_nan_rejected_before_range(self):
         with pytest.raises(ValueError, match="NaN"):
             check_probability_matrix(np.array([[np.nan]]), "m")
+
+    @pytest.mark.parametrize("value", [np.nan, 2.0, -0.5])
+    def test_failures_are_typed(self, value):
+        with pytest.raises(InstanceValidationError, match="m "):
+            check_probability_matrix(np.array([[value]]), "m")
+        assert issubclass(InstanceValidationError, ValueError)
 
     def test_empty_matrix_passes(self):
         check_probability_matrix(np.zeros((0, 3)), "m")
