@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from repro.algorithms.base import ScheduleResult, Scheduler, SolverStats
+from repro.algorithms.base import NO_DEADLINE, Deadline, Scheduler, SolverStats
 from repro.algorithms.random_schedule import RandomScheduler
 from repro.algorithms.registry import register_solver
 from repro.core.engine import EngineSpec, ScoreEngine
@@ -77,11 +77,14 @@ class AnnealingScheduler(Scheduler):
         *,
         plane=None,  # SA scores only relative moves; the base matrix is moot
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> None:
         seed_schedule = self._seed_schedule
         if seed_schedule is None:
             seeder = RandomScheduler(self._engine_spec, seed=self._rng)
-            seed_schedule = seeder.solve(instance, k, locks=locks).schedule
+            seed_schedule = seeder.solve(
+                instance, k, locks=locks, deadline=deadline
+            ).schedule
         elif locks is not None:
             # a caller-supplied seed must already honor the locks —
             # the walk preserves them but cannot repair a bad seed
@@ -96,6 +99,7 @@ class AnnealingScheduler(Scheduler):
         temperature = self._initial_temperature
 
         for _ in range(self._steps):
+            deadline.check()
             delta = self._propose_and_maybe_apply(
                 instance, engine, checker, temperature, stats, locks
             )

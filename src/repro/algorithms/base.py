@@ -6,10 +6,15 @@ its exact total utility, wall-clock time and per-solver counters.  Solvers
 never raise when fewer than ``k`` valid assignments exist (a tiny instance
 can simply run out of feasible slots) unless ``strict=True`` — mirroring the
 paper's GRD, which terminates when its assignment list empties.
+
+A solve may carry a :class:`Deadline`: every one-shot solver checks it
+once per main-loop step and raises :class:`DeadlineExceeded` when it
+has passed.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
@@ -18,6 +23,7 @@ import numpy as np
 
 from repro.core.engine import EngineSpec, ScoreEngine
 from repro.core.errors import (
+    DeadlineExceeded,
     InfeasibleAssignmentError,
     LockError,
     ScheduleSizeError,
@@ -28,7 +34,54 @@ from repro.core.schedule import Schedule
 from repro.core.scoreplane import ScorePlane
 from repro.interactive.locks import LockSet
 
-__all__ = ["SolverStats", "ScheduleResult", "Scheduler"]
+__all__ = [
+    "Deadline",
+    "NO_DEADLINE",
+    "SolverStats",
+    "ScheduleResult",
+    "Scheduler",
+]
+
+
+@dataclass(frozen=True, slots=True)
+class Deadline:
+    """A monotonic-clock expiry that a solve checks once per main-loop step.
+
+    ``expires_at`` is a :func:`time.monotonic` reading: ``-inf`` has
+    always passed and ``inf`` never passes (:data:`NO_DEADLINE`).  Every
+    one-shot solver calls :meth:`check` at the top of each main-loop
+    step — a pick, pop, search node, Metropolis step, beam depth or RCL
+    pick — so an expired solve stops within one step.  The check only
+    reads the clock, so a solve under a deadline that never passes is
+    bit-identical to one without.
+    """
+
+    expires_at: float
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.expires_at):
+            raise ValueError("a deadline cannot expire at NaN")
+
+    @classmethod
+    def after(cls, seconds: float) -> "Deadline":
+        """The deadline ``seconds`` from now (``inf``: never)."""
+        return cls(time.monotonic() + seconds)
+
+    def remaining(self) -> float:
+        """Seconds left: negative once passed, ``inf`` for no deadline."""
+        return self.expires_at - time.monotonic()
+
+    def expired(self) -> bool:
+        return time.monotonic() >= self.expires_at
+
+    def check(self) -> None:
+        """Raise :class:`DeadlineExceeded` if the deadline has passed."""
+        if self.expired():
+            raise DeadlineExceeded("the solve's deadline has passed")
+
+
+#: The deadline of a solve that names none: it never passes.
+NO_DEADLINE = Deadline(math.inf)
 
 
 @dataclass(slots=True)
@@ -127,6 +180,7 @@ class Scheduler(ABC):
         engine: ScoreEngine | None = None,
         plane: ScorePlane | None = None,
         locks: "LockSet | None" = None,
+        deadline: Deadline | None = None,
     ) -> ScheduleResult:
         """Run the solver and return a validated, timed result.
 
@@ -152,6 +206,11 @@ class Scheduler(ABC):
         unlocked solve; the base class re-checks the final schedule
         against the locks, so no solver can silently drop a pin or leak
         a forbidden pair.
+
+        ``deadline`` bounds the solve's main loop: the solver raises
+        :class:`DeadlineExceeded` at the first step that finds it
+        passed.  ``None`` never expires, and a deadline that does not
+        pass leaves the result bit-identical.
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
@@ -183,7 +242,10 @@ class Scheduler(ABC):
         stats = SolverStats()
 
         started = time.perf_counter()
-        self._solve(instance, k, engine, checker, stats, plane=plane, locks=locks)
+        self._solve(
+            instance, k, engine, checker, stats, plane=plane, locks=locks,
+            deadline=NO_DEADLINE if deadline is None else deadline,
+        )
         elapsed = time.perf_counter() - started
 
         schedule = engine.schedule
@@ -224,6 +286,7 @@ class Scheduler(ABC):
         *,
         plane: ScorePlane | None = None,
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> None:
         """Populate ``engine.schedule`` with up to ``k`` valid assignments.
 
@@ -232,7 +295,9 @@ class Scheduler(ABC):
         scores simply ignore it.  ``locks``, when given, is a validated,
         non-empty :class:`LockSet` whose pin count fits in ``k`` — the
         solver must commit every pin and never select a forbidden cell
-        (the base class re-checks both).
+        (the base class re-checks both).  ``deadline.check()`` runs at
+        the top of every main-loop step (CONTRIBUTING: the registry's
+        deadline conformance test fails a solver that never checks).
         """
 
     @staticmethod

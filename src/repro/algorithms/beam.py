@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Scheduler, SolverStats
+from repro.algorithms.base import NO_DEADLINE, Deadline, Scheduler, SolverStats
 from repro.algorithms.registry import register_solver
 from repro.core.engine import EngineSpec, ScoreEngine
 from repro.core.feasibility import FeasibilityChecker
@@ -71,6 +71,7 @@ class BeamSearchScheduler(Scheduler):
         *,
         plane: "ScorePlane | None" = None,
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> None:
         # The root expansion scores every (event, interval) pair against
         # the empty schedule — exactly the base matrix, read warm from
@@ -100,6 +101,7 @@ class BeamSearchScheduler(Scheduler):
         )
 
         for __ in range(k - len(root_mapping)):
+            deadline.check()
             children: dict[frozenset, tuple[float, dict[int, int]]] = {}
             for utility, mapping in frontier:
                 expansions = self._expand(

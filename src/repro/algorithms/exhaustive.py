@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Scheduler, SolverStats
+from repro.algorithms.base import NO_DEADLINE, Deadline, Scheduler, SolverStats
 from repro.algorithms.registry import register_solver
 from repro.core.engine import EngineSpec, ScoreEngine
 from repro.core.errors import SESError
@@ -69,6 +69,7 @@ class ExhaustiveScheduler(Scheduler):
         *,
         plane=None,
         locks=None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> None:
         # Optimistic per-event ceiling: the best score over empty intervals.
         # Adding events only shrinks scores (concavity of M/(K+M)), so the
@@ -107,6 +108,7 @@ class ExhaustiveScheduler(Scheduler):
         best = _Incumbent()
 
         def recurse(position: int, placed: int, utility: float) -> None:
+            deadline.check()
             stats.nodes_explored += 1
             if stats.nodes_explored > self._max_nodes:
                 raise SearchBudgetExceeded(

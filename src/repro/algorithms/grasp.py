@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Scheduler, SolverStats
+from repro.algorithms.base import NO_DEADLINE, Deadline, Scheduler, SolverStats
 from repro.algorithms.local_search import LocalSearchRefiner
 from repro.algorithms.registry import register_solver
 from repro.core.engine import EngineSpec, ScoreEngine
@@ -76,6 +76,7 @@ class GraspScheduler(Scheduler):
         *,
         plane: "ScorePlane | None" = None,
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> None:
         # Every restart's first RCL round scores the same empty-schedule
         # state, so the base matrix is computed once (or read warm from
@@ -88,7 +89,7 @@ class GraspScheduler(Scheduler):
         for _ in range(self._restarts):
             work_engine.reset()
             mapping, utility = self._one_construction(
-                instance, k, stats, base, work_engine, locks
+                instance, k, stats, base, work_engine, locks, deadline
             )
             if self._polish and mapping:
                 mapping, utility = self._polish_mapping(
@@ -111,6 +112,7 @@ class GraspScheduler(Scheduler):
         base: np.ndarray,
         engine: ScoreEngine,
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> tuple[dict[int, int], float]:
         """One randomized-greedy pass: RCL sampling until k or stuck."""
         checker = FeasibilityChecker(instance)
@@ -122,6 +124,7 @@ class GraspScheduler(Scheduler):
         if locks is not None:
             self._apply_pins(locks, engine, checker)
         while len(engine.schedule) < k:
+            deadline.check()
             candidates: list[tuple[float, int, int]] = []
             best_score = 0.0
             for interval in range(instance.n_intervals):

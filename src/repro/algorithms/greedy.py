@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Scheduler, SolverStats
+from repro.algorithms.base import NO_DEADLINE, Deadline, Scheduler, SolverStats
 from repro.algorithms.registry import register_solver
 from repro.core.engine import ScoreEngine
 from repro.core.feasibility import FeasibilityChecker
@@ -66,6 +66,7 @@ class GreedyScheduler(Scheduler):
         *,
         plane: ScorePlane | None = None,
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> None:
         scores = self._base_scores(engine, stats, plane, locks)
         if locks is not None:
@@ -81,6 +82,7 @@ class GreedyScheduler(Scheduler):
                 )
 
         while len(engine.schedule) < k:
+            deadline.check()
             flat = int(np.argmax(scores))
             interval, event = divmod(flat, instance.n_events)
             if not np.isfinite(scores[interval, event]):

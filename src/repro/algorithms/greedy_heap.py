@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from repro.algorithms.base import Scheduler, SolverStats
+from repro.algorithms.base import NO_DEADLINE, Deadline, Scheduler, SolverStats
 from repro.algorithms.registry import register_solver
 from repro.core.engine import ScoreEngine
 from repro.core.feasibility import FeasibilityChecker
@@ -67,6 +67,7 @@ class LazyGreedyScheduler(Scheduler):
         *,
         plane: ScorePlane | None = None,
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> None:
         # heap rows: (-score, interval, event, version) — the (interval,
         # event) suffix IS GRD's flat-index tie-break, and at most one
@@ -94,6 +95,7 @@ class LazyGreedyScheduler(Scheduler):
         heapq.heapify(heap)
 
         while len(engine.schedule) < k and heap:
+            deadline.check()
             negative_score, interval, event, version = heapq.heappop(heap)
             stats.pops += 1
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Scheduler, SolverStats
+from repro.algorithms.base import NO_DEADLINE, Deadline, Scheduler, SolverStats
 from repro.algorithms.registry import register_solver
 from repro.core.engine import EngineSpec, ScoreEngine
 from repro.core.feasibility import FeasibilityChecker
@@ -53,6 +53,7 @@ class RandomScheduler(Scheduler):
         *,
         plane=None,  # RAND never scores, so a warm plane has nothing to offer
         locks=None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> None:
         if locks is not None:
             self._apply_pins(locks, engine, checker, stats)
@@ -63,6 +64,7 @@ class RandomScheduler(Scheduler):
         for flat_index in order:
             if len(engine.schedule) >= k:
                 break
+            deadline.check()
             event, interval = divmod(int(flat_index), instance.n_intervals)
             stats.pops += 1
             assignment = Assignment(event=event, interval=interval)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import Scheduler, SolverStats
+from repro.algorithms.base import NO_DEADLINE, Deadline, Scheduler, SolverStats
 from repro.algorithms.registry import register_solver
 from repro.core.engine import ScoreEngine
 from repro.core.feasibility import FeasibilityChecker
@@ -43,6 +43,7 @@ class TopKScheduler(Scheduler):
         *,
         plane: ScorePlane | None = None,
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> None:
         # TOP is *entirely* initial scores, so a warm plane turns the
         # whole scoring phase into a cache read
@@ -56,6 +57,7 @@ class TopKScheduler(Scheduler):
         for flat in order:
             if len(engine.schedule) >= k:
                 break
+            deadline.check()
             interval, event = divmod(int(flat), instance.n_events)
             if not np.isfinite(matrix[interval, event]):
                 break  # only masked lock cells remain in the ranking

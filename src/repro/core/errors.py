@@ -13,6 +13,7 @@ __all__ = [
     "UnknownEntityError",
     "InstanceValidationError",
     "ScheduleSizeError",
+    "DeadlineExceeded",
     "TraceError",
     "LockError",
     "SerializationError",
@@ -55,6 +56,16 @@ class UnknownEntityError(SESError):
 
 class ScheduleSizeError(SESError):
     """A solver could not produce a feasible schedule of the requested size."""
+
+
+class DeadlineExceeded(SESError):
+    """A solve's :class:`~repro.algorithms.base.Deadline` expired mid-run.
+
+    Raised by a one-shot solver at the first main-loop step that finds
+    its deadline passed; the partial schedule is discarded.
+    :class:`~repro.serve.ServingSession` answers such a request with its
+    GRD floor, stamped ``degraded``.
+    """
 
 
 class LockError(SESError):

@@ -81,6 +81,15 @@ def _frame(payload: dict[str, Any]) -> bytes:
     return b"%d:%08x:%s\n" % (len(body), crc, body)
 
 
+def _check_fsync(fsync: str, fsync_every: int) -> None:
+    if fsync not in FSYNC_POLICIES:
+        raise ValueError(
+            f"unknown fsync policy {fsync!r}; choose from {FSYNC_POLICIES}"
+        )
+    if fsync_every < 1:
+        raise ValueError(f"fsync_every must be positive, got {fsync_every}")
+
+
 def _parse_frame(line: bytes) -> dict[str, Any] | None:
     """Decode one framed line; ``None`` when the frame is invalid/torn."""
     head, sep, rest = line.partition(b":")
@@ -198,12 +207,6 @@ class DeltaJournal:
         _metadata: dict[str, Any] | None = None,
         _offset: int = 0,
     ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(
-                f"unknown fsync policy {fsync!r}; choose from {FSYNC_POLICIES}"
-            )
-        if fsync_every < 1:
-            raise ValueError(f"fsync_every must be positive, got {fsync_every}")
         if _handle is None:
             raise TypeError(
                 "construct journals through DeltaJournal.create() or "
@@ -231,19 +234,29 @@ class DeltaJournal:
 
         The header is fsynced, and so is the directory entry of the new
         file, so a journal that ``create`` returned survives a power cut.
+        A bad policy or a header JSON cannot encode fails before the
+        file is made, and any later failure removes it, so the directory
+        takes a fresh ``create`` afterwards.
         """
         path = Path(path)
         cls.refuse_existing(path)
+        _check_fsync(fsync, fsync_every)
         header = {"format": JOURNAL_FORMAT}
         header.update(metadata or {})
-        handle = open(path, "ab")
-        journal = cls(
-            path, fsync=fsync, fsync_every=fsync_every,
-            _handle=handle, _metadata=header, _offset=0,
-        )
-        handle.write(_frame(header))
-        journal.sync()
-        _fsync_directory(path.parent)
+        frame = _frame(header)
+        handle = open(path, "xb")  # "x": the file unlinked below is ours
+        try:
+            journal = cls(
+                path, fsync=fsync, fsync_every=fsync_every,
+                _handle=handle, _metadata=header, _offset=0,
+            )
+            handle.write(frame)
+            journal.sync()
+            _fsync_directory(path.parent)
+        except BaseException:
+            handle.close()
+            path.unlink(missing_ok=True)
+            raise
         return journal
 
     @staticmethod
@@ -271,6 +284,7 @@ class DeltaJournal:
         them without reading the file twice.
         """
         path = Path(path)
+        _check_fsync(fsync, fsync_every)
         scan = cls.scan(path)
         if scan.truncated_bytes:
             with open(path, "r+b") as repair:

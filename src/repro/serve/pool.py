@@ -45,6 +45,7 @@ serving tests can assert fills crossed the shard boundary exactly once.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections.abc import Callable
@@ -59,7 +60,16 @@ from repro.core.scoreplane import ScorePlane
 if TYPE_CHECKING:
     from repro.resilience.faults import FaultInjector, FaultPlan
 
-__all__ = ["PlanePool", "PoolStats", "Replica"]
+__all__ = ["PlanePool", "PoolStats", "Replica", "check_bound"]
+
+
+def check_bound(name: str, value: float | None) -> None:
+    """Reject a NaN or negative time bound with an error naming it.
+
+    ``None`` and ``inf`` both mean "no bound".
+    """
+    if value is not None and (math.isnan(value) or value < 0):
+        raise ValueError(f"{name} must be >= 0 (inf for no bound), got {value}")
 
 
 @dataclass(frozen=True)
@@ -336,10 +346,12 @@ class PlanePool:
         served from the spec's last-good stash instead
         (``keep_stale_replica=True``), stamped with its
         :attr:`Replica.staleness`; with no stash available the call
-        falls back to waiting.
+        falls back to waiting.  ``None`` or ``inf`` waits without bound;
+        NaN or a negative value raises :class:`ValueError`.
         """
+        check_bound("max_wait_s", max_wait_s)
         resolved = EngineSpec.coerce(spec)
-        if max_wait_s is None:
+        if max_wait_s is None or math.isinf(max_wait_s):
             self._lock.acquire()
         elif not self._lock.acquire(timeout=max_wait_s):
             return self._acquire_stale(resolved)

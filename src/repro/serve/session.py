@@ -30,24 +30,27 @@ reads: a client can tell exactly which version of the instance answered.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
+from repro.algorithms.base import Deadline, ScheduleResult, Scheduler
 from repro.algorithms.registry import SolverRegistry
 from repro.api.requests import SolveRequest, SolveResponse
 from repro.api.session import ScheduleSession
 from repro.core.engine import EngineSpec
 from repro.core.entities import CandidateEvent, CompetingEvent
+from repro.core.errors import DeadlineExceeded
 from repro.core.instance import SESInstance
 from repro.core.live import LiveDelta, LiveInstance
 from repro.core.schedule import Schedule
 from repro.interactive.gaps import GapReport, build_gap_report
 from repro.interactive.locks import LockSet
 from repro.interactive.versions import ScheduleVersion, VersionDiff, VersionStore
-from repro.serve.pool import PlanePool, PoolStats
+from repro.serve.pool import PlanePool, PoolStats, check_bound
 
 if TYPE_CHECKING:
     from repro.resilience.base import Restore, Snapshot
@@ -111,9 +114,10 @@ class ServedResponse:
     so callers can stay agnostic of which session type served them.
 
     ``degraded`` marks a best-effort answer: either a ``deadline_ms``
-    budget expired before the requested solver finished (the response
-    carries the warm greedy baseline instead), or the pool writer was
-    stalled and the solve ran on the last good generation —
+    budget passed before the requested solver finished (the response
+    carries the warm GRD floor instead; for a ``grd`` request, the floor
+    it is answered with finished after the deadline), or the pool
+    writer was stalled and the solve ran on the last good generation —
     ``staleness`` then counts the writes begun since that generation.
     """
 
@@ -284,20 +288,26 @@ class ServingSession:
         like :meth:`ScheduleSession.solve`.  The solver is constructed
         fresh per request (stochastic state never leaks between
         clients); the initial score sweep is read warm from the forked
-        replica plane.
+        replica plane.  The solve runs in the caller's thread.
 
-        ``deadline_ms`` makes the response *deadline-aware*: a cheap
-        warm greedy baseline is computed first (the best-so-far answer),
-        then the requested solver runs in a worker thread with the
-        remaining budget.  If it beats the deadline, its result is
-        returned; otherwise the baseline comes back stamped
-        ``degraded=True``.  ``deadline_ms=0`` deterministically degrades.
+        ``deadline_ms`` makes the response *deadline-aware*.  The
+        replica first computes the warm GRD floor, with no deadline: it
+        is the answer to a ``grd`` request, stamped ``degraded=True``
+        only if the deadline passed meanwhile.  Any other solver then
+        runs on the same replica under a :class:`Deadline` that it
+        checks once per main-loop step; if it returns in time, its
+        result is returned, and otherwise the floor comes back stamped
+        ``degraded=True``.  ``deadline_ms=0`` deterministically
+        degrades, and ``inf`` never does.  Errors other than
+        :class:`DeadlineExceeded` reach the caller.
 
         ``max_wait_s`` bounds how long the lease may wait on a stalled
         writer; on timeout the solve runs against the last good
         generation and the response carries ``staleness``
         (see :meth:`PlanePool.acquire`).  A deadline implies a lease
-        bound of the remaining budget.
+        bound of the remaining budget.  Both reject NaN and negative
+        values, and take ``inf`` as no bound.  The request is validated
+        before any lease is taken.
         """
         if request is None:
             request = SolveRequest(**query)
@@ -305,114 +315,69 @@ class ServingSession:
             raise TypeError(
                 "pass either a SolveRequest or keyword fields, not both"
             )
-        if deadline_ms is None:
-            response = self._solve_once(
-                request, self._session.solver_for(request),
-                max_wait_s=max_wait_s,
-            )
-        else:
-            if deadline_ms < 0:
-                raise ValueError(
-                    f"deadline_ms must be >= 0, got {deadline_ms}"
-                )
-            response = self._solve_deadline(request, deadline_ms, max_wait_s)
+        check_bound("deadline_ms", deadline_ms)
+        check_bound("max_wait_s", max_wait_s)
+        solver = self._session.solver_for(request)
+        deadline = (
+            None if deadline_ms is None else Deadline.after(deadline_ms / 1e3)
+        )
+        response = self._solve_leased(request, solver, max_wait_s, deadline)
         self._count_served()
         return response
 
-    def _solve_once(
+    def _solve_leased(
         self,
         request: SolveRequest,
-        solver: Any,
-        *,
-        max_wait_s: float | None = None,
-        degraded: bool = False,
+        solver: Scheduler,
+        max_wait_s: float | None,
+        deadline: Deadline | None,
     ) -> ServedResponse:
+        """Run ``request`` on one lease; with ``deadline``, floor first."""
         spec = (
             EngineSpec.coerce(request.engine)
             if request.engine is not None
             else self._session.default_engine
         )
+        floor_solver = solver
+        if deadline is not None:
+            bound = max(0.001, deadline.remaining())
+            max_wait_s = bound if max_wait_s is None else min(bound, max_wait_s)
+            if request.solver != "grd":
+                floor_solver = self._session.registry.create("grd", engine=spec)
         with self._pool.lease(spec, max_wait_s=max_wait_s) as replica:
-            result = solver.solve(
-                replica.frozen, request.k, plane=replica.plane,
-                locks=request.locks,
-            )
-            version = replica.generation
-            pool_hit = replica.pool_hit
-            staleness = replica.staleness
-        return ServedResponse(
-            response=SolveResponse(
-                request=request,
-                result=result,
-                engine=spec,
-                reused_engine=pool_hit,
-            ),
-            version=version,
-            pool_hit=pool_hit,
-            degraded=degraded or staleness > 0,
-            staleness=staleness,
-        )
 
-    def _solve_deadline(
-        self,
-        request: SolveRequest,
-        deadline_ms: float,
-        max_wait_s: float | None,
-    ) -> ServedResponse:
-        import time as _time
-
-        deadline_s = deadline_ms / 1e3
-        started = _time.perf_counter()
-
-        def remaining() -> float:
-            return deadline_s - (_time.perf_counter() - started)
-
-        def lease_bound() -> float:
-            bound = max(0.001, remaining())
-            return bound if max_wait_s is None else min(bound, max_wait_s)
-
-        # best-so-far first: a warm greedy pass is the floor every
-        # degraded response stands on
-        baseline_solver = self._session.registry.create(
-            "grd",
-            engine=(
-                EngineSpec.coerce(request.engine)
-                if request.engine is not None
-                else self._session.default_engine
-            ),
-        )
-        baseline = self._solve_once(
-            request, baseline_solver, max_wait_s=lease_bound(), degraded=True
-        )
-        budget = remaining()
-        if budget <= 0:
-            return baseline
-
-        # the requested solver gets the remaining budget on its OWN
-        # lease (released by the worker itself, so a timed-out solve
-        # finishing late in the background stays safe)
-        box: dict[str, Any] = {}
-
-        def work() -> None:
-            try:
-                box["response"] = self._solve_once(
-                    request,
-                    self._session.solver_for(request),
-                    max_wait_s=lease_bound(),
+            def run(
+                scheduler: Scheduler, until: Deadline | None = None
+            ) -> ScheduleResult:
+                return scheduler.solve(
+                    replica.frozen, request.k, plane=replica.plane,
+                    locks=request.locks, deadline=until,
                 )
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                box["error"] = error
 
-        worker = threading.Thread(
-            target=work, name="ses-deadline-solve", daemon=True
-        )
-        worker.start()
-        worker.join(timeout=budget)
-        if "response" in box:
-            return box["response"]
-        if "error" in box:
-            raise box["error"]
-        return baseline
+            # without a deadline this is the requested solve itself
+            result = run(floor_solver)
+            degraded = False
+            if deadline is not None:
+                answer = result if floor_solver is solver else None
+                if answer is None and not deadline.expired():
+                    with contextlib.suppress(DeadlineExceeded):
+                        answer = run(solver, deadline)
+                # a result that arrives late never replaces the floor
+                degraded = answer is None or deadline.expired()
+                if not degraded:
+                    result = answer
+            return ServedResponse(
+                response=SolveResponse(
+                    request=request,
+                    result=result,
+                    engine=spec,
+                    reused_engine=replica.pool_hit,
+                ),
+                version=replica.generation,
+                pool_hit=replica.pool_hit,
+                degraded=degraded or replica.staleness > 0,
+                staleness=replica.staleness,
+            )
 
     def gap_report(
         self,

@@ -251,3 +251,4 @@ class TestRecoveredServingInstance:
         assert_same_instance(
             recovered.version_instance(), reference.version_instance()
         )
+        recovered.close()

@@ -71,6 +71,39 @@ class TestLifecycle:
             DeltaJournal.create(tmp_path / "wal.jsonl", fsync="sometimes")
         assert FSYNC_POLICIES == ("always", "interval", "never")
 
+    @pytest.mark.parametrize(
+        "metadata, options, error",
+        [
+            (None, {"fsync": "sometimes"}, ValueError),
+            (None, {"fsync_every": 0}, ValueError),
+            ({"kind": object()}, {}, TypeError),
+        ],
+        ids=["fsync", "fsync_every", "header"],
+    )
+    def test_failed_create_leaves_no_file(
+        self, tmp_path, metadata, options, error
+    ):
+        path = tmp_path / "wal.jsonl"
+        with pytest.raises(error):
+            DeltaJournal.create(path, metadata, **options)
+        assert not path.exists()
+        DeltaJournal.create(path, {"kind": "test"}).close()
+        assert DeltaJournal.scan(path).metadata["kind"] == "test"
+
+    def test_failure_after_open_removes_the_file(self, tmp_path, monkeypatch):
+        from repro.resilience import journal as journal_module
+
+        def unwritable(directory):
+            raise OSError("directory fsync failed")
+
+        monkeypatch.setattr(journal_module, "_fsync_directory", unwritable)
+        path = tmp_path / "wal.jsonl"
+        with pytest.raises(OSError, match="directory fsync"):
+            DeltaJournal.create(path)
+        assert not path.exists()
+        monkeypatch.undo()
+        DeltaJournal.create(path).close()
+
     def test_append_and_scan(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         journal = DeltaJournal.create(path, {"kind": "test", "n": 7})
@@ -137,7 +170,8 @@ class TestTornTail:
         journal.append({"index": 0})
         journal.abandon()
         assert journal.closed
-        _, scan = DeltaJournal.open(path)
+        reopened, scan = DeltaJournal.open(path)
+        reopened.close()
         assert scan.offset == 1
 
     def test_midfile_corruption_raises(self, tmp_path):

@@ -119,6 +119,7 @@ class TestRecoveredSessionShape:
         assert recovered.checkpoint_offset % 4 == 0
         # utility at the recovery point matches the checkpoint+tail replay
         assert recovered.utility() == recovered.policy.utility()
+        recovered.writer.abandon()
 
     def test_recover_accepts_path_string(self, tmp_path):
         durability = Durability(tmp_path / "ses")
@@ -130,6 +131,7 @@ class TestRecoveredSessionShape:
         ).run(golden_trace("dense_b"), stop_after=3)
         recovered = recover(str(tmp_path / "ses"))
         assert recovered.offset <= 3
+        recovered.writer.abandon()
 
     def test_resume_rejects_divergent_trace(self, tmp_path):
         durability = Durability(tmp_path / "ses")
@@ -144,6 +146,7 @@ class TestRecoveredSessionShape:
             pytest.skip("no surviving prefix to diverge from")
         with pytest.raises(RecoveryError):
             recovered.resume(golden_trace("dense_b"))
+        recovered.writer.abandon()
 
     def test_resume_is_single_shot(self, tmp_path):
         durability = Durability(tmp_path / "ses")

@@ -8,14 +8,22 @@ uninterrupted session.
 
 from __future__ import annotations
 
+import math
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.core.errors import RecoveryError
+from repro.algorithms import (
+    GreedyScheduler,
+    Scheduler,
+    SearchBudgetExceeded,
+    SolverRegistry,
+)
+from repro.core.errors import RecoveryError, ScheduleSizeError
 from repro.resilience import Durability, FaultPlan
-from repro.serve import ServingSession
+from repro.serve import PlanePool, ServingSession
 
 from tests.conftest import make_random_instance
 from tests.resilience.conftest import mutate_serving
@@ -23,6 +31,38 @@ from tests.resilience.conftest import mutate_serving
 
 def _session(**kwargs) -> ServingSession:
     return ServingSession(make_random_instance(seed=42), **kwargs)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Live counts of pool leases taken and returned and of solves run."""
+    counts = {"acquire": 0, "release": 0, "solve": 0}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(PlanePool, "acquire")
+    count(PlanePool, "release")
+    count(Scheduler, "solve")
+    return counts
+
+
+class _LateScheduler(Scheduler):
+    """Never checks its deadline and returns an empty schedule only once
+    the deadline has passed: a result that always arrives late."""
+
+    name = "LATE"
+
+    def _solve(self, instance, k, engine, checker, stats, *, plane=None,
+               locks=None, deadline=None):
+        while not deadline.expired():
+            time.sleep(0.001)
 
 
 class TestDeadlineServing:
@@ -47,6 +87,105 @@ class TestDeadlineServing:
     def test_negative_deadline_rejected(self):
         with pytest.raises(ValueError, match="deadline_ms"):
             _session().solve(k=4, deadline_ms=-1)
+
+
+class TestDeadlineBounds:
+    """``deadline_ms`` and ``max_wait_s`` fail at the boundary, before any
+    lease: NaN and negative values raise a ValueError naming the
+    parameter, and ``inf`` is no bound."""
+
+    @pytest.mark.parametrize("name", ["deadline_ms", "max_wait_s"])
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -0.5])
+    def test_nan_and_negative_rejected_before_any_lease(
+        self, counted, name, bad
+    ):
+        with pytest.raises(ValueError, match=name):
+            _session().solve(k=4, **{name: bad})
+        assert counted == {"acquire": 0, "release": 0, "solve": 0}
+
+    @pytest.mark.parametrize("name", ["deadline_ms", "max_wait_s"])
+    def test_inf_is_no_bound(self, name):
+        session = _session()
+        response = session.solve(k=4, **{name: math.inf})
+        assert not response.degraded
+        assert response.utility == session.solve(k=4).utility
+
+
+class TestDeadlineCost:
+    """A deadline request is one lease in the caller's thread: the GRD
+    floor, then at most one requested solve cut short by the deadline."""
+
+    def test_expired_requests_leave_nothing_running(self, counted):
+        session = _session()
+        floor = session.solve(k=4).utility
+        counted.update(acquire=0, release=0)
+        threads = threading.active_count()
+        for _ in range(5):
+            response = session.solve(
+                k=4, solver="sa", seed=1, params={"steps": 10**6},
+                deadline_ms=50,
+            )
+            assert response.degraded
+            assert response.utility == floor
+        assert threading.active_count() == threads
+        assert counted["acquire"] == counted["release"] == 5
+
+    def test_grd_with_far_deadline_is_one_lease_one_solve(self, counted):
+        response = _session().solve(k=4, deadline_ms=60_000)
+        assert not response.degraded
+        assert counted == {"acquire": 1, "release": 1, "solve": 1}
+        assert response.utility == _session().solve(k=4).utility
+
+    def test_other_solver_answers_when_in_time(self, counted):
+        response = _session().solve(k=4, solver="top", deadline_ms=60_000)
+        assert not response.degraded
+        assert response.result.solver == "TOP"
+        # the floor and the requested solve share one lease
+        assert counted == {"acquire": 1, "release": 1, "solve": 2}
+        assert response.utility == _session().solve(k=4, solver="top").utility
+
+    @pytest.mark.parametrize(
+        "solver, message", [("ls", "one-shot"), ("nope", "unknown solver")]
+    )
+    def test_non_one_shot_solver_fails_before_any_lease(
+        self, counted, solver, message
+    ):
+        with pytest.raises(ValueError, match=message):
+            _session().solve(k=4, solver=solver, deadline_ms=60_000)
+        assert counted == {"acquire": 0, "release": 0, "solve": 0}
+
+
+class TestDeadlineOutcomes:
+    def test_late_result_never_replaces_the_floor(self):
+        registry = SolverRegistry()
+        registry.register(GreedyScheduler, name="grd")
+        registry.register(_LateScheduler, name="late")
+        session = ServingSession(
+            make_random_instance(seed=42), registry=registry
+        )
+        response = session.solve(k=4, solver="late", deadline_ms=20)
+        assert response.degraded
+        assert response.result.solver == "GRD"
+        assert response.utility == session.solve(k=4).utility
+
+    def test_search_budget_error_reaches_the_caller(self):
+        with pytest.raises(SearchBudgetExceeded):
+            _session().solve(
+                k=4, solver="exact", params={"max_nodes": 1},
+                deadline_ms=60_000,
+            )
+
+    @pytest.mark.parametrize("solver", ["grd", "top"])
+    def test_strict_size_error_reaches_the_caller(self, solver):
+        # each event needs at least 2.5 of an interval's 4.5 resources,
+        # so 4 intervals cannot hold 6 events
+        session = ServingSession(
+            make_random_instance(seed=42, theta=4.5, xi_range=(2.5, 4.0))
+        )
+        with pytest.raises(ScheduleSizeError):
+            session.solve(
+                k=6, solver=solver, strict=True, deadline_ms=60_000
+            )
 
 
 class TestStalledWriterDegradedReads:
@@ -132,6 +271,7 @@ class TestDurableSession:
         assert response.utility == expected.utility
         assert response.schedule.as_mapping() == expected.schedule.as_mapping()
         assert response.version == expected.version
+        recovered.close()
 
     @pytest.mark.parametrize("kill_at", range(9))
     def test_kill_points_recover_and_converge(self, tmp_path, kill_at):
@@ -159,6 +299,7 @@ class TestDurableSession:
         recovered.close()
         again = ServingSession.recover(durability)
         assert again.version == 5
+        again.close()
 
     def test_close_then_recover(self, tmp_path):
         durability = Durability(tmp_path / "ses")
@@ -168,6 +309,7 @@ class TestDurableSession:
         session.close()
         recovered = ServingSession.recover(durability)
         assert recovered.solve(k=4).utility == before.utility
+        recovered.close()
 
     def test_recover_rejects_stream_journal(self, tmp_path):
         from repro.stream import StreamDriver

@@ -6,6 +6,8 @@ silently reuses) a stale replica — while replica forks stay O(cells)
 copies (``replica_cold_cells`` == 0 through arbitrary churn).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,24 @@ class TestGenerationInvalidation:
     def test_write_returns_the_delta(self, pool):
         delta = add_rival(pool)
         assert delta.competing == 4  # the fixture instance has 4 rivals
+
+
+class TestWaitBound:
+    """``max_wait_s`` fails at the boundary: NaN and negative values raise
+    a ValueError naming it before the lock is taken, ``inf`` is no bound."""
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -0.5, -math.inf])
+    def test_bad_wait_rejected(self, pool, bad):
+        with pytest.raises(ValueError, match="max_wait_s"):
+            pool.acquire("sparse", max_wait_s=bad)
+        assert pool.stats().forks == 0
+
+    def test_inf_waits_without_bound(self, pool):
+        replica = pool.acquire("sparse", max_wait_s=math.inf)
+        assert (replica.generation, replica.staleness) == (0, 0)
+        pool.release(replica)
+        with pool.lease("sparse", max_wait_s=math.inf) as again:
+            assert again is replica
 
 
 class TestBoundedReuse:
