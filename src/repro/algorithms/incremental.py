@@ -66,8 +66,8 @@ lists patched in place) whose :class:`~repro.core.live.LiveDelta` the
 score engine ingests via
 :meth:`~repro.core.engine.ScoreEngine.apply_delta`, updating its cached
 mass/score state instead of being rebuilt from a fresh instance.  Interest
-storage stays backend-preserving (a sparse CSC ``mu`` remains sparse
-through arrivals, cancellations and drift), and the engine object itself
+storage stays sparse through arrivals, cancellations and drift (one
+``(rows, values)`` entry pair per column), and the engine object itself
 survives the whole stream, so the configured
 :class:`~repro.core.engine.EngineSpec` trivially survives too.  Batch
 consumers (``periodic-rebuild`` re-solves, oracle regret queries,

@@ -24,6 +24,7 @@ __all__ = ["DtypeDisciplineRule"]
 
 #: Path suffixes of the modules computing Eq. 1-4 scores and masses.
 SCORE_PATH_MODULES = (
+    "core/attendance.py",
     "core/engine.py",
     "core/scoreplane.py",
     "core/interest.py",

@@ -64,10 +64,8 @@ class ScheduleSession:
         self._instance = instance
         self._default_spec = EngineSpec.coerce(default_engine)
         self._registry = registry if registry is not None else solver_registry
-        # keyed by the full (frozen, hashable) EngineSpec: the backend
-        # field does not change how an engine is *built* today, but two
-        # specs must never share an engine — a divergence in any future
-        # spec field would silently leak plane state across them
+        # keyed by the full (frozen, hashable) EngineSpec: two specs must
+        # never share an engine, or plane state would leak across them
         self._engines: dict[EngineSpec, ScoreEngine] = {}
         self._planes: dict[EngineSpec, ScorePlane] = {}
         self._engines_built = 0
@@ -95,18 +93,10 @@ class ScheduleSession:
     ) -> ScheduleSession:
         """Open a session over a generated workload.
 
-        ``config`` is an :class:`~repro.workloads.config.ExperimentConfig`;
-        when ``default_engine`` is given, the workload's ``mu`` storage is
-        rewritten to the spec's ``interest_backend`` — pass
-        ``EngineSpec(kind=..., backend=...)`` to pin a storage/engine
-        pairing explicitly (e.g. the sparse engine over dense storage).
+        ``config`` is an :class:`~repro.workloads.config.ExperimentConfig`.
         """
         from repro.workloads.generator import WorkloadGenerator
 
-        if default_engine is not None:
-            spec = EngineSpec.coerce(default_engine)
-            if config.interest_backend != spec.interest_backend:
-                config = config.with_backend(spec.interest_backend)
         return cls(
             WorkloadGenerator(root_seed=root_seed).build(config),
             default_engine=default_engine,

@@ -16,8 +16,10 @@ implementations:
 
 * :class:`ReferenceEngine` — delegates to the loop-based reference functions
   in :mod:`repro.core.attendance` / :mod:`~repro.core.objective` /
-  :mod:`~repro.core.scoring`.  O(|U| * |E_t|) per query.  The semantic
-  oracle: slow, obviously-correct, used to cross-check the sparse engine.
+  :mod:`~repro.core.scoring`, which gather each interest column they need
+  once per query and loop over users in Python: O(|U| * |E_t|) per query.
+  The semantic oracle: slow, obviously-correct, used to cross-check the
+  sparse engine.
 
 Sparse design notes
 -------------------
@@ -31,8 +33,8 @@ sparse engine exploits this:
 
 * a score query gathers only the nonzero ``(rows, values)`` of event
   ``r``'s column — O(nnz(r)) work and memory, independent of ``|U|``.
-  CSC storage (``InterestMatrix(backend="sparse")``, the default) serves
-  the gather directly; dense storage is gathered column by column;
+  The CSC storage of :class:`~repro.core.interest.InterestMatrix` serves
+  the gather directly;
 * the scheduled mass ``M_t`` and competing mass ``K_t`` are kept as sorted
   sparse vectors, gathered at a column's rows by binary search.  ``M_t``
   additionally counts nonzero-mu contributors per row so that removals
@@ -71,8 +73,8 @@ Per-cell results never depend on how many cells one query batches, so a
 cached cell (:class:`~repro.core.scoreplane.ScorePlane`) always equals a
 fresh query.  The two engines agree to 1e-9 on every query; the
 cross-engine property suite
-(``tests/properties/test_engine_equivalence.py``) draws both interest
-backends and random assign/unassign sequences to enforce it.
+(``tests/properties/test_engine_equivalence.py``) draws random instances
+and assign/unassign sequences to enforce it.
 
 Both engines mirror the schedule they evaluate: call :meth:`assign` /
 :meth:`unassign` as the solver commits moves.  0/0 is defined as 0
@@ -107,7 +109,6 @@ __all__ = [
     "SparseEngine",
     "EngineSpec",
     "ENGINE_KINDS",
-    "INTEREST_BACKENDS",
     "make_engine",
 ]
 
@@ -417,8 +418,13 @@ class ReferenceEngine(ScoreEngine):
         return attendance.expected_attendance(self._instance, self._schedule, event)
 
     def interval_utility(self, interval: int) -> float:
+        denominators = attendance.luce_denominators(
+            self._instance, self._schedule, interval
+        )
         return sum(
-            attendance.expected_attendance(self._instance, self._schedule, event)
+            attendance.interval_attendance(
+                self._instance, event, interval, denominators
+            )
             for event in self._schedule.events_at(interval)
         )
 
@@ -608,10 +614,9 @@ def _eq4_gain(
 class SparseEngine(ScoreEngine):
     """CSC-native engine: every query costs O(nnz of the touched columns).
 
-    Works with either interest backend (a dense backend is gathered
-    column-by-column), but is built for ``InterestMatrix(backend="sparse")``
-    where it never materializes a dense user-axis temporary — see the
-    module docstring's sparse design notes.
+    It gathers straight from the interest store's column entries and never
+    materializes a dense ``(users, events)`` temporary — see the module
+    docstring's sparse design notes.
     """
 
     #: Densify an interval's ``K_t`` gathers once its accumulated rival
@@ -1025,9 +1030,6 @@ _ENGINES = {
 #: all derive from this tuple (ordered: default first).
 ENGINE_KINDS: tuple[str, ...] = tuple(_ENGINES)
 
-#: Valid ``mu`` storage backends (see :class:`repro.core.interest.InterestMatrix`).
-INTEREST_BACKENDS: tuple[str, ...] = ("dense", "sparse")
-
 
 @dataclass(frozen=True, slots=True)
 class EngineSpec:
@@ -1041,12 +1043,7 @@ class EngineSpec:
     ----------
     kind:
         One of :data:`ENGINE_KINDS` — ``"sparse"`` (default) or
-        ``"reference"``.
-    backend:
-        Optional ``mu`` storage hint for *generated* workloads (``"dense"``
-        or ``"sparse"``); ``None`` lets :attr:`interest_backend` pick the
-        natural pairing (sparse storage for the sparse engine, dense for
-        the reference oracle, which reads ``mu`` one element at a time).
+        ``"reference"``.  Both read the same CSC interest storage.
     shards:
         ``None`` (default) builds the flat engine.  An integer ``P >= 1``
         builds a :class:`repro.shard.engine.ShardedEngine` that partitions
@@ -1064,7 +1061,6 @@ class EngineSpec:
     """
 
     kind: str = "sparse"
-    backend: str | None = None
     shards: int | None = None
     workers: int | None = None
     block_users: int | None = None
@@ -1073,11 +1069,6 @@ class EngineSpec:
         if self.kind not in _ENGINES:
             raise ValueError(
                 f"unknown engine kind {self.kind!r}; choose from {sorted(_ENGINES)}"
-            )
-        if self.backend is not None and self.backend not in INTEREST_BACKENDS:
-            raise ValueError(
-                f"unknown interest backend {self.backend!r}; "
-                f"choose from {INTEREST_BACKENDS}"
             )
         if self.shards is None:
             if self.workers is not None or self.block_users is not None:
@@ -1112,13 +1103,6 @@ class EngineSpec:
         raise TypeError(
             f"expected EngineSpec, engine-kind string or None, got {value!r}"
         )
-
-    @property
-    def interest_backend(self) -> str:
-        """The ``mu`` storage this spec implies for generated workloads."""
-        if self.backend is not None:
-            return self.backend
-        return "sparse" if self.kind == "sparse" else "dense"
 
     def build(self, instance: SESInstance) -> ScoreEngine:
         """Construct the described engine for ``instance``."""

@@ -1,20 +1,17 @@
 """The interest function ``mu : U x (E u C) -> [0, 1]`` (paper Section II).
 
 The paper models a user's affinity for both candidate and competing events
-with one function ``mu``.  We store it as two matrices — ``candidate`` of
-shape ``(n_users, n_events)`` and ``competing`` of shape
-``(n_users, n_competing)`` — behind one of two interchangeable *backends*:
+with one function ``mu``.  We store it as two scipy CSC matrices —
+``candidate`` of shape ``(n_users, n_events)`` and ``competing`` of shape
+``(n_users, n_competing)`` — holding only the nonzero entries.
+Jaccard-mined Meetup interest is mostly zero (a user shares tags with a
+small fraction of 16K events), so CSC storage is what lets the scoring
+stack reach full Meetup scale without ``O(|U| * |E|)`` memory.  Whatever
+form the input takes — numpy arrays, nested lists or any scipy sparse
+format — it is validated and converted to canonical CSC (sorted indices,
+duplicates summed, explicit zeros dropped) at construction.
 
-* ``"sparse"`` — scipy CSC matrices holding only the nonzero entries; the
-  default for generated workloads.  Jaccard-mined Meetup interest is
-  overwhelmingly sparse (a user shares tags with a tiny fraction of 16K
-  events), so CSC storage is what lets the scoring stack reach full
-  Meetup scale without ``O(|U| * |E|)`` memory.
-* ``"dense"`` — contiguous ``float64`` numpy arrays.  For workloads where
-  most pairs carry interest, and for the reference oracle, which reads
-  ``mu`` one element at a time.
-
-Both backends answer the same accessor protocol, which is all the engines
+Every store answers the same accessor protocol, which is all the engines
 consume:
 
 * **column gather** — :meth:`InterestMatrix.event_column_entries` /
@@ -43,9 +40,8 @@ Constructors cover the ways interest arises in practice:
   (what :func:`repro.ebsn.jaccard.jaccard_matrix_sparse` produces).
 
 The EBSN pipeline (``repro.ebsn.jaccard``) produces these matrices from tag
-sets via Jaccard similarity, exactly as the paper's Section IV.A prescribes;
-with ``interest_backend="sparse"`` the pipeline never materializes a dense
-``(users, events)`` array at any point.
+sets via Jaccard similarity, exactly as the paper's Section IV.A prescribes,
+and never materializes a dense ``(users, events)`` array at any point.
 """
 
 from __future__ import annotations
@@ -54,36 +50,20 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.core.errors import InstanceValidationError
 from repro.utils.validation import check_probability_matrix
 
-try:  # scipy is a declared dependency; dense-only paths run without it
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sp = None
-
 __all__ = [
     "InterestMatrix",
-    "INTEREST_BACKENDS",
     "accumulate_entries",
     "masked_ratio",
     "slice_entries",
 ]
 
-#: Supported storage backends.
-INTEREST_BACKENDS = ("dense", "sparse")
-
 _EMPTY_ROWS = np.zeros(0, dtype=np.intp)
 _EMPTY_VALUES = np.zeros(0)
-
-
-def _require_scipy() -> None:
-    if _sp is None:  # pragma: no cover - exercised only without scipy
-        raise ImportError(
-            "the 'sparse' interest backend requires scipy; install it "
-            "(pip install scipy) or use backend='dense'"
-        )
 
 
 def masked_ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
@@ -137,110 +117,92 @@ def slice_entries(
     return local, values[start:stop]
 
 
-def _validate_sparse_matrix(matrix: Any, name: str) -> Any:
-    """Canonicalize a scipy matrix to CSC and range-check its entries."""
-    _require_scipy()
-    csc = _sp.csc_matrix(matrix, copy=True)
-    csc.sum_duplicates()
-    csc.eliminate_zeros()
-    csc.sort_indices()
-    data = csc.data
-    if np.isnan(data).any():
-        raise InstanceValidationError(f"{name} contains NaN entries")
-    if data.size and (data.min() < 0.0 or data.max() > 1.0):
-        raise InstanceValidationError(
-            f"{name} entries must lie in [0, 1]; observed range "
-            f"[{data.min()}, {data.max()}]"
-        )
-    data.setflags(write=False)
+def _is_stored(matrix: Any) -> bool:
+    """Whether ``matrix`` is already an :class:`InterestMatrix`'s storage:
+    canonical float64 CSC with a read-only data buffer whose values all
+    lie in ``(0, 1]`` (no explicit zeros, no NaN)."""
+    return (
+        _sp.issparse(matrix)
+        and matrix.format == "csc"
+        and matrix.dtype == np.float64
+        and not matrix.data.flags.writeable
+        and matrix.has_canonical_format
+        and bool(((matrix.data > 0.0) & (matrix.data <= 1.0)).all())
+    )
+
+
+def _to_csc(matrix: Any, name: str) -> Any:
+    """Validate ``matrix`` and return it as canonical, read-only CSC.
+
+    Arrays and nested lists get the probability-matrix checks and must be
+    2-D; scipy matrices of any format are copied to float64 CSC with
+    duplicates summed, explicit zeros dropped and indices sorted, then
+    range-checked.  Another matrix's storage is shared, not copied.
+    """
+    if _is_stored(matrix):
+        return matrix
+    if _sp.issparse(matrix):
+        csc = _sp.csc_matrix(matrix, dtype=np.float64, copy=True)
+        csc.sum_duplicates()
+        csc.eliminate_zeros()
+        csc.sort_indices()
+        data = csc.data
+        if np.isnan(data).any():
+            raise InstanceValidationError(f"{name} contains NaN entries")
+        if data.size and (data.min() < 0.0 or data.max() > 1.0):
+            raise InstanceValidationError(
+                f"{name} entries must lie in [0, 1]; observed range "
+                f"[{data.min()}, {data.max()}]"
+            )
+    else:
+        array = check_probability_matrix(matrix, name)
+        if array.ndim != 2:
+            raise InstanceValidationError(
+                f"{name} must be 2-D, got shape {array.shape}"
+            )
+        csc = _sp.csc_matrix(array)
+    csc.data.setflags(write=False)
     return csc
 
 
 class InterestMatrix:
-    """Storage of ``mu`` over candidate and competing events.
+    """CSC storage of ``mu`` over candidate and competing events.
 
-    Instances are immutable; dense arrays are set non-writeable and sparse
-    data buffers likewise, so a matrix can safely be shared between
-    engines and schedules.
+    Instances are immutable: the CSC data buffers are set non-writeable,
+    so a matrix can safely be shared between engines and schedules.
 
     Parameters
     ----------
     candidate, competing:
-        numpy arrays or scipy sparse matrices of shapes
-        ``(n_users, n_events)`` / ``(n_users, n_competing)``.
-    backend:
-        ``"dense"`` or ``"sparse"``; inputs are converted to the requested
-        storage.  Scipy inputs default the backend to ``"sparse"``.
+        numpy arrays, nested lists or scipy sparse matrices of shapes
+        ``(n_users, n_events)`` / ``(n_users, n_competing)``, converted
+        to canonical CSC.
     """
 
-    __slots__ = ("_backend", "_candidate", "_competing")
+    __slots__ = ("_candidate", "_competing")
 
-    def __init__(
-        self, candidate: Any, competing: Any, backend: str | None = None
-    ) -> None:
-        if backend is None:
-            backend = (
-                "sparse"
-                if _sp is not None
-                and (_sp.issparse(candidate) or _sp.issparse(competing))
-                else "dense"
-            )
-        if backend not in INTEREST_BACKENDS:
-            raise ValueError(
-                f"unknown interest backend {backend!r}; "
-                f"choose from {INTEREST_BACKENDS}"
-            )
-
-        if backend == "sparse":
-            candidate = _validate_sparse_matrix(candidate, "candidate interest")
-            competing = _validate_sparse_matrix(competing, "competing interest")
-        else:
-            if _sp is not None and _sp.issparse(candidate):
-                candidate = candidate.toarray()
-            if _sp is not None and _sp.issparse(competing):
-                competing = competing.toarray()
-            candidate = check_probability_matrix(candidate, "candidate interest")
-            competing = check_probability_matrix(competing, "competing interest")
-            if candidate.ndim != 2:
-                raise InstanceValidationError(
-                    f"candidate interest must be 2-D, got shape {candidate.shape}"
-                )
-            if competing.ndim != 2:
-                raise InstanceValidationError(
-                    f"competing interest must be 2-D, got shape {competing.shape}"
-                )
-            candidate = np.ascontiguousarray(candidate)
-            competing = np.ascontiguousarray(competing)
-            candidate.setflags(write=False)
-            competing.setflags(write=False)
-
+    def __init__(self, candidate: Any, competing: Any) -> None:
+        candidate = _to_csc(candidate, "candidate interest")
+        competing = _to_csc(competing, "competing interest")
         if competing.shape[0] != candidate.shape[0]:
             raise InstanceValidationError(
                 "candidate and competing interest must agree on the user axis: "
                 f"{candidate.shape[0]} vs {competing.shape[0]}"
             )
-        self._backend = backend
         self._candidate = candidate
         self._competing = competing
 
     # ------------------------------------------------------------------
-    # backend + shape accessors
+    # shape accessors and matrix views
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        """``"dense"`` or ``"sparse"`` — how ``mu`` is stored."""
-        return self._backend
-
     @property
     def candidate(self) -> np.ndarray:
         """Candidate interest as a dense read-only array.
 
-        For the sparse backend this **materializes** a fresh
-        ``(n_users, n_events)`` array on every call — an escape hatch for
-        dense-only consumers, not something to call in a hot loop.
+        This **materializes** a fresh ``(n_users, n_events)`` array on
+        every call — an escape hatch for dense-only consumers, not
+        something to call in a hot loop.
         """
-        if self._backend == "dense":
-            return self._candidate
         dense = self._candidate.toarray()
         dense.setflags(write=False)
         return dense
@@ -248,8 +210,6 @@ class InterestMatrix:
     @property
     def competing(self) -> np.ndarray:
         """Competing interest as a dense read-only array (see :attr:`candidate`)."""
-        if self._backend == "dense":
-            return self._competing
         dense = self._competing.toarray()
         dense.setflags(write=False)
         return dense
@@ -257,18 +217,12 @@ class InterestMatrix:
     @property
     def candidate_sparse(self) -> Any:
         """Candidate interest as a canonical scipy CSC matrix."""
-        if self._backend == "sparse":
-            return self._candidate
-        _require_scipy()
-        return _sp.csc_matrix(self._candidate)
+        return self._candidate
 
     @property
     def competing_sparse(self) -> Any:
         """Competing interest as a canonical scipy CSC matrix."""
-        if self._backend == "sparse":
-            return self._competing
-        _require_scipy()
-        return _sp.csc_matrix(self._competing)
+        return self._competing
 
     @property
     def n_users(self) -> int:
@@ -301,9 +255,8 @@ class InterestMatrix:
         """All users' interest in competing event ``competing``."""
         return self._dense_column(self._competing, competing)
 
-    def _dense_column(self, matrix: Any, column: int) -> np.ndarray:
-        if self._backend == "dense":
-            return matrix[:, column]
+    @staticmethod
+    def _dense_column(matrix: Any, column: int) -> np.ndarray:
         out = np.zeros(matrix.shape[0])
         start, stop = matrix.indptr[column], matrix.indptr[column + 1]
         out[matrix.indices[start:stop]] = matrix.data[start:stop]
@@ -322,18 +275,15 @@ class InterestMatrix:
         """Nonzero ``(rows, values)`` of one competing column (sorted rows)."""
         return self._column_entries(self._competing, competing)
 
+    @staticmethod
     def _column_entries(
-        self, matrix: Any, column: int
+        matrix: Any, column: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        if self._backend == "sparse":
-            start, stop = matrix.indptr[column], matrix.indptr[column + 1]
-            return (
-                matrix.indices[start:stop].astype(np.intp, copy=False),
-                matrix.data[start:stop],
-            )
-        dense = matrix[:, column]
-        rows = np.flatnonzero(dense)
-        return rows.astype(np.intp, copy=False), dense[rows]
+        start, stop = matrix.indptr[column], matrix.indptr[column + 1]
+        return (
+            matrix.indices[start:stop].astype(np.intp, copy=False),
+            matrix.data[start:stop],
+        )
 
     def competing_mass_entries(
         self, rivals: Sequence[int]
@@ -343,7 +293,7 @@ class InterestMatrix:
         This is the per-interval mass accumulation of Eq. 1's denominator,
         returned as canonical sorted ``(rows, values)`` with zeros dropped.
         Values are accumulated in ``rivals`` order per user, matching the
-        reference :func:`repro.core.attendance.luce_denominator` loop.
+        reference :func:`repro.core.attendance.luce_denominators`.
         """
         return accumulate_entries(
             (self.competing_column_entries(rival) for rival in rivals),
@@ -360,11 +310,11 @@ class InterestMatrix:
         row) with explicit zeros dropped, so two equal matrices always
         serialize identically regardless of construction history.
         """
-        return self._coo(self.candidate_sparse)
+        return self._coo(self._candidate)
 
     def competing_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Canonical ``(rows, cols, values)`` of the competing matrix."""
-        return self._coo(self.competing_sparse)
+        return self._coo(self._competing)
 
     @staticmethod
     def _coo(csc: Any) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,22 +331,16 @@ class InterestMatrix:
     @classmethod
     def from_arrays(
         cls,
-        candidate: np.ndarray,
-        competing: np.ndarray | None = None,
-        backend: str | None = None,
+        candidate: Any,
+        competing: Any = None,
     ) -> "InterestMatrix":
-        """Build from ready-made arrays; ``competing=None`` means no rivals.
-
-        ``backend=None`` auto-detects: scipy sparse inputs stay sparse,
-        numpy arrays stay dense.
-        """
-        if _sp is None or not _sp.issparse(candidate):
+        """Build from arrays or scipy matrices; ``competing=None`` means no
+        rivals."""
+        if not _sp.issparse(candidate):
             candidate = np.asarray(candidate, dtype=float)
         if competing is None:
-            competing = np.zeros((candidate.shape[0], 0))
-        elif _sp is None or not _sp.issparse(competing):
-            competing = np.asarray(competing, dtype=float)
-        return cls(candidate=candidate, competing=competing, backend=backend)
+            competing = _sp.csc_matrix((candidate.shape[0], 0))
+        return cls(candidate, competing)
 
     @classmethod
     def from_scipy(
@@ -404,11 +348,8 @@ class InterestMatrix:
         candidate: Any,
         competing: Any = None,
     ) -> "InterestMatrix":
-        """Build a sparse-backed matrix from scipy sparse inputs."""
-        _require_scipy()
-        if competing is None:
-            competing = _sp.csc_matrix((candidate.shape[0], 0))
-        return cls(candidate=candidate, competing=competing, backend="sparse")
+        """Build from scipy sparse inputs (see :meth:`from_arrays`)."""
+        return cls.from_arrays(candidate, competing)
 
     @classmethod
     def from_function(
@@ -418,7 +359,6 @@ class InterestMatrix:
         n_competing: int,
         event_interest: Callable[[int, int], float],
         competing_interest: Callable[[int, int], float] | None = None,
-        backend: str = "dense",
     ) -> "InterestMatrix":
         """Materialize ``mu`` by evaluating callables over every pair."""
         candidate = np.empty((n_users, n_events))
@@ -430,7 +370,7 @@ class InterestMatrix:
             for user in range(n_users):
                 for rival in range(n_competing):
                     competing[user, rival] = competing_interest(user, rival)
-        return cls(candidate=candidate, competing=competing, backend=backend)
+        return cls(candidate, competing)
 
     @classmethod
     def from_sparse(
@@ -440,27 +380,16 @@ class InterestMatrix:
         n_competing: int,
         event_entries: Mapping[tuple[int, int], float],
         competing_entries: Mapping[tuple[int, int], float] | None = None,
-        backend: str = "dense",
     ) -> "InterestMatrix":
         """Build from ``{(user, event): mu}`` mappings; absent pairs are 0.
 
-        With ``backend="sparse"`` the entries go straight into CSC storage
-        and no dense ``(n_users, n_events)`` array ever exists.
+        The entries go straight into CSC storage: no dense
+        ``(n_users, n_events)`` array ever exists.
         """
-        if backend == "sparse":
-            _require_scipy()
-            candidate = cls._coo_from_entries(event_entries, (n_users, n_events))
-            competing = cls._coo_from_entries(
-                competing_entries or {}, (n_users, n_competing)
-            )
-            return cls(candidate=candidate, competing=competing, backend="sparse")
-        candidate = np.zeros((n_users, n_events))
-        for (user, event), value in event_entries.items():
-            candidate[user, event] = value
-        competing = np.zeros((n_users, n_competing))
-        for (user, rival), value in (competing_entries or {}).items():
-            competing[user, rival] = value
-        return cls(candidate=candidate, competing=competing, backend=backend)
+        return cls(
+            cls._coo_from_entries(event_entries, (n_users, n_events)),
+            cls._coo_from_entries(competing_entries or {}, (n_users, n_competing)),
+        )
 
     @staticmethod
     def _coo_from_entries(
@@ -474,115 +403,75 @@ class InterestMatrix:
         return _sp.coo_matrix((values, (rows, cols)), shape=shape)
 
     # ------------------------------------------------------------------
-    # column edits (streaming change ops) — backend preserving
+    # column edits (streaming change ops)
     # ------------------------------------------------------------------
-    def _as_column(self, column: Any) -> "np.ndarray":
+    def _as_column(self, column: Any) -> Any:
         column = np.asarray(column, dtype=float)
         if column.shape != (self.n_users,):
             raise InstanceValidationError(
                 f"interest column must have shape ({self.n_users},), "
                 f"got {column.shape}"
             )
-        return column
-
-    def _stack(self, matrix: Any, column: np.ndarray) -> Any:
-        if self._backend == "sparse":
-            return _sp.hstack(
-                [matrix, _sp.csc_matrix(column.reshape(-1, 1))], format="csc"
-            )
-        return np.column_stack([matrix, column])
+        return _sp.csc_matrix(column.reshape(-1, 1))
 
     def with_event_column(self, column: Any) -> "InterestMatrix":
         """A copy with ``column`` appended as a new candidate event.
 
-        The storage backend is preserved: a sparse matrix stays CSC (the
-        column is appended in O(nnz)), so streaming arrivals never silently
+        The column is appended in O(nnz), so streaming arrivals never
         densify a Meetup-scale instance.
         """
         column = self._as_column(column)
         return InterestMatrix(
-            candidate=self._stack(self._candidate, column),
-            competing=self._competing,
-            backend=self._backend,
+            _sp.hstack([self._candidate, column], format="csc"),
+            self._competing,
         )
 
     def without_event_column(self, event: int) -> "InterestMatrix":
-        """A copy with candidate ``event``'s column removed (backend kept)."""
+        """A copy with candidate ``event``'s column removed."""
         if not 0 <= event < self.n_events:
             raise ValueError(
                 f"cannot drop event column {event}; matrix has "
                 f"{self.n_events} events"
             )
         keep = [e for e in range(self.n_events) if e != event]
-        return InterestMatrix(
-            candidate=self._candidate[:, keep],
-            competing=self._competing,
-            backend=self._backend,
-        )
+        return InterestMatrix(self._candidate[:, keep], self._competing)
 
     def with_replaced_event_column(
         self, event: int, column: Any
     ) -> "InterestMatrix":
-        """A copy with candidate ``event``'s column replaced (backend kept)."""
+        """A copy with candidate ``event``'s column replaced."""
         if not 0 <= event < self.n_events:
             raise ValueError(
                 f"cannot replace event column {event}; matrix has "
                 f"{self.n_events} events"
             )
         column = self._as_column(column)
-        if self._backend == "sparse":
-            parts = [
-                self._candidate[:, :event],
-                _sp.csc_matrix(column.reshape(-1, 1)),
-                self._candidate[:, event + 1 :],
-            ]
-            candidate = _sp.hstack(parts, format="csc")
-        else:
-            candidate = np.array(self._candidate)
-            candidate[:, event] = column
-        return InterestMatrix(
-            candidate=candidate, competing=self._competing, backend=self._backend
-        )
+        parts = [
+            self._candidate[:, :event],
+            column,
+            self._candidate[:, event + 1 :],
+        ]
+        return InterestMatrix(_sp.hstack(parts, format="csc"), self._competing)
 
     def with_competing_column(self, column: Any) -> "InterestMatrix":
         """A copy with ``column`` appended as a new competing event."""
         column = self._as_column(column)
         return InterestMatrix(
-            candidate=self._candidate,
-            competing=self._stack(self._competing, column),
-            backend=self._backend,
+            self._candidate,
+            _sp.hstack([self._competing, column], format="csc"),
         )
 
     # ------------------------------------------------------------------
-    # backend conversion / restriction
+    # restriction
     # ------------------------------------------------------------------
-    def to_backend(self, backend: str) -> "InterestMatrix":
-        """This matrix with ``backend`` storage (``self`` if already there)."""
-        if backend not in INTEREST_BACKENDS:
-            raise ValueError(
-                f"unknown interest backend {backend!r}; "
-                f"choose from {INTEREST_BACKENDS}"
-            )
-        if backend == self._backend:
-            return self
-        if backend == "sparse":
-            return InterestMatrix.from_scipy(
-                self.candidate_sparse, self.competing_sparse
-            )
-        return InterestMatrix(
-            candidate=self.candidate, competing=self.competing, backend="dense"
-        )
-
     def restrict_users(self, n_users: int) -> "InterestMatrix":
-        """The first ``n_users`` rows of both matrices, backend preserved."""
+        """The first ``n_users`` rows of both matrices."""
         if not 0 <= n_users <= self.n_users:
             raise ValueError(
                 f"cannot restrict to {n_users} users; matrix has {self.n_users}"
             )
         return InterestMatrix(
-            candidate=self._candidate[:n_users],
-            competing=self._competing[:n_users],
-            backend=self._backend,
+            self._candidate[:n_users], self._competing[:n_users]
         )
 
     # ------------------------------------------------------------------
@@ -590,9 +479,7 @@ class InterestMatrix:
     # ------------------------------------------------------------------
     def nnz_candidate(self) -> int:
         """Number of stored nonzero candidate-interest entries."""
-        if self._backend == "sparse":
-            return int(self._candidate.nnz)
-        return int(np.count_nonzero(self._candidate))
+        return int(self._candidate.nnz)
 
     def sparsity(self) -> float:
         """Fraction of exactly-zero candidate-interest entries."""
@@ -603,15 +490,12 @@ class InterestMatrix:
 
     def mean_positive_interest(self) -> float:
         """Mean of the strictly positive candidate-interest values (0 if none)."""
-        if self._backend == "sparse":
-            positive = self._candidate.data[self._candidate.data > 0]
-        else:
-            positive = self._candidate[self._candidate > 0]
-        return float(positive.mean()) if positive.size else 0.0
+        data = self._candidate.data
+        return float(data.mean()) if data.size else 0.0
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"InterestMatrix(users={self.n_users}, events={self.n_events}, "
-            f"competing={self.n_competing}, backend={self._backend!r})"
+            f"competing={self.n_competing})"
         )

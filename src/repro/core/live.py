@@ -18,8 +18,8 @@ the online hot path:
   return a :class:`LiveDelta` describing exactly what changed;
 * engines ingest that delta through
   :meth:`~repro.core.engine.ScoreEngine.apply_delta`, updating any state
-  they cache (dense ``mu`` views, per-interval mass vectors, competing
-  entry caches) in place instead of being rebuilt;
+  they cache (per-interval mass vectors, competing entry caches) in
+  place instead of being rebuilt;
 * :meth:`freeze` materializes an equivalent immutable
   :class:`SESInstance` — field-for-field identical to what rebuilding from
   scratch would produce — for batch re-solves, oracle queries and
@@ -27,13 +27,11 @@ the online hot path:
   number of materializations is counted (:attr:`freezes`) so benchmarks
   and tests can assert the O(delta) fast path is actually taken.
 
-Interest storage lives in :class:`LiveInterest`, which preserves the
-backend of the source :class:`~repro.core.interest.InterestMatrix`: a
-dense matrix becomes a growable Fortran-ordered column buffer (append /
-replace are single-column writes), a sparse CSC matrix becomes a list of
-per-column ``(rows, values)`` entry pairs (append / replace / remove are
-O(nnz of the touched column)).  Either way the accessor protocol engines
-consume (:meth:`~LiveInterest.event_column_entries`,
+Interest storage lives in :class:`LiveInterest`: one ``(rows, values)``
+entry pair per column, taken from the source
+:class:`~repro.core.interest.InterestMatrix`'s CSC storage, so append /
+replace / remove cost O(nnz of the touched column).  The accessor
+protocol engines consume (:meth:`~LiveInterest.event_column_entries`,
 :meth:`~LiveInterest.competing_mass_entries`, ...) answers directly from
 live storage.
 """
@@ -45,6 +43,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.core.activity import ActivityModel
 from repro.core.entities import (
@@ -57,11 +56,6 @@ from repro.core.entities import (
 from repro.core.errors import InstanceValidationError, UnknownEntityError
 from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix, accumulate_entries, slice_entries
-
-try:  # scipy is an optional dependency (the "sparse" extra)
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sp = None
 
 __all__ = [
     "LiveDelta",
@@ -175,70 +169,25 @@ class CompetingAdded(LiveDelta):
 # ----------------------------------------------------------------------
 # interest storage
 # ----------------------------------------------------------------------
-class _DenseColumns:
-    """A growable Fortran-ordered column buffer over one dense matrix.
-
-    Appends amortize to O(n_users) via capacity doubling; the active
-    window is exposed as a zero-copy view.  Column deletion shifts the
-    tail left (a contiguous memmove in Fortran order), matching the
-    renumbering semantics of event cancellation.
-    """
-
-    __slots__ = ("_buffer", "_n")
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self._n = matrix.shape[1]
-        self._buffer = np.array(matrix, dtype=float, order="F", copy=True)
-
-    @property
-    def n_columns(self) -> int:
-        return self._n
-
-    def view(self) -> np.ndarray:
-        """The active ``(n_users, n_columns)`` window (do not mutate)."""
-        return self._buffer[:, : self._n]
-
-    def column(self, index: int) -> np.ndarray:
-        return self._buffer[:, index].copy()
-
-    def append(self, column: np.ndarray) -> None:
-        if self._n == self._buffer.shape[1]:
-            capacity = max(4, 2 * self._buffer.shape[1])
-            grown = np.empty(
-                (self._buffer.shape[0], capacity), dtype=float, order="F"
-            )
-            grown[:, : self._n] = self._buffer[:, : self._n]
-            self._buffer = grown
-        self._buffer[:, self._n] = column
-        self._n += 1
-
-    def remove(self, index: int) -> None:
-        self._buffer[:, index : self._n - 1] = self._buffer[
-            :, index + 1 : self._n
-        ]
-        self._n -= 1
-
-    def put(self, index: int, column: np.ndarray) -> None:
-        self._buffer[:, index] = column
-
-    def copy(self) -> "_DenseColumns":
-        """Independent buffer with the same active columns (same floats)."""
-        clone = _DenseColumns.__new__(_DenseColumns)
-        clone._n = self._n
-        clone._buffer = self._buffer.copy(order="F")
-        return clone
-
-
 def _entries_of(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero ``(rows, values)`` of a dense column (sorted rows)."""
     rows = np.flatnonzero(column)
     return rows.astype(np.intp, copy=False), column[rows].copy()
 
 
-class LiveInterest:
-    """Mutable, backend-preserving storage of ``mu`` for one live instance.
+def _entry(rows: np.ndarray, values: np.ndarray, row: int) -> float:
+    """The value a sorted entry list stores at ``row`` (0.0 if none)."""
+    position = np.searchsorted(rows, row)
+    if position < rows.size and rows[position] == row:
+        return float(values[position])
+    return 0.0
 
-    Answers the same accessor protocol as
+
+class LiveInterest:
+    """Mutable storage of ``mu`` for one live instance.
+
+    Keeps one sorted ``(rows, values)`` entry pair per candidate and per
+    competing column, and answers the same accessor protocol as
     :class:`~repro.core.interest.InterestMatrix` (column gather, dense
     column expansion, per-interval competing-mass accumulation, element
     access), so engines and the reference Eq. 1–4 functions consume live
@@ -246,43 +195,25 @@ class LiveInterest:
     """
 
     def __init__(self, matrix: InterestMatrix) -> None:
-        self._backend = matrix.backend
         self._n_users = matrix.n_users
-        if self._backend == "dense":
-            self._candidate = _DenseColumns(matrix.candidate)
-            self._competing = _DenseColumns(matrix.competing)
-            self._event_entries = None
-            self._competing_entries = None
-        else:
-            self._candidate = None
-            self._competing = None
-            self._event_entries = [
-                matrix.event_column_entries(e) for e in range(matrix.n_events)
-            ]
-            self._competing_entries = [
-                matrix.competing_column_entries(c)
-                for c in range(matrix.n_competing)
-            ]
+        self._event_entries = [
+            matrix.event_column_entries(e) for e in range(matrix.n_events)
+        ]
+        self._competing_entries = [
+            matrix.competing_column_entries(c) for c in range(matrix.n_competing)
+        ]
 
     # -- shape ----------------------------------------------------------
-    @property
-    def backend(self) -> str:
-        return self._backend
-
     @property
     def n_users(self) -> int:
         return self._n_users
 
     @property
     def n_events(self) -> int:
-        if self._backend == "dense":
-            return self._candidate.n_columns
         return len(self._event_entries)
 
     @property
     def n_competing(self) -> int:
-        if self._backend == "dense":
-            return self._competing.n_columns
         return len(self._competing_entries)
 
     # -- validation -----------------------------------------------------
@@ -305,68 +236,43 @@ class LiveInterest:
     # -- accessor protocol (what engines consume) -----------------------
     @property
     def candidate(self) -> np.ndarray:
-        """Candidate ``mu`` as a dense array (zero-copy view when dense)."""
-        if self._backend == "dense":
-            return self._candidate.view()
-        dense = np.zeros((self._n_users, self.n_events))
-        for event, (rows, values) in enumerate(self._event_entries):
-            dense[rows, event] = values
-        return dense
+        """Candidate ``mu`` as a freshly materialized dense array."""
+        return self._dense(self._event_entries)
 
     @property
     def competing(self) -> np.ndarray:
-        """Competing ``mu`` as a dense array (zero-copy view when dense)."""
-        if self._backend == "dense":
-            return self._competing.view()
-        dense = np.zeros((self._n_users, self.n_competing))
-        for rival, (rows, values) in enumerate(self._competing_entries):
-            dense[rows, rival] = values
+        """Competing ``mu`` as a freshly materialized dense array."""
+        return self._dense(self._competing_entries)
+
+    def _dense(self, columns: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        dense = np.zeros((self._n_users, len(columns)))
+        for index, (rows, values) in enumerate(columns):
+            dense[rows, index] = values
         return dense
 
     def mu_event(self, user: int, event: int) -> float:
-        if self._backend == "dense":
-            return float(self._candidate.view()[user, event])
-        rows, values = self._event_entries[event]
-        position = np.searchsorted(rows, user)
-        if position < rows.size and rows[position] == user:
-            return float(values[position])
-        return 0.0
+        return _entry(*self._event_entries[event], user)
 
     def mu_competing(self, user: int, competing: int) -> float:
-        if self._backend == "dense":
-            return float(self._competing.view()[user, competing])
-        rows, values = self._competing_entries[competing]
-        position = np.searchsorted(rows, user)
-        if position < rows.size and rows[position] == user:
-            return float(values[position])
-        return 0.0
+        return _entry(*self._competing_entries[competing], user)
 
     def event_column(self, event: int) -> np.ndarray:
-        if self._backend == "dense":
-            return self._candidate.column(event)
-        rows, values = self._event_entries[event]
-        out = np.zeros(self._n_users)
-        out[rows] = values
-        return out
+        return self._column(*self._event_entries[event])
 
     def competing_column(self, competing: int) -> np.ndarray:
-        if self._backend == "dense":
-            return self._competing.column(competing)
-        rows, values = self._competing_entries[competing]
+        return self._column(*self._competing_entries[competing])
+
+    def _column(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         out = np.zeros(self._n_users)
         out[rows] = values
         return out
 
     def event_column_entries(self, event: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._backend == "dense":
-            return _entries_of(self._candidate.view()[:, event])
         return self._event_entries[event]
 
     def competing_column_entries(
         self, competing: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        if self._backend == "dense":
-            return _entries_of(self._competing.view()[:, competing])
         return self._competing_entries[competing]
 
     def competing_mass_entries(
@@ -374,63 +280,40 @@ class LiveInterest:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``K_t`` as a sparse vector (see :class:`InterestMatrix`)."""
         return accumulate_entries(
-            (self.competing_column_entries(rival) for rival in rivals),
+            (self._competing_entries[rival] for rival in rivals),
             self._n_users,
         )
 
     def nnz_candidate(self) -> int:
         """Number of nonzero candidate-interest entries."""
-        if self._backend == "dense":
-            return int(np.count_nonzero(self._candidate.view()))
         return int(sum(rows.size for rows, _ in self._event_entries))
 
     # -- mutators (O(delta)) --------------------------------------------
     def append_event(self, column: Any) -> tuple[np.ndarray, np.ndarray]:
-        column = self._as_column(column)
-        entries = _entries_of(column)
-        if self._backend == "dense":
-            self._candidate.append(column)
-        else:
-            self._event_entries.append(entries)
+        entries = _entries_of(self._as_column(column))
+        self._event_entries.append(entries)
         return entries
 
     def remove_event(self, event: int) -> None:
-        if self._backend == "dense":
-            self._candidate.remove(event)
-        else:
-            del self._event_entries[event]
+        del self._event_entries[event]
 
     def replace_event(
         self, event: int, column: Any
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Swap one candidate column; returns old and new entries."""
-        column = self._as_column(column)
-        old_rows, old_values = self.event_column_entries(event)
-        rows, values = _entries_of(column)
-        if self._backend == "dense":
-            self._candidate.put(event, column)
-        else:
-            self._event_entries[event] = (rows, values)
+        rows, values = _entries_of(self._as_column(column))
+        old_rows, old_values = self._event_entries[event]
+        self._event_entries[event] = (rows, values)
         return old_rows, old_values, rows, values
 
     def append_competing(self, column: Any) -> tuple[np.ndarray, np.ndarray]:
-        column = self._as_column(column)
-        entries = _entries_of(column)
-        if self._backend == "dense":
-            self._competing.append(column)
-        else:
-            self._competing_entries.append(entries)
+        entries = _entries_of(self._as_column(column))
+        self._competing_entries.append(entries)
         return entries
 
     # -- freezing -------------------------------------------------------
     def freeze(self) -> InterestMatrix:
         """An immutable :class:`InterestMatrix` equal to the live state."""
-        if self._backend == "dense":
-            return InterestMatrix.from_arrays(
-                self._candidate.view().copy(),
-                self._competing.view().copy(),
-                backend="dense",
-            )
         return InterestMatrix.from_scipy(
             self._to_csc(self._event_entries, self.n_events),
             self._to_csc(self._competing_entries, self.n_competing),
@@ -454,7 +337,7 @@ class LiveInterest:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"LiveInterest(users={self.n_users}, events={self.n_events}, "
-            f"competing={self.n_competing}, backend={self._backend!r})"
+            f"competing={self.n_competing})"
         )
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.attendance import expected_attendance
+from repro.core.attendance import interval_attendance, luce_denominators
 from repro.core.instance import SESInstance
 from repro.core.schedule import Schedule
 
@@ -33,11 +33,22 @@ __all__ = [
 
 
 def total_utility(instance: SESInstance, schedule: Schedule) -> float:
-    """``Omega(S)`` by direct application of Eq. 2 + Eq. 3 (reference)."""
-    return sum(
-        expected_attendance(instance, schedule, event)
-        for event in schedule.scheduled_events()
-    )
+    """``Omega(S)`` by direct application of Eq. 2 + Eq. 3 (reference).
+
+    Each used interval's denominators are built once; the events' expected
+    attendances are summed in ``scheduled_events`` order.
+    """
+    denominators = {
+        interval: luce_denominators(instance, schedule, interval)
+        for interval in schedule.used_intervals()
+    }
+    omegas = []
+    for event in schedule.scheduled_events():
+        interval = schedule.interval_of(event)
+        omegas.append(
+            interval_attendance(instance, event, interval, denominators[interval])
+        )
+    return sum(omegas)
 
 
 def interval_utility_fast(

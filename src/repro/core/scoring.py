@@ -19,13 +19,17 @@ Two provable facts shape the solvers (both are property-tested):
   same interval can only *lower* the score of a pending assignment.  This
   monotone staleness is what makes the lazy-heap GRD variant exact.
 
-:func:`assignment_score` is the loop-based reference implementation;
-the batched equivalent lives in :class:`repro.core.engine.SparseEngine`.
+:func:`assignment_score` is the loop-based reference implementation: it
+gathers the interval's columns once and loops over users in Python (see
+:mod:`repro.core.attendance`).  The batched equivalent lives in
+:class:`repro.core.engine.SparseEngine`.
 """
 
 from __future__ import annotations
 
-from repro.core.attendance import luce_denominator
+import numpy as np
+
+from repro.core.attendance import luce_denominators
 from repro.core.errors import DuplicateEventError
 from repro.core.instance import SESInstance
 from repro.core.schedule import Assignment, Schedule
@@ -48,22 +52,24 @@ def assignment_score(
         raise DuplicateEventError(
             f"event {event} is already scheduled; Eq. 4 requires r not in E(S)"
         )
-    siblings = schedule.events_at(interval)
-    new_column = instance.interest.event_column(event)
+    old_denominators = luce_denominators(instance, schedule, interval)
+    sibling_masses = np.zeros(instance.n_users)
+    for sibling in schedule.events_at(interval):
+        sibling_masses += instance.interest.event_column(sibling)
+    columns = zip(
+        old_denominators.tolist(),
+        instance.interest.event_column(event).tolist(),
+        sibling_masses.tolist(),
+        instance.activity.interval_column(interval).tolist(),
+    )
 
     score = 0.0
-    for user in range(instance.n_users):
-        old_denominator = luce_denominator(instance, schedule, user, interval)
-        new_denominator = old_denominator + float(new_column[user])
+    for old_denominator, mu, sibling_mass, sigma in columns:
+        new_denominator = old_denominator + mu
         if new_denominator == 0.0:
             continue
-        sigma = instance.activity.sigma(user, interval)
-
         # attendance of the siblings after r joins, minus before
-        sibling_mass = sum(
-            instance.interest.mu_event(user, sibling) for sibling in siblings
-        )
-        after = sigma * (sibling_mass + float(new_column[user])) / new_denominator
+        after = sigma * (sibling_mass + mu) / new_denominator
         before = 0.0
         if old_denominator > 0.0:
             before = sigma * sibling_mass / old_denominator

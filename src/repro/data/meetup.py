@@ -9,7 +9,8 @@ paper's Section IV.A pipeline:
    candidate interval (density controlled by a per-interval count
    distribution — the paper uses a uniform distribution with mean 8.1);
 3. compute ``mu`` as **Jaccard similarity** between user tags and event
-   tags, for candidate and competing events alike;
+   tags, for candidate and competing events alike, mined straight into
+   CSC storage (no dense ``(users, events)`` array is materialized);
 4. attach ``sigma`` either as ``U[0, 1]`` (the paper's experimental
    setting) or estimated from the snapshot's **check-in history** (the
    pipeline the paper describes);
@@ -31,9 +32,9 @@ from repro.core.entities import (
     User,
 )
 from repro.core.instance import SESInstance
-from repro.core.interest import INTEREST_BACKENDS, InterestMatrix
+from repro.core.interest import InterestMatrix
 from repro.ebsn.generator import GeneratedEBSN
-from repro.ebsn.jaccard import jaccard_matrix, jaccard_matrix_sparse
+from repro.ebsn.jaccard import jaccard_matrix_sparse
 from repro.utils.rng import ensure_rng
 
 __all__ = ["InstanceBuildParams", "build_instance"]
@@ -64,12 +65,6 @@ class InstanceBuildParams:
         ``"uniform"`` for the paper's ``U[0, 1]`` draw, ``"checkins"`` to
         estimate sigma from the snapshot's check-in history (weekly slots
         are tiled across the candidate intervals).
-    interest_backend:
-        ``"sparse"`` (default) or ``"dense"``.  With ``"sparse"`` the
-        Jaccard ``mu`` is mined straight into CSC storage
-        (:func:`repro.ebsn.jaccard.jaccard_matrix_sparse`) and no dense
-        ``(users, events)`` array is ever materialized — the path to full
-        Meetup-scale populations.
     """
 
     n_candidate_events: int
@@ -79,7 +74,6 @@ class InstanceBuildParams:
     theta: float = 20.0
     xi_range: tuple[float, float] = (1.0, 20.0 / 3.0)
     sigma_source: str = "uniform"
-    interest_backend: str = "sparse"
 
     def __post_init__(self) -> None:
         if self.n_candidate_events <= 0:
@@ -108,11 +102,6 @@ class InstanceBuildParams:
             raise ValueError(
                 f"sigma_source must be 'uniform' or 'checkins', got "
                 f"{self.sigma_source!r}"
-            )
-        if self.interest_backend not in INTEREST_BACKENDS:
-            raise ValueError(
-                f"interest_backend must be one of {INTEREST_BACKENDS}, got "
-                f"{self.interest_backend!r}"
             )
 
 
@@ -164,16 +153,10 @@ def build_instance(
 
     user_tagsets = [user.tags for user in users]
     event_tagsets = [event.tags for event in events]
-    if params.interest_backend == "sparse":
-        interest = InterestMatrix.from_scipy(
-            jaccard_matrix_sparse(user_tagsets, event_tagsets),
-            jaccard_matrix_sparse(user_tagsets, rival_tagsets),
-        )
-    else:
-        interest = InterestMatrix.from_arrays(
-            jaccard_matrix(user_tagsets, event_tagsets),
-            jaccard_matrix(user_tagsets, rival_tagsets),
-        )
+    interest = InterestMatrix.from_scipy(
+        jaccard_matrix_sparse(user_tagsets, event_tagsets),
+        jaccard_matrix_sparse(user_tagsets, rival_tagsets),
+    )
     activity = _build_activity(snapshot, params, rng)
     organizer = Organizer(resources=params.theta, name="ses-organizer")
     return SESInstance(

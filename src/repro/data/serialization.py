@@ -6,17 +6,19 @@ format is plain JSON — entity lists plus matrices — favoring transparency
 over compactness; full-scale Meetup matrices belong in ``.npz``
 (see :func:`save_instance_npz`) rather than JSON.
 
-Interest matrices serialize according to their backend:
+Interest matrices serialize in a *canonical explicit-zero-free*
+coordinate form: parallel ``rows`` / ``cols`` / ``values`` lists in CSC
+order (sorted by column, then row) with zero entries dropped.  Two equal
+matrices always produce byte-identical payloads regardless of how they
+were assembled, and the round trip reconstructs CSC storage without ever
+materializing a dense array.  The ``.npz`` variant stores the raw CSC
+component arrays (``data`` / ``indices`` / ``indptr``) for the same
+guarantee at binary scale.
 
-* ``dense`` — nested value lists, exactly as before;
-* ``sparse`` — a *canonical explicit-zero-free* coordinate form: parallel
-  ``rows`` / ``cols`` / ``values`` lists in CSC order (sorted by column,
-  then row) with zero entries dropped.  Two equal sparse matrices always
-  produce byte-identical payloads regardless of how they were assembled,
-  and the round trip reconstructs CSC storage without ever materializing
-  a dense array.  The ``.npz`` variant stores the raw CSC component
-  arrays (``data`` / ``indices`` / ``indptr``) for the same guarantee at
-  binary scale.
+Files written before CSC became the only ``mu`` storage may hold dense
+interest instead: nested value lists in JSON, ``interest_candidate`` /
+``interest_competing`` arrays in ``.npz``.  Both loaders still read them
+and convert to CSC.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
+from scipy import sparse as _sp
 
 from repro.core.activity import ActivityModel
 from repro.core.errors import SerializationError
@@ -150,14 +153,9 @@ def _entities_to_dict(instance: SESInstance) -> dict:
 
 
 def _interest_to_dict(interest: InterestMatrix) -> dict:
-    if interest.backend == "dense":
-        return {
-            "candidate": interest.candidate.tolist(),
-            "competing": interest.competing.tolist(),
-        }
-    # "sparse" and "sharded" both expose canonical COO; a sharded matrix
-    # flattens to the sparse payload here (the block structure survives only
-    # in the directory format — save_sharded_instance).
+    # a sharded matrix exposes the same canonical COO and flattens to this
+    # payload (the block structure survives only in the directory format —
+    # save_sharded_instance)
     return {
         "backend": "sparse",
         "n_users": interest.n_users,
@@ -179,22 +177,15 @@ def _coo_to_dict(rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> dict
 def _interest_from_dict(payload: dict | InterestMatrix) -> InterestMatrix:
     if not isinstance(payload, dict):  # pre-built by the npz/sharded loaders
         return payload
-    if payload.get("backend", "dense") != "sparse":
+    if payload.get("backend", "dense") != "sparse":  # legacy dense payload
         return InterestMatrix.from_arrays(
             np.asarray(payload["candidate"], dtype=float),
             np.asarray(payload["competing"], dtype=float),
         )
-    try:
-        from scipy import sparse as sp
-    except ImportError as error:  # pragma: no cover - requires scipy absence
-        raise ValueError(
-            "this instance was saved with the sparse interest backend; "
-            "loading it requires scipy (the 'sparse' extra)"
-        ) from error
     n_users = payload["n_users"]
 
     def matrix(entry: dict, n_columns: int):
-        return sp.coo_matrix(
+        return _sp.coo_matrix(
             (
                 np.asarray(entry["values"], dtype=float),
                 (
@@ -282,28 +273,24 @@ def save_instance_npz(instance: SESInstance, path: str | Path) -> None:
 
     Preferred for large instances — a full Meetup-scale interest matrix is
     hundreds of MB as JSON text but compresses well as float arrays.
-    Sparse-backed interest is stored as raw CSC component arrays
-    (``data`` / ``indices`` / ``indptr``), so neither saving nor loading
-    materializes a dense matrix.
+    Interest is stored as raw CSC component arrays (``data`` /
+    ``indices`` / ``indptr``), so neither saving nor loading materializes
+    a dense matrix.
     """
     metadata = _entities_to_dict(instance)
     arrays: dict[str, np.ndarray] = {
         "activity": instance.activity.matrix,
     }
     interest = instance.interest
-    if interest.backend in ("sparse", "sharded"):
-        metadata["interest_backend"] = "sparse"
-        for name, csc in (
-            ("candidate", interest.candidate_sparse),
-            ("competing", interest.competing_sparse),
-        ):
-            arrays[f"interest_{name}_data"] = csc.data
-            arrays[f"interest_{name}_indices"] = csc.indices
-            arrays[f"interest_{name}_indptr"] = csc.indptr
-            arrays[f"interest_{name}_shape"] = np.asarray(csc.shape)
-    else:
-        arrays["interest_candidate"] = interest.candidate
-        arrays["interest_competing"] = interest.competing
+    metadata["interest_backend"] = "sparse"
+    for name, csc in (
+        ("candidate", interest.candidate_sparse),
+        ("competing", interest.competing_sparse),
+    ):
+        arrays[f"interest_{name}_data"] = csc.data
+        arrays[f"interest_{name}_indices"] = csc.indices
+        arrays[f"interest_{name}_indptr"] = csc.indptr
+        arrays[f"interest_{name}_shape"] = np.asarray(csc.shape)
     # np.savez_compressed appends ".npz" to bare string paths; normalize
     # first so the atomic tmp/rename dance targets the real final name
     final = Path(path)
@@ -327,10 +314,8 @@ def load_instance_npz(path: str | Path | BinaryIO) -> SESInstance:
     with np.load(path) as archive:
         metadata = json.loads(bytes(archive["metadata"]).decode("utf-8"))
         if metadata.pop("interest_backend", "dense") == "sparse":
-            from scipy import sparse as sp
-
             def csc(name: str):
-                return sp.csc_matrix(
+                return _sp.csc_matrix(
                     (
                         archive[f"interest_{name}_data"],
                         archive[f"interest_{name}_indices"],
@@ -341,7 +326,7 @@ def load_instance_npz(path: str | Path | BinaryIO) -> SESInstance:
 
             interest = InterestMatrix.from_scipy(csc("candidate"), csc("competing"))
             metadata["interest"] = interest
-        else:
+        else:  # legacy dense arrays
             metadata["interest"] = {
                 "candidate": archive["interest_candidate"],
                 "competing": archive["interest_competing"],
@@ -371,11 +356,13 @@ def save_sharded_instance(instance: SESInstance, directory: str | Path) -> None:
     last, so a directory with a manifest has every file it references on
     disk, durably.
     """
+    from repro.shard.interest import ShardedInterest
+
     interest = instance.interest
-    if getattr(interest, "backend", None) != "sharded":
+    if not isinstance(interest, ShardedInterest):
         raise ValueError(
             "save_sharded_instance requires a ShardedInterest-backed "
-            f"instance; got backend {getattr(interest, 'backend', None)!r}"
+            f"instance; got {type(interest).__name__}"
         )
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -430,8 +417,6 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
     :class:`SerializationError` naming its file, as does a manifest with
     another format version or block storage.
     """
-    from scipy import sparse as sp
-
     from repro.shard.interest import ShardedInterest, check_block
     from repro.shard.plan import ShardPlan
 
@@ -479,7 +464,7 @@ def load_sharded_instance(directory: str | Path) -> SESInstance:
             path = directory / f"{name}_block{index:05d}.npz"
             with _reading(path):
                 with np.load(path) as parts:
-                    csc = sp.csc_matrix(
+                    csc = _sp.csc_matrix(
                         (parts["data"], parts["indices"], parts["indptr"]),
                         shape=tuple(parts["shape"]),
                     )

@@ -16,7 +16,7 @@ Two bulk builders share that encoding:
   similarities.  Jaccard is nonzero exactly where the tag intersection is
   nonzero, so the sparse intersection product ``U @ E.T`` already carries
   the exact support; the division happens entry-wise on stored values and
-  a dense ``(users, events)`` array never exists.  Requires scipy.
+  a dense ``(users, events)`` array never exists.
 
 Both produce bit-identical values on the stored entries (same membership
 encoding, same ``inter / (|T_u| + |T_e| - inter)`` arithmetic), which the
@@ -29,10 +29,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-try:  # scipy is an optional dependency (the "sparse" extra)
-    from scipy import sparse as _sp
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sp = None
+from scipy import sparse as _sp
 
 __all__ = ["jaccard", "jaccard_matrix", "jaccard_matrix_sparse"]
 
@@ -126,11 +123,6 @@ def jaccard_matrix_sparse(
     in place.  Values equal :func:`jaccard_matrix` bit-for-bit; memory is
     O(nnz) instead of O(users * events).
     """
-    if _sp is None:  # pragma: no cover - exercised only without scipy
-        raise ImportError(
-            "jaccard_matrix_sparse requires scipy; install it "
-            "(pip install scipy) or use jaccard_matrix"
-        )
     users = [frozenset(tags) for tags in user_tagsets]
     events = [frozenset(tags) for tags in event_tagsets]
     vocabulary = _tag_vocabulary(users, events)

@@ -108,7 +108,6 @@ def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
 def _engine_spec(args: argparse.Namespace) -> EngineSpec:
     return EngineSpec(
         kind=args.engine,
-        backend=getattr(args, "backend", None),
         shards=getattr(args, "shards", None),
         workers=getattr(args, "workers", None),
     )
@@ -171,13 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument("--csv", type=str, default=None, help="write raw rows here")
     _add_engine_argument(figure)
-    figure.add_argument(
-        "--backend",
-        choices=("dense", "sparse"),
-        default=None,
-        help="mu storage for generated workloads "
-        "(default: sparse when --engine sparse, else dense)",
-    )
 
     dataset = commands.add_parser("dataset", help="generate + summarize the EBSN")
     dataset.add_argument("--seed", type=int, default=0)
@@ -284,13 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_argument(stream)
     _add_shard_arguments(stream)
-    stream.add_argument(
-        "--backend",
-        choices=("dense", "sparse"),
-        default=None,
-        help="mu storage for the generated workload "
-        "(default: sparse when --engine sparse, else dense)",
-    )
 
     lint = commands.add_parser(
         "lint",
@@ -507,7 +492,6 @@ def _run_stream(args: argparse.Namespace) -> int:
             n_users=trace.n_users,
             n_events=trace.n_events,
             n_intervals=trace.n_intervals,
-            interest_backend=spec.interest_backend,
         )
         if trace.n_users != args.users or trace.initial_k != args.k:
             print(
@@ -516,11 +500,7 @@ def _run_stream(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     else:
-        config = ExperimentConfig(
-            k=args.k,
-            n_users=args.users,
-            interest_backend=spec.interest_backend,
-        )
+        config = ExperimentConfig(k=args.k, n_users=args.users)
         trace = TraceGenerator(
             config, TraceConfig(n_ops=args.ops), root_seed=args.seed
         ).generate()
@@ -594,9 +574,7 @@ def _run_demo(args: argparse.Namespace) -> int:
     from repro.workloads.generator import WorkloadGenerator
 
     spec = EngineSpec(kind=args.engine)
-    config = ExperimentConfig(
-        k=20, n_users=500, interest_backend=spec.interest_backend
-    )
+    config = ExperimentConfig(k=20, n_users=500)
     session = ScheduleSession(
         WorkloadGenerator(root_seed=7).build(config), default_engine=spec
     )

@@ -49,7 +49,6 @@ def generate_figure(
     quick: bool = False,
     progress: Callable[[str], None] | None = None,
     engine: EngineSpec | str | None = None,
-    interest_backend: str | None = None,
 ) -> SweepTable:
     """Run the sweep behind one Figure-1 panel and return its table.
 
@@ -68,9 +67,6 @@ def generate_figure(
         Optional per-grid-point callback (the CLI passes a stderr print).
     engine:
         :class:`EngineSpec` (or kind string) behind every method.
-    interest_backend:
-        ``mu`` storage for the generated workloads; ``None`` follows the
-        engine spec (sparse storage for the sparse engine).
     """
     if panel not in FIGURE_SPECS:
         raise ValueError(
@@ -83,7 +79,6 @@ def generate_figure(
         if n_users is not None
         else ExperimentConfig()
     )
-    base = base.with_backend(interest_backend or spec.interest_backend)
 
     if panel in ("1a", "1b"):
         grid = QUICK_K_GRID if quick else FULL_K_GRID

@@ -95,9 +95,10 @@ def _without_competing(instance: SESInstance, drop: int) -> SESInstance:
         )
         for new_index, old in enumerate(keep)
     )
-    interest = InterestMatrix.from_arrays(
-        instance.interest.candidate,
-        instance.interest.competing[:, keep],
+    # slice the CSC columns and share the candidate matrix: no dense copy
+    interest = InterestMatrix(
+        instance.interest.candidate_sparse,
+        instance.interest.competing_sparse[:, keep],
     )
     return SESInstance(
         users=instance.users,

@@ -58,6 +58,10 @@ from repro.stream.trace import (
 __all__ = ["DurableStream", "RecoveredStream", "recover"]
 
 
+#: ``EngineSpec.backend`` values that durable directories may still record.
+_LEGACY_BACKENDS = (None, "dense", "sparse")
+
+
 def engine_spec_to_dict(spec: EngineSpec) -> dict[str, Any]:
     """JSON-ready form of an :class:`EngineSpec` (checkpoint/journal use)."""
     return dataclasses.asdict(spec)
@@ -69,12 +73,17 @@ def engine_spec_from_dict(payload: dict[str, Any], journal: Path) -> EngineSpec:
     Directories outlive the engines that wrote them: a spec this build
     cannot construct (e.g. a since-removed kind) fails as a
     :class:`RecoveryError` naming ``journal`` and the recorded kind.
+    Specs written while ``mu`` had two storages record a ``backend``
+    field, ``null`` unless set (one of ``_LEGACY_BACKENDS``); it is
+    dropped, since the sparse engine's bits never depended on it.
     """
     if not isinstance(payload, dict):
         raise RecoveryError(
             f"journal {journal} records engine spec {payload!r}, "
             f"not a JSON object"
         )
+    if "backend" in payload and payload["backend"] in _LEGACY_BACKENDS:
+        payload = {key: value for key, value in payload.items() if key != "backend"}
     try:
         return EngineSpec(**payload)
     except (TypeError, ValueError) as error:

@@ -71,31 +71,24 @@ def localize_delta(delta: LiveDelta, lo: int, hi: int) -> LiveDelta:
 class _BlockInterestView:
     """Interest accessor protocol restricted to user rows ``[lo, hi)``.
 
-    Three source modes, picked once at construction:
+    Two source modes, picked once at construction:
 
     - ``sharded`` — the source is a :class:`ShardedInterest` whose plan
       matches the engine's: gathers go straight to the block's own
       storage, no global state is touched;
-    - ``dense`` — the source exposes a dense ``candidate`` view (dense
-      ``InterestMatrix`` / dense ``LiveInterest``): columns are sliced
-      views, entries are computed over block rows only;
-    - ``entries`` — anything else: global column entries are localized
-      with two binary searches (:func:`repro.core.interest.slice_entries`).
+    - ``entries`` — anything else (``InterestMatrix``, ``LiveInterest``):
+      global column entries are localized with two binary searches
+      (:func:`repro.core.interest.slice_entries`).
     """
 
-    __slots__ = ("_source", "_block", "_lo", "_hi", "_mode")
+    __slots__ = ("_source", "_block", "_lo", "_hi", "_sharded")
 
     def __init__(self, source: Any, block: int, lo: int, hi: int) -> None:
         self._source = source
         self._block = block
         self._lo = lo
         self._hi = hi
-        if isinstance(source, ShardedInterest):
-            self._mode = "sharded"
-        elif getattr(source, "backend", None) == "dense":
-            self._mode = "dense"
-        else:
-            self._mode = "entries"
+        self._sharded = isinstance(source, ShardedInterest)
 
     # -- shape ----------------------------------------------------------
     @property
@@ -112,22 +105,16 @@ class _BlockInterestView:
 
     # -- column gather --------------------------------------------------
     def event_column_entries(self, event: int) -> tuple[np.ndarray, np.ndarray]:
-        if self._mode == "sharded":
+        if self._sharded:
             return self._source.block_candidate_entries(self._block, event)
-        if self._mode == "dense":
-            return _entries_of_block(self._source.candidate, event, self._lo, self._hi)
         rows, values = self._source.event_column_entries(event)
         return _slice(rows, values, self._lo, self._hi)
 
     def competing_column_entries(
         self, competing: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        if self._mode == "sharded":
+        if self._sharded:
             return self._source.block_competing_entries(self._block, competing)
-        if self._mode == "dense":
-            return _entries_of_block(
-                self._source.competing, competing, self._lo, self._hi
-            )
         rows, values = self._source.competing_column_entries(competing)
         return _slice(rows, values, self._lo, self._hi)
 
@@ -144,14 +131,6 @@ class _BlockInterestView:
             (self.competing_column_entries(rival) for rival in rivals),
             self.n_users,
         )
-
-
-def _entries_of_block(
-    matrix: np.ndarray, column: int, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
-    window = matrix[lo:hi, column]
-    rows = np.flatnonzero(window).astype(np.intp, copy=False)
-    return rows, np.asarray(window[rows], dtype=float)
 
 
 def _slice(

@@ -116,11 +116,6 @@ class ShardedInterest:
     # shape / identity
     # ------------------------------------------------------------------
     @property
-    def backend(self) -> str:
-        """Always ``"sharded"`` — distinct from the flat backends."""
-        return "sharded"
-
-    @property
     def plan(self) -> ShardPlan:
         return self._plan
 
@@ -352,14 +347,10 @@ class ShardedInterest:
             [_to_csc(block) for block in competing_blocks],
         )
 
-    def to_interest(self, backend: str = "sparse") -> InterestMatrix:
+    def to_interest(self) -> InterestMatrix:
         """Collapse to a flat :class:`InterestMatrix` (parity tests)."""
-        if backend == "sparse":
-            return InterestMatrix.from_scipy(
-                self.candidate_sparse, self.competing_sparse
-            )
-        return InterestMatrix.from_arrays(
-            self.candidate, self.competing, backend="dense"
+        return InterestMatrix.from_scipy(
+            self.candidate_sparse, self.competing_sparse
         )
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ the trace op by op, and records what a production operator would watch:
 
 Replay is deterministic: the same trace and policy produce an identical
 op log, utility trajectory and final schedule on every run (the
-streaming test suite asserts it on both interest backends).
+streaming test suite asserts it).
 """
 
 from __future__ import annotations

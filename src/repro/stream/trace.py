@@ -10,7 +10,7 @@ into experiment records without aliasing surprises.
 Interest payloads are stored as sparse ``(user, value)`` entry tuples,
 never dense vectors: a Meetup-scale arrival touches a few hundred of
 42,444 users, and keeping ops sparse is what lets traces serialize
-compactly and replay against the CSC interest backend without ever
+compactly and replay against CSC interest storage without ever
 materializing an ``O(|U|)`` payload per op (the replay driver expands a
 column only at apply time).
 

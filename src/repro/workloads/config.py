@@ -49,9 +49,9 @@ class ExperimentConfig:
     xi_range: tuple[float, float] = (1.0, 20.0 / 3.0)
     sigma_source: str = "uniform"
     n_users: int = DEFAULT_BENCH_USERS
-    #: ``mu`` storage: ``"sparse"`` CSC (scipy, the default) or ``"dense"``
-    #: arrays.  Sparse is what makes Meetup-scale user counts tractable
-    #: and is what the default sparse engine gathers from directly.
+    #: ``mu`` storage; CSC is the only one, so only ``"sparse"`` is
+    #: accepted.  Nothing reads the field: it stays so that callers which
+    #: still pass ``interest_backend="sparse"`` keep constructing.
     interest_backend: str = "sparse"
 
     def __post_init__(self) -> None:
@@ -71,10 +71,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"mean_competing must be non-negative, got {self.mean_competing}"
             )
-        if self.interest_backend not in ("dense", "sparse"):
+        if self.interest_backend != "sparse":
             raise ValueError(
-                f"interest_backend must be 'dense' or 'sparse', got "
-                f"{self.interest_backend!r}"
+                f"interest_backend must be 'sparse' (CSC is the only mu "
+                f"storage), got {self.interest_backend!r}"
             )
 
     # ------------------------------------------------------------------
@@ -121,10 +121,6 @@ class ExperimentConfig:
     def at_meetup_scale(self) -> "ExperimentConfig":
         """Copy with the full 42,444-user Meetup population."""
         return replace(self, n_users=MEETUP_USERS)
-
-    def with_backend(self, interest_backend: str) -> "ExperimentConfig":
-        """Copy with a different ``mu`` storage backend."""
-        return replace(self, interest_backend=interest_backend)
 
     def label(self) -> str:
         return (

@@ -15,6 +15,7 @@ so grid point ``i`` is reproducible regardless of what ran before it.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse as sp
 
 from repro.core.instance import SESInstance
 from repro.data.meetup import InstanceBuildParams, build_instance
@@ -86,7 +87,6 @@ class WorkloadGenerator:
             theta=config.theta,
             xi_range=config.xi_range,
             sigma_source=config.sigma_source,
-            interest_backend=config.interest_backend,
         )
         if seed is None:
             seed = self._seeds.spawn()
@@ -133,11 +133,6 @@ def synthesize_sharded_instance(
     )
     from repro.shard.interest import ShardedInterest
     from repro.shard.plan import DEFAULT_BLOCK_USERS, ShardPlan
-
-    try:
-        from scipy import sparse as sp
-    except ImportError as error:  # pragma: no cover - scipy is baked in
-        raise ImportError("synthesize_sharded_instance requires scipy") from error
 
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must lie in (0, 1], got {density}")
@@ -215,7 +210,6 @@ def _restrict_users(instance: SESInstance, n_users: int) -> SESInstance:
 
     The EBSN snapshot may be shared by configs with different user counts;
     slicing the user axis keeps matrices consistent without regenerating.
-    The interest backend is preserved — a sparse ``mu`` stays sparse.
     """
     from repro.core.activity import ActivityModel
 

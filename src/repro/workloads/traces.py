@@ -18,7 +18,7 @@ The generator simulates the live index space while sampling: a
 exactly like the incremental scheduler does, so every sampled index is
 valid at its op's replay position.  Interest payloads are sparse
 ``(user, value)`` entries with an expected density knob, matching the
-Jaccard-mined sparsity regime the sparse backend is built for.
+Jaccard-mined sparsity regime CSC interest storage is built for.
 
 Generated traces carry their starting shape (``n_events`` /
 ``n_intervals``), which arms :class:`~repro.stream.trace.Trace`'s

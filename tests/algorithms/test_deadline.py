@@ -1,7 +1,8 @@
 """Deadline conformance: every one-shot solver checks its deadline.
 
-Enforced for every one-shot solver the registry lists, on dense and
-sparse interest storage, the way the lock differential suite enforces
+Enforced for every one-shot solver the registry lists, with ``mu``
+handed in as arrays and as a messy COO, the way the lock differential
+suite enforces
 "empty locks = unlocked":
 
 * a deadline that has always passed (``-inf``) makes
@@ -21,15 +22,14 @@ from repro.algorithms.base import NO_DEADLINE, Deadline
 from repro.algorithms.registry import solver_registry
 from repro.core.errors import DeadlineExceeded, SESError
 
-from tests.conftest import make_random_instance
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 
 ONE_SHOT = solver_registry.one_shot_names()
-BACKENDS = ("dense", "sparse")
 K = 3
 
 
-def solve(name: str, backend: str, deadline: Deadline | None = None):
-    instance = make_random_instance(seed=777, interest_backend=backend)
+def solve(name: str, form: str, deadline: Deadline | None = None):
+    instance = make_random_instance(seed=777, interest_input=form)
     seeded = solver_registry.get(name).seeded
     solver = solver_registry.create(name, seed=11 if seeded else None)
     return solver.solve(instance, K, deadline=deadline)
@@ -41,16 +41,16 @@ def test_every_one_shot_solver_is_covered():
     }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
 @pytest.mark.parametrize("name", ONE_SHOT)
 class TestDeadlineConformance:
-    def test_passed_deadline_raises(self, name, backend):
+    def test_passed_deadline_raises(self, name, form):
         with pytest.raises(DeadlineExceeded):
-            solve(name, backend, Deadline(-math.inf))
+            solve(name, form, Deadline(-math.inf))
 
-    def test_distant_deadline_changes_nothing(self, name, backend):
-        free = solve(name, backend)
-        bounded = solve(name, backend, Deadline(math.inf))
+    def test_distant_deadline_changes_nothing(self, name, form):
+        free = solve(name, form)
+        bounded = solve(name, form, Deadline(math.inf))
         assert bounded.schedule == free.schedule
         assert bounded.utility.hex() == free.utility.hex()
         assert bounded.stats == free.stats

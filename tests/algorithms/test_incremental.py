@@ -248,14 +248,11 @@ class TestAdopt:
 
 class TestEngineSpecSurvival:
     """Regression: structural rebuilds must preserve the configured
-    engine spec AND the interest-storage backend (a sparse instance once
-    silently reverted to dense on the first arrival)."""
+    engine spec AND CSC interest storage (a sparse instance once silently
+    reverted to dense on the first arrival)."""
 
     def make_sparse_scheduler(self, **kwargs):
-        pytest.importorskip("scipy")
-        instance = make_random_instance(
-            seed=406, n_events=6, n_intervals=4, interest_backend="sparse"
-        )
+        instance = make_random_instance(seed=406, n_events=6, n_intervals=4)
         return IncrementalScheduler(
             instance, k=4, engine=EngineSpec(kind="sparse"), **kwargs
         )
@@ -274,46 +271,48 @@ class TestEngineSpecSurvival:
             1, np.full(n_users, 0.2)
         )
 
-    def test_backend_and_engine_survive_every_structural_op(self):
+    def test_csc_storage_and_engine_survive_every_structural_op(self):
         scheduler = self.make_sparse_scheduler()
         spec = scheduler.engine_spec
         for label, op in self.ops(scheduler):
             op()
-            assert scheduler.instance.interest.backend == "sparse", label
+            interest = scheduler.instance.interest
+            assert interest.candidate_sparse.format == "csc", label
+            assert interest.competing_sparse.format == "csc", label
             assert isinstance(scheduler._engine, SparseEngine), label
             assert scheduler.engine_spec is spec, label
 
-    def test_dense_backend_also_preserved(self):
+    def test_arrival_column_is_stored_as_csc(self):
         instance = make_random_instance(seed=407, n_events=6, n_intervals=4)
         scheduler = IncrementalScheduler(instance, k=3)
         scheduler.add_candidate_event(
             location=99, required_resources=0.5,
             interest_column=np.full(instance.n_users, 0.3),
         )
-        assert scheduler.instance.interest.backend == "dense"
+        arrived = scheduler.instance.interest.candidate_sparse[:, -1]
+        assert arrived.format == "csc" and arrived.nnz == instance.n_users
 
-    def test_sparse_matches_dense_trajectory(self):
-        """The same op sequence yields the same utilities on both stacks."""
-        pytest.importorskip("scipy")
-        dense_instance = make_random_instance(seed=408, n_events=6, n_intervals=4)
-        sparse_instance = make_random_instance(
-            seed=408, n_events=6, n_intervals=4, interest_backend="sparse"
-        )
-        dense = IncrementalScheduler(dense_instance, k=4)
-        sparse = IncrementalScheduler(
-            sparse_instance, k=4, engine=EngineSpec(kind="sparse")
-        )
-        n_users = dense_instance.n_users
-        column = np.linspace(0.1, 0.9, n_users)
-        for live in (dense, sparse):
+    def test_coo_input_matches_array_trajectory(self):
+        """The same op sequence yields the same bits whichever form ``mu``
+        was handed in."""
+        instances = [
+            make_random_instance(
+                seed=408, n_events=6, n_intervals=4, interest_input=form
+            )
+            for form in ("array", "coo")
+        ]
+        schedulers = [IncrementalScheduler(inst, k=4) for inst in instances]
+        column = np.linspace(0.1, 0.9, instances[0].n_users)
+        for live in schedulers:
             live.add_candidate_event(
                 location=99, required_resources=0.5, interest_column=column
             )
             live.cancel_event(2)
             live.add_competing_event(interval=0, interest_column=column)
             live.update_event_interest(1, column[::-1].copy())
-        assert dense.schedule.as_mapping() == sparse.schedule.as_mapping()
-        assert dense.utility() == pytest.approx(sparse.utility(), abs=1e-9)
+        array, coo = schedulers
+        assert array.schedule.as_mapping() == coo.schedule.as_mapping()
+        assert array.utility().hex() == coo.utility().hex()
 
 
 class TestBudget:

@@ -23,16 +23,18 @@ from repro.core.entities import CandidateEvent, Organizer, TimeInterval, User
 from repro.core.instance import SESInstance
 from repro.core.interest import InterestMatrix
 
-BACKENDS = [("dense", "sparse"), ("sparse", "sparse")]
+from tests.conftest import INTEREST_INPUTS, messy_coo
 
 
 def duplicated_instance(
-    seed, backend="dense", n_users=12, n_base=3, dups=3, n_intervals=4
+    seed, form="array", n_users=12, n_base=3, dups=3, n_intervals=4
 ):
     """Every interest column appears ``dups`` times: maximal score ties."""
     rng = np.random.default_rng(seed)
     base = rng.random((n_users, n_base)) * (rng.random((n_users, n_base)) < 0.5)
     mu = np.concatenate([base] * dups, axis=1)
+    if form == "coo":
+        mu = messy_coo(mu)
     users = [User(index=i) for i in range(n_users)]
     intervals = [TimeInterval(index=t) for t in range(n_intervals)]
     events = [
@@ -44,22 +46,18 @@ def duplicated_instance(
         intervals=intervals,
         events=tuple(events),
         competing=(),
-        interest=InterestMatrix.from_arrays(
-            mu, np.zeros((n_users, 0)), backend=backend
-        ),
+        interest=InterestMatrix.from_arrays(mu, np.zeros((n_users, 0))),
         activity=ActivityModel(np.full((n_users, n_intervals), 0.8)),
         organizer=Organizer(resources=50.0),
     )
 
 
-@pytest.mark.parametrize("backend,kind", BACKENDS)
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
 @pytest.mark.parametrize("seed", range(12))
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_duplicate_gain_pick_order_matches(backend, kind, seed, k):
-    if backend == "sparse":
-        pytest.importorskip("scipy")
-    instance = duplicated_instance(seed, backend=backend)
-    spec = EngineSpec(kind=kind)
+def test_duplicate_gain_pick_order_matches(form, seed, k):
+    instance = duplicated_instance(seed, form=form)
+    spec = EngineSpec()
     grd = GreedyScheduler(spec).solve(instance, k)
     heap = LazyGreedyScheduler(spec).solve(instance, k)
     assert heap.schedule.as_mapping() == grd.schedule.as_mapping()
@@ -75,14 +73,12 @@ def test_ties_actually_occur():
     assert (counts >= 3).any()
 
 
-@pytest.mark.parametrize("backend,kind", BACKENDS)
-def test_exhausted_duplicates_still_match_utility(backend, kind):
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
+def test_exhausted_duplicates_still_match_utility(form):
     """Past the positive-gain frontier (k = every event), schedules may
     differ only in ~1e-16-residue picks; utilities must still agree."""
-    if backend == "sparse":
-        pytest.importorskip("scipy")
-    instance = duplicated_instance(1, backend=backend)
-    spec = EngineSpec(kind=kind)
+    instance = duplicated_instance(1, form=form)
+    spec = EngineSpec()
     grd = GreedyScheduler(spec).solve(instance, instance.n_events)
     heap = LazyGreedyScheduler(spec).solve(instance, instance.n_events)
     assert heap.utility == pytest.approx(grd.utility, abs=1e-9)

@@ -139,13 +139,13 @@ class TestSessionServing:
         with pytest.raises(ValueError, match="online"):
             session.solve(k=2, solver="incremental")
 
-    def test_backend_only_spec_variants_are_isolated(self, instance):
-        """Two specs differing only in backend must not share an engine
-        (or the warm plane wrapping it): the cache key is the full spec,
-        so no spec can ever observe another spec's plane state."""
+    def test_spec_variants_are_isolated(self, instance):
+        """Two specs of one kind must not share an engine (or the warm
+        plane wrapping it): the cache key is the full spec, so no spec can
+        ever observe another spec's plane state."""
         session = ScheduleSession(instance, default_engine=EngineSpec("sparse"))
         first = session.solve(k=2)
-        variant_spec = EngineSpec(kind="sparse", backend="sparse")
+        variant_spec = EngineSpec(kind="sparse", shards=1)
         second = session.solve(k=2, engine=variant_spec)
         assert session.engines_built == 2
         assert not second.reused_engine
@@ -230,15 +230,16 @@ class TestSessionAnalysis:
         cost = ScheduleSession(instance).competition_cost(2, 0)
         assert cost >= -1e-9
 
-    def test_from_config_aligns_backend(self):
+    @pytest.mark.parametrize("kind", ["sparse", "reference"])
+    def test_from_config_builds_csc_interest(self, kind):
         from repro.workloads.config import ExperimentConfig
 
         session = ScheduleSession.from_config(
             ExperimentConfig(k=4, n_users=40),
             root_seed=3,
-            default_engine=EngineSpec(kind="sparse"),
+            default_engine=EngineSpec(kind=kind),
         )
-        assert session.instance.interest.backend == "sparse"
+        assert session.instance.interest.candidate_sparse.format == "csc"
         response = session.solve(k=4)
         assert response.result.achieved_k <= 4
 

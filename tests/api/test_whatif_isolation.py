@@ -5,8 +5,8 @@ keyed to the *session's* instance; ``what_if_theta`` /
 ``what_if_locations`` solve *modified copies* of that instance.  If a
 what-if solve ever warm-started from the session's cached plane, its
 scores would belong to the wrong theta / location layout and the curve
-would silently lie.  These regression tests lock in the isolation on
-both interest backends: sweeps computed through a warm, heavily-cached
+would silently lie.  These regression tests lock in the isolation,
+whatever form ``mu`` was handed in: sweeps computed through a warm, heavily-cached
 session are bit-identical to sweeps computed cold on a fresh solver,
 and running them leaves the session's cached planes untouched.
 """
@@ -19,18 +19,15 @@ from repro.algorithms.registry import solver_registry
 from repro.api import ScheduleSession, SolveRequest
 from repro.harness import whatif
 
-from tests.conftest import make_random_instance
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 
-BACKENDS = ("dense", "sparse")
 K = 3
 THETAS = (8.0, 10.0, 14.0)
 LOCATION_COUNTS = (1, 2, 3)
 
 
-def build_case(backend: str):
-    if backend == "sparse":
-        pytest.importorskip("scipy")
-    instance = make_random_instance(seed=606, interest_backend=backend)
+def build_case(form: str):
+    instance = make_random_instance(seed=606, interest_input=form)
     return instance, "sparse"
 
 
@@ -44,9 +41,9 @@ def warm_session(instance, engine):
 
 
 class TestWhatIfIsolation:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_theta_sweep_matches_cold_computation(self, backend):
-        instance, engine = build_case(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_theta_sweep_matches_cold_computation(self, form):
+        instance, engine = build_case(form)
         session = warm_session(instance, engine)
         warm = session.what_if_theta(K, THETAS)
         cold = whatif.sweep_theta(
@@ -54,9 +51,9 @@ class TestWhatIfIsolation:
         )
         assert warm.utilities == cold.utilities
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_location_sweep_matches_cold_computation(self, backend):
-        instance, engine = build_case(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_location_sweep_matches_cold_computation(self, form):
+        instance, engine = build_case(form)
         session = warm_session(instance, engine)
         warm = session.what_if_locations(K, LOCATION_COUNTS)
         cold = whatif.sweep_locations(
@@ -67,11 +64,11 @@ class TestWhatIfIsolation:
         )
         assert warm.utilities == cold.utilities
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sweeps_leave_cached_planes_untouched(self, backend):
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_sweeps_leave_cached_planes_untouched(self, form):
         """The dual hazard: a what-if must neither read the session plane
         nor write modified-instance scores back into it."""
-        instance, engine = build_case(backend)
+        instance, engine = build_case(form)
         session = warm_session(instance, engine)
         plane = session.plane_for(None)
         before = (plane.cells_filled, plane.cells_refreshed)
@@ -87,7 +84,7 @@ class TestWhatIfIsolation:
     def test_interleaved_whatifs_do_not_perturb_later_solves(self):
         """Solve, sweep, solve again: the second solve must be bit-identical
         to the first (same request, same cached plane)."""
-        instance, engine = build_case("dense")
+        instance, engine = build_case("array")
         session = ScheduleSession(instance, default_engine=engine)
         request = SolveRequest(k=K, solver="grd")
         first = session.solve(request)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core import (
     ActivityModel,
@@ -17,6 +18,39 @@ from repro.core import (
 )
 
 
+#: The forms tests hand ``mu`` to :class:`InterestMatrix` in: numpy
+#: arrays, and scipy COO with explicit zeros and duplicate entries
+#: (:func:`messy_coo`).  Both convert to the same CSC storage.
+INTEREST_INPUTS = ("array", "coo")
+
+
+def messy_coo(array: np.ndarray) -> sparse.coo_matrix:
+    """``array`` as an unsorted scipy COO matrix that is far from canonical.
+
+    Every nonzero is stored as two duplicate entries, its two halves, and
+    every third zero cell as an explicit ``0.0`` entry, all in shuffled
+    order.  The halves sum back to the value exactly, so a boundary that
+    sums duplicates, drops zeros and sorts indices recovers ``array``'s
+    CSC form bit for bit.
+    """
+    array = np.asarray(array, dtype=float)
+    rows, cols = np.nonzero(array)
+    halves = array[rows, cols] * 0.5
+    zero_rows, zero_cols = np.nonzero(
+        (array == 0.0)
+        & (np.add.outer(np.arange(array.shape[0]), np.arange(array.shape[1])) % 3 == 0)
+    )
+    all_rows = np.concatenate([rows, rows, zero_rows])
+    all_cols = np.concatenate([cols, cols, zero_cols])
+    values = np.concatenate(
+        [halves, array[rows, cols] - halves, np.zeros(zero_rows.size)]
+    )
+    order = np.random.default_rng(0).permutation(values.size)
+    return sparse.coo_matrix(
+        (values[order], (all_rows[order], all_cols[order])), shape=array.shape
+    )
+
+
 def make_random_instance(
     n_users: int = 12,
     n_events: int = 6,
@@ -27,12 +61,13 @@ def make_random_instance(
     xi_range: tuple[float, float] = (1.0, 4.0),
     interest_density: float = 0.5,
     seed: int = 0,
-    interest_backend: str = "dense",
+    interest_input: str = "array",
 ) -> SESInstance:
     """Random SES instance for tests; deterministic given ``seed``.
 
-    ``interest_backend`` selects ``mu`` storage; the values are identical
-    across backends, so the same seed yields numerically equal instances.
+    ``interest_input`` (one of :data:`INTEREST_INPUTS`) is the form ``mu``
+    is handed to :class:`InterestMatrix` in; the stored values are the
+    same either way, so the same seed yields identical instances.
     """
     rng = np.random.default_rng(seed)
     users = [User(index=i) for i in range(n_users)]
@@ -53,9 +88,9 @@ def make_random_instance(
     candidate *= rng.random((n_users, n_events)) < interest_density
     rivals = rng.uniform(0, 1, (n_users, n_competing))
     rivals *= rng.random((n_users, n_competing)) < interest_density
-    interest = InterestMatrix.from_arrays(candidate, rivals).to_backend(
-        interest_backend
-    )
+    if interest_input == "coo":
+        candidate, rivals = messy_coo(candidate), messy_coo(rivals)
+    interest = InterestMatrix.from_arrays(candidate, rivals)
     activity = ActivityModel.uniform_random(n_users, n_intervals, seed=rng)
     return SESInstance(
         users=users,
@@ -68,19 +103,24 @@ def make_random_instance(
     )
 
 
-def dense_copy(instance: SESInstance) -> SESInstance:
-    """``instance`` with dense ``mu`` storage, everything else shared.
+def with_interest_input(instance: SESInstance, form: str) -> SESInstance:
+    """``instance`` with its ``mu`` handed to :class:`InterestMatrix` again
+    in ``form`` (one of :data:`INTEREST_INPUTS`), everything else shared.
 
-    For running the reference oracle on generated (sparse-backed)
-    instances: it reads ``mu`` one element at a time, which CSC storage
-    makes an order of magnitude slower.
+    For generated workloads, whose interest is mined straight into CSC:
+    the rebuilt instance stores the same CSC, so every answer over it
+    must be the same bits.
     """
+    candidate = instance.interest.candidate
+    competing = instance.interest.competing
+    if form == "coo":
+        candidate, competing = messy_coo(candidate), messy_coo(competing)
     return SESInstance(
         users=instance.users,
         intervals=instance.intervals,
         events=instance.events,
         competing=instance.competing,
-        interest=instance.interest.to_backend("dense"),
+        interest=InterestMatrix.from_arrays(candidate, competing),
         activity=instance.activity,
         organizer=instance.organizer,
     )

@@ -25,7 +25,7 @@ from repro.workloads.generator import WorkloadGenerator
 
 from tests.conftest import make_random_instance
 from tests.core.test_engine import (
-    STORAGE_QUERIES,
+    QUERY_SURFACES,
     live_deltas_engine,
     placed_engine,
     residue_engines,
@@ -33,20 +33,18 @@ from tests.core.test_engine import (
 
 FIXTURE = Path(__file__).parent / "cell_bits.json"
 
-STORAGES = ("dense", "sparse")
-
 
 def generated_instance():
     """A generated instance with a rival-free interval; the rest densify."""
-    config = ExperimentConfig(k=6, n_users=120, interest_backend="sparse")
+    config = ExperimentConfig(k=6, n_users=120)
     return WorkloadGenerator(root_seed=5).build(config)
 
 
-def random_instance(storage):
+def random_instance():
     """Rival-free, sparse-``K_t`` and densified-``K_t`` intervals at once."""
     return make_random_instance(
         seed=0, n_users=80, n_events=8, n_intervals=5, n_competing=4,
-        interest_density=0.1, interest_backend=storage,
+        interest_density=0.1,
     )
 
 
@@ -68,8 +66,8 @@ def cold_plane(instance):
     return ScorePlane(SparseEngine(instance)).ensure()
 
 
-def residue_cells(storage):
-    engine, _ = residue_engines(storage)
+def residue_cells():
+    engine, _ = residue_engines()
     return np.concatenate([
         [engine.score(3, 0)],
         engine.scores_for_interval(0, [3, 4]),
@@ -79,19 +77,16 @@ def residue_cells(storage):
 
 
 def _cases():
+    # the "sparse" in the names is the CSC storage the cells were first
+    # recorded on; the names stay so the fixture keeps its keys
     cases = {}
-    for storage in STORAGES:
-        for query, ask in STORAGE_QUERIES.items():
-            cases[f"placed-{storage}-{query}"] = (
-                lambda ask=ask, storage=storage: ask(placed_engine(storage))
-            )
-            cases[f"live-{storage}-{query}"] = (
-                lambda ask=ask, storage=storage: ask(live_deltas_engine(storage))
-            )
-        cases[f"plane-random-{storage}"] = (
-            lambda storage=storage: cold_plane(random_instance(storage))
+    for query, ask in QUERY_SURFACES.items():
+        cases[f"placed-sparse-{query}"] = lambda ask=ask: ask(placed_engine())
+        cases[f"live-sparse-{query}"] = (
+            lambda ask=ask: ask(live_deltas_engine())
         )
-        cases[f"residue-{storage}"] = lambda storage=storage: residue_cells(storage)
+    cases["plane-random-sparse"] = lambda: cold_plane(random_instance())
+    cases["residue-sparse"] = residue_cells
     cases["plane-generated"] = lambda: cold_plane(generated_instance())
     return cases
 

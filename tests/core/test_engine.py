@@ -24,19 +24,19 @@ from repro.core.live import LiveInstance
 from repro.core.objective import total_utility
 from repro.core.schedule import Assignment, Schedule
 
-from tests.conftest import make_random_instance
+from tests.conftest import INTEREST_INPUTS, make_random_instance, messy_coo
 
 
-#: Every supported (engine kind, ``mu`` storage) pairing: the oracle on
-#: the storage it reads fastest, the sparse engine on both storages.
-STACKS = [("reference", "dense"), ("sparse", "dense"), ("sparse", "sparse")]
+#: Every (engine kind, ``mu`` input form) pairing.
+STACKS = [(kind, form) for kind in ENGINE_KINDS for form in INTEREST_INPUTS]
 
 
 @pytest.fixture(params=STACKS, ids=["-".join(stack) for stack in STACKS])
 def stack(request):
-    """``(instance, spec)``: the seed-42 instance on the stack's storage."""
-    kind, storage = request.param
-    return make_random_instance(seed=42, interest_backend=storage), EngineSpec(kind)
+    """``(instance, spec)``: the seed-42 instance, ``mu`` handed in as the
+    stack's input form."""
+    kind, form = request.param
+    return make_random_instance(seed=42, interest_input=form), EngineSpec(kind)
 
 
 class TestFactory:
@@ -139,18 +139,18 @@ class TestEngineBehaviour:
         )
 
 
-@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
 class TestEngineEquivalence:
-    """The sparse engine, on either storage, must match the reference
-    (on dense storage) to 1e-9 everywhere."""
+    """The sparse engine, whatever form ``mu`` was handed in, must match
+    the reference to 1e-9 everywhere."""
 
-    def _pair(self, seed, storage):
-        instance = make_random_instance(seed=seed, interest_backend=storage)
+    def _pair(self, seed, form):
+        instance = make_random_instance(seed=seed, interest_input=form)
         oracle = make_engine(make_random_instance(seed=seed), EngineSpec("reference"))
         return instance, oracle, make_engine(instance, EngineSpec("sparse"))
 
-    def test_scores_match_on_empty_schedule(self, storage):
-        instance, ref, fast = self._pair(61, storage)
+    def test_scores_match_on_empty_schedule(self, form):
+        instance, ref, fast = self._pair(61, form)
         for interval in range(instance.n_intervals):
             np.testing.assert_allclose(
                 fast.scores_for_interval(interval, range(instance.n_events)),
@@ -158,8 +158,8 @@ class TestEngineEquivalence:
                 atol=1e-9,
             )
 
-    def test_scores_match_after_assignments(self, storage):
-        instance, ref, fast = self._pair(62, storage)
+    def test_scores_match_after_assignments(self, form):
+        instance, ref, fast = self._pair(62, form)
         moves = [(0, 0), (1, 0), (2, 1), (3, 3)]
         for event, interval in moves:
             ref.assign(event, interval)
@@ -175,8 +175,8 @@ class TestEngineEquivalence:
                 atol=1e-9,
             )
 
-    def test_omega_and_totals_match(self, storage):
-        instance, ref, fast = self._pair(63, storage)
+    def test_omega_and_totals_match(self, form):
+        instance, ref, fast = self._pair(63, form)
         for event, interval in [(0, 1), (1, 1), (4, 2)]:
             ref.assign(event, interval)
             fast.assign(event, interval)
@@ -186,8 +186,8 @@ class TestEngineEquivalence:
             ref.total_utility(), abs=1e-9
         )
 
-    def test_single_score_matches_bulk(self, storage):
-        instance, ref, fast = self._pair(65, storage)
+    def test_single_score_matches_bulk(self, form):
+        instance, ref, fast = self._pair(65, form)
         fast.assign(0, 0)
         bulk = fast.scores_for_interval(0, [1, 2, 3])
         singles = [fast.score(e, 0) for e in (1, 2, 3)]
@@ -198,10 +198,10 @@ PLACED = {0: 1, 3: 1, 5: 2}
 FREE = [1, 2, 4, 6, 7]
 
 
-def placed_engine(storage, seed=64):
+def placed_engine(form="array", seed=64):
     instance = make_random_instance(
         seed=seed, n_users=37, n_events=8, n_intervals=4, n_competing=5,
-        interest_backend=storage,
+        interest_input=form,
     )
     engine = SparseEngine(instance)
     for event, interval in PLACED.items():
@@ -209,14 +209,14 @@ def placed_engine(storage, seed=64):
     return engine
 
 
-@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
 class TestBatchIndependence:
     """A cell's score is the same bits whatever else a request holds: the
     score plane caches cells across requests of any shape, so no query
     batch size or order may change a value."""
 
-    def test_scores_do_not_depend_on_the_batch(self, storage):
-        engine = placed_engine(storage)
+    def test_scores_do_not_depend_on_the_batch(self, form):
+        engine = placed_engine(form)
         n_intervals = engine.instance.n_intervals
         full = engine.scores_for_rows(range(n_intervals), FREE)
         for interval in range(n_intervals):
@@ -231,8 +231,8 @@ class TestBatchIndependence:
                 )
                 assert engine.score(event, interval) == row[position]
 
-    def test_one_column_matches_the_rows(self, storage):
-        engine = placed_engine(storage)
+    def test_one_column_matches_the_rows(self, form):
+        engine = placed_engine(form)
         n_intervals = engine.instance.n_intervals
         full = engine.scores_for_rows(range(n_intervals), FREE)
         for position, event in enumerate(FREE):
@@ -242,13 +242,13 @@ class TestBatchIndependence:
             )
 
 
-def live_deltas_engine(storage):
+def live_deltas_engine(form="array"):
     """A placed engine over a live instance after a rival arrival, an
     event arrival and an interest drift."""
     live = LiveInstance(
         make_random_instance(
             seed=66, n_users=37, n_events=8, n_intervals=4,
-            n_competing=5, interest_backend=storage,
+            n_competing=5, interest_input=form,
         )
     )
     engine = SparseEngine(live)
@@ -274,7 +274,7 @@ def live_deltas_engine(storage):
 
 
 #: Every query surface a solver, the score plane or a what-if report reads.
-STORAGE_QUERIES = {
+QUERY_SURFACES = {
     "scores_for_interval": lambda engine: np.vstack(
         [engine.scores_for_interval(t, FREE) for t in range(4)]
     ),
@@ -293,31 +293,55 @@ STORAGE_QUERIES = {
 }
 
 
-class TestStorageParity:
-    """The sparse engine answers bit-identically over dense and CSC
-    storage: it gathers the same nonzeros in the same order from either,
-    so a dense-stored golden trace and a sparse-stored one agree exactly."""
+class TestInputParity:
+    """The sparse engine answers bit-identically whatever form ``mu`` was
+    handed in: numpy arrays and a COO with explicit zeros and duplicate
+    entries convert to the same CSC storage at the boundary."""
 
-    @pytest.mark.parametrize("query", sorted(STORAGE_QUERIES))
-    def test_query_is_bit_identical_across_storage(self, query):
-        ask = STORAGE_QUERIES[query]
+    @pytest.mark.parametrize("query", sorted(QUERY_SURFACES))
+    def test_query_is_bit_identical_across_inputs(self, query):
+        ask = QUERY_SURFACES[query]
         np.testing.assert_array_equal(
-            ask(placed_engine("dense")), ask(placed_engine("sparse"))
+            ask(placed_engine("array")), ask(placed_engine("coo"))
         )
 
-    def test_live_deltas_keep_storages_bit_identical(self):
-        engines = {
-            storage: live_deltas_engine(storage)
-            for storage in ("dense", "sparse")
-        }
-        for query in sorted(STORAGE_QUERIES):
-            ask = STORAGE_QUERIES[query]
+    def test_live_deltas_keep_inputs_bit_identical(self):
+        engines = {form: live_deltas_engine(form) for form in INTEREST_INPUTS}
+        for query in sorted(QUERY_SURFACES):
+            ask = QUERY_SURFACES[query]
             np.testing.assert_array_equal(
-                ask(engines["dense"]), ask(engines["sparse"]), err_msg=query
+                ask(engines["array"]), ask(engines["coo"]), err_msg=query
             )
 
 
-def residue_engines(storage):
+class TestReferenceColumnGathers:
+    """The reference oracle gathers each interest column a query needs
+    once and loops over users on those vectors: it never reads ``mu`` one
+    element at a time, which costs a binary search per read on CSC."""
+
+    def test_queries_make_no_element_reads(self, monkeypatch):
+        calls = []
+        for name in ("mu_event", "mu_competing"):
+            read = getattr(InterestMatrix, name)
+
+            def counting(self, *args, _read=read, _name=name):
+                calls.append(_name)
+                return _read(self, *args)
+
+            monkeypatch.setattr(InterestMatrix, name, counting)
+        instance = make_random_instance(seed=7, n_competing=8)
+        engine = ReferenceEngine(instance)
+        for event, interval in [(0, 0), (1, 0), (2, 1)]:
+            engine.assign(event, interval)
+        engine.score(3, 0)
+        engine.omega(0)
+        engine.total_utility()
+        assert calls == []
+        instance.interest.mu_competing(0, 0)
+        assert calls == ["mu_competing"]
+
+
+def residue_engines(form="array"):
     """``(sparse engine, reference engine)`` with a negative ``M_t`` residue.
 
     User 0 is interested in events 0-2 (0.7, 0.6, 1e-17).  All three are
@@ -331,7 +355,9 @@ def residue_engines(storage):
         [[0.7, 0.6, 1e-17, 1e-17, 0.0], [0.2, 0.0, 0.0, 0.0, 0.4]]
     )
     rivals = np.array([[0.5], [0.3]])
-    interest = InterestMatrix.from_arrays(candidate, rivals).to_backend(storage)
+    if form == "coo":
+        candidate, rivals = messy_coo(candidate), messy_coo(rivals)
+    interest = InterestMatrix.from_arrays(candidate, rivals)
     instance = SESInstance(
         [User(index=0), User(index=1)],
         [TimeInterval(index=0), TimeInterval(index=1)],
@@ -380,12 +406,12 @@ class TestZeroDenominatorConvention:
             assert engine.omega(0) == 0.0
             assert engine.total_utility() == 0.0
 
-    @pytest.mark.parametrize("storage", ["dense", "sparse"])
-    def test_negative_residue_denominator_scores_zero(self, storage):
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_negative_residue_denominator_scores_zero(self, form):
         """The 0/0 rule holds on a non-empty interval whose ``K + M + m``
         is a tiny negative residue: every query surface answers the
         reference's 0.0, bit for bit."""
-        engine, oracle = residue_engines(storage)
+        engine, oracle = residue_engines(form)
         [(_, rows, values, counts)] = [
             state for state in engine.export_mass_state() if state[0] == 0
         ]

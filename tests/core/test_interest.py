@@ -6,6 +6,8 @@ import pytest
 from repro.core.errors import InstanceValidationError
 from repro.core.interest import InterestMatrix
 
+from tests.conftest import INTEREST_INPUTS, messy_coo
+
 
 class TestConstruction:
     def test_from_arrays_shapes(self):
@@ -102,53 +104,147 @@ class TestFromSparse:
         assert matrix.mu_competing(0, 0) == 0.0
 
 
-class TestSparseBackend:
-    def _matrix(self, backend="sparse"):
-        candidate = np.array([[0.5, 0.0, 0.25], [0.0, 0.0, 1.0]])
-        competing = np.array([[0.4], [0.0]])
-        return InterestMatrix.from_arrays(candidate, competing, backend=backend)
+def _as_input(array: np.ndarray, form: str):
+    return messy_coo(array) if form == "coo" else array
 
-    def test_backend_property(self):
-        assert self._matrix("dense").backend == "dense"
-        assert self._matrix("sparse").backend == "sparse"
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown interest backend"):
-            self._matrix("octree")
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
+class TestCscStorage:
+    """Every input form converts to one canonical, read-only CSC storage."""
 
-    def test_dense_views_match(self):
-        dense, sparse = self._matrix("dense"), self._matrix("sparse")
-        np.testing.assert_array_equal(sparse.candidate, dense.candidate)
-        np.testing.assert_array_equal(sparse.competing, dense.competing)
+    CANDIDATE = np.array([[0.5, 0.0, 0.25], [0.0, 0.0, 1.0]])
+    COMPETING = np.array([[0.4], [0.0]])
 
-    def test_element_and_column_accessors(self):
-        matrix = self._matrix()
+    def _matrix(self, form):
+        return InterestMatrix.from_arrays(
+            _as_input(self.CANDIDATE, form), _as_input(self.COMPETING, form)
+        )
+
+    def test_storage_is_canonical_read_only_csc(self, form):
+        matrix = self._matrix(form)
+        for csc in (matrix.candidate_sparse, matrix.competing_sparse):
+            assert csc.format == "csc" and csc.dtype == np.float64
+            assert csc.has_canonical_format
+            assert (csc.data != 0.0).all()
+            assert not csc.data.flags.writeable
+        np.testing.assert_array_equal(
+            matrix.candidate_sparse.indptr, [0, 1, 1, 3]
+        )
+
+    def test_dense_views_match_the_input(self, form):
+        matrix = self._matrix(form)
+        np.testing.assert_array_equal(matrix.candidate, self.CANDIDATE)
+        np.testing.assert_array_equal(matrix.competing, self.COMPETING)
+
+    def test_element_and_column_accessors(self, form):
+        matrix = self._matrix(form)
         assert matrix.mu_event(0, 0) == 0.5
         assert matrix.mu_event(1, 0) == 0.0
         assert matrix.mu_competing(0, 0) == 0.4
         np.testing.assert_array_equal(matrix.event_column(2), [0.25, 1.0])
         np.testing.assert_array_equal(matrix.competing_column(0), [0.4, 0.0])
 
-    def test_column_entries_gather(self):
-        for matrix in (self._matrix("dense"), self._matrix("sparse")):
-            rows, values = matrix.event_column_entries(2)
-            np.testing.assert_array_equal(rows, [0, 1])
-            np.testing.assert_array_equal(values, [0.25, 1.0])
-            rows, values = matrix.event_column_entries(1)
-            assert rows.size == 0 and values.size == 0
+    def test_column_entries_gather(self, form):
+        matrix = self._matrix(form)
+        rows, values = matrix.event_column_entries(2)
+        np.testing.assert_array_equal(rows, [0, 1])
+        np.testing.assert_array_equal(values, [0.25, 1.0])
+        rows, values = matrix.event_column_entries(1)
+        assert rows.size == 0 and values.size == 0
 
-    def test_competing_mass_accumulation(self):
-        candidate = np.zeros((3, 1))
+    def test_competing_mass_accumulation(self, form):
         competing = np.array([[0.2, 0.3], [0.0, 0.5], [0.0, 0.0]])
-        for backend in ("dense", "sparse"):
-            matrix = InterestMatrix.from_arrays(
-                candidate, competing, backend=backend
+        matrix = InterestMatrix.from_arrays(
+            np.zeros((3, 1)), _as_input(competing, form)
+        )
+        rows, values = matrix.competing_mass_entries([0, 1])
+        np.testing.assert_array_equal(rows, [0, 1])
+        np.testing.assert_allclose(values, [0.5, 0.5])
+        rows, values = matrix.competing_mass_entries([])
+        assert rows.size == 0
+
+    def test_column_shape_failure_is_typed(self, form):
+        with pytest.raises(InstanceValidationError, match="shape"):
+            self._matrix(form).with_event_column(np.zeros(1))
+
+    def test_restrict_users(self, form):
+        matrix = self._matrix(form)
+        cut = matrix.restrict_users(1)
+        assert cut.n_users == 1
+        np.testing.assert_array_equal(cut.candidate, self.CANDIDATE[:1])
+        with pytest.raises(ValueError, match="restrict"):
+            matrix.restrict_users(7)
+
+    def test_canonical_coo_is_zero_free_and_csc_ordered(self, form):
+        rows, cols, values = self._matrix(form).candidate_coo()
+        assert (values != 0.0).all()
+        order = np.lexsort((rows, cols))
+        np.testing.assert_array_equal(order, np.arange(rows.size))
+        # column-major: (0,0)=0.5, then column 2: (0,2)=0.25, (1,2)=1.0
+        np.testing.assert_array_equal(cols, [0, 2, 2])
+        np.testing.assert_array_equal(rows, [0, 0, 1])
+        np.testing.assert_array_equal(values, [0.5, 0.25, 1.0])
+
+    def test_statistics(self, form):
+        matrix = self._matrix(form)
+        assert matrix.sparsity() == 0.5
+        assert matrix.mean_positive_interest() == pytest.approx(1.75 / 3)
+        assert matrix.nnz_candidate() == 3
+
+
+class TestConversionBoundary:
+    def test_backend_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            InterestMatrix(np.zeros((1, 1)), np.zeros((1, 0)), backend="sparse")
+        with pytest.raises(TypeError):
+            InterestMatrix.from_arrays(np.zeros((1, 1)), backend="dense")
+
+    def test_stored_matrices_are_shared_not_copied(self):
+        matrix = InterestMatrix.from_arrays(
+            np.array([[0.5, 0.0]]), np.array([[0.25]])
+        )
+        copy = InterestMatrix(
+            matrix.candidate_sparse, matrix.competing_sparse[:, []]
+        )
+        assert copy.candidate_sparse is matrix.candidate_sparse
+        assert copy.n_competing == 0
+
+    def test_read_only_csc_inputs_are_still_validated(self):
+        """A read-only canonical CSC looks like shared storage; it is
+        shared only if its values are valid stored entries."""
+        import scipy.sparse as sp
+
+        def read_only(data):
+            csc = sp.csc_matrix(
+                (np.array(data), np.array([0, 0]), np.array([0, 1, 2])),
+                shape=(1, 2),
             )
-            rows, values = matrix.competing_mass_entries([0, 1])
-            np.testing.assert_array_equal(rows, [0, 1])
-            np.testing.assert_allclose(values, [0.5, 0.5])
-            rows, values = matrix.competing_mass_entries([])
-            assert rows.size == 0
+            csc.data.setflags(write=False)
+            return csc
+
+        for bad in ([7.5, 0.5], [np.nan, 0.5], [-0.25, 0.5]):
+            with pytest.raises(InstanceValidationError):
+                InterestMatrix.from_scipy(read_only(bad))
+        zero = read_only([0.0, 0.5])
+        matrix = InterestMatrix.from_scipy(zero)
+        assert matrix.candidate_sparse is not zero
+        np.testing.assert_array_equal(matrix.candidate_sparse.data, [0.5])
+
+    def test_writable_csc_inputs_are_copied(self):
+        import scipy.sparse as sp
+
+        source = sp.csc_matrix(np.array([[0.5]]))
+        matrix = InterestMatrix.from_scipy(source)
+        assert matrix.candidate_sparse is not source
+        source.data[0] = 0.75
+        assert matrix.mu_event(0, 0) == 0.5
+
+    def test_integer_scipy_input_stores_float64(self):
+        import scipy.sparse as sp
+
+        matrix = InterestMatrix.from_scipy(sp.csc_matrix(np.array([[1, 0]])))
+        assert matrix.candidate_sparse.dtype == np.float64
+        assert matrix.mu_event(0, 0) == 1.0
 
     def test_sparse_values_validated(self):
         import scipy.sparse as sp
@@ -167,30 +263,6 @@ class TestSparseBackend:
         with pytest.raises(InstanceValidationError):
             InterestMatrix.from_scipy(sp.csc_matrix(np.array([[value]])))
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_column_shape_failure_is_typed(self, backend):
-        with pytest.raises(InstanceValidationError, match="shape"):
-            self._matrix(backend).with_event_column(np.zeros(1))
-
-    def test_to_backend_round_trip(self):
-        dense = self._matrix("dense")
-        there = dense.to_backend("sparse")
-        back = there.to_backend("dense")
-        assert there.backend == "sparse" and back.backend == "dense"
-        np.testing.assert_array_equal(back.candidate, dense.candidate)
-        assert dense.to_backend("dense") is dense
-        assert there.to_backend("sparse") is there
-
-    def test_restrict_users_preserves_backend(self):
-        for backend in ("dense", "sparse"):
-            matrix = self._matrix(backend)
-            cut = matrix.restrict_users(1)
-            assert cut.backend == backend
-            assert cut.n_users == 1
-            np.testing.assert_array_equal(cut.candidate, matrix.candidate[:1])
-        with pytest.raises(ValueError, match="restrict"):
-            self._matrix().restrict_users(7)
-
     def test_from_sparse_direct_to_csc(self):
         matrix = InterestMatrix.from_sparse(
             n_users=3,
@@ -198,31 +270,11 @@ class TestSparseBackend:
             n_competing=1,
             event_entries={(0, 1): 0.8, (2, 0): 0.1},
             competing_entries={(1, 0): 0.3},
-            backend="sparse",
         )
-        assert matrix.backend == "sparse"
+        assert matrix.candidate_sparse.nnz == 2
         assert matrix.mu_event(0, 1) == 0.8
         assert matrix.mu_event(0, 0) == 0.0
         assert matrix.mu_competing(1, 0) == 0.3
-
-    def test_canonical_coo_is_zero_free_and_csc_ordered(self):
-        matrix = self._matrix("sparse")
-        rows, cols, values = matrix.candidate_coo()
-        assert (values != 0.0).all()
-        order = np.lexsort((rows, cols))
-        np.testing.assert_array_equal(order, np.arange(rows.size))
-        # column-major: (0,0)=0.5, then column 2: (0,2)=0.25, (1,2)=1.0
-        np.testing.assert_array_equal(cols, [0, 2, 2])
-        np.testing.assert_array_equal(rows, [0, 0, 1])
-        np.testing.assert_allclose(values, [0.5, 0.25, 1.0])
-
-    def test_statistics_match_dense(self):
-        dense, sparse = self._matrix("dense"), self._matrix("sparse")
-        assert sparse.sparsity() == dense.sparsity()
-        assert sparse.mean_positive_interest() == pytest.approx(
-            dense.mean_positive_interest()
-        )
-        assert sparse.nnz_candidate() == dense.nnz_candidate() == 3
 
     def test_user_axis_mismatch_rejected(self):
         import scipy.sparse as sp
@@ -231,7 +283,6 @@ class TestSparseBackend:
             InterestMatrix(
                 candidate=sp.csc_matrix((3, 2)),
                 competing=sp.csc_matrix((4, 1)),
-                backend="sparse",
             )
 
 

@@ -15,25 +15,21 @@ from repro.core.live import (
     LiveInterest,
 )
 
-from tests.conftest import make_random_instance
-
-BACKENDS = ["dense", "sparse"]
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 
 
-def make_live(backend: str = "dense", seed: int = 500) -> LiveInstance:
-    if backend == "sparse":
-        pytest.importorskip("scipy")
+def make_live(form: str = "array", seed: int = 500) -> LiveInstance:
     instance = make_random_instance(
         seed=seed, n_users=12, n_events=5, n_intervals=3,
-        interest_backend=backend,
+        interest_input=form,
     )
     return LiveInstance(instance)
 
 
 class TestReadSurface:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mirrors_source_instance(self, backend):
-        live = make_live(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_mirrors_source_instance(self, form):
+        live = make_live(form)
         source = live.freeze()  # pre-mutation: the source itself
         assert live.n_users == source.n_users
         assert live.n_events == source.n_events
@@ -45,12 +41,11 @@ class TestReadSurface:
         ]
         assert np.array_equal(live.competing_mass, source.competing_mass)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_interest_accessor_parity(self, backend):
-        live = make_live(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_interest_accessor_parity(self, form):
+        live = make_live(form)
         matrix = live.freeze().interest
         interest = live.interest
-        assert interest.backend == matrix.backend
         assert np.array_equal(interest.candidate, matrix.candidate)
         assert np.array_equal(interest.competing, matrix.competing)
         for event in range(matrix.n_events):
@@ -74,9 +69,9 @@ class TestReadSurface:
 
 
 class TestMutators:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_add_event_appends_column(self, backend):
-        live = make_live(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_add_event_appends_column(self, form):
+        live = make_live(form)
         column = np.zeros(live.n_users)
         column[[1, 4]] = [0.5, 0.25]
         event = CandidateEvent(index=live.n_events, location=7,
@@ -89,7 +84,7 @@ class TestMutators:
         assert np.array_equal(live.interest.event_column(5), column)
         frozen = live.freeze()
         assert frozen.events[-1] == event
-        assert frozen.interest.backend == backend
+        assert np.array_equal(frozen.interest.event_column(5), column)
 
     def test_add_event_validates_index_and_resources(self):
         live = make_live()
@@ -134,9 +129,9 @@ class TestMutators:
         with pytest.raises(InstanceValidationError):
             live.add_event(event, values)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_remove_event_renumbers(self, backend):
-        live = make_live(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_remove_event_renumbers(self, form):
+        live = make_live(form)
         survivor_columns = [
             live.interest.event_column(event)
             for event in range(live.n_events)
@@ -154,9 +149,9 @@ class TestMutators:
         with pytest.raises(UnknownEntityError, match="no candidate event"):
             live.remove_event(99)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_replace_event_interest_reports_old_and_new(self, backend):
-        live = make_live(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_replace_event_interest_reports_old_and_new(self, form):
+        live = make_live(form)
         old = live.interest.event_column(1).copy()
         column = np.zeros(live.n_users)
         column[0] = 0.75
@@ -167,9 +162,9 @@ class TestMutators:
         )
         assert np.array_equal(live.interest.event_column(1), column)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_add_competing_updates_groups_and_mass(self, backend):
-        live = make_live(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_add_competing_updates_groups_and_mass(self, form):
+        live = make_live(form)
         column = np.zeros(live.n_users)
         column[3] = 0.6
         rival = CompetingEvent(index=live.n_competing, interval=1, name="r")
@@ -191,9 +186,9 @@ class TestMutators:
 
 
 class TestFreeze:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_freeze_counts_and_caches(self, backend):
-        live = make_live(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_freeze_counts_and_caches(self, form):
+        live = make_live(form)
         source = live.freeze()
         assert live.freezes == 0  # the source doubles as the first snapshot
         live.remove_event(0)
@@ -203,9 +198,9 @@ class TestFreeze:
         assert live.freeze() is first
         assert live.freezes == 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_frozen_instance_serves_engines(self, backend):
-        live = make_live(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_frozen_instance_serves_engines(self, form):
+        live = make_live(form)
         live.remove_event(1)
         frozen = live.freeze()
         engine = make_engine(frozen, EngineSpec())
@@ -245,10 +240,10 @@ def _dense(rows, values, n_users):
 
 
 class TestLiveInterestGrowth:
-    """The dense column buffer grows past its initial capacity cleanly."""
+    """The per-column entry lists take many appends and removals cleanly."""
 
     def test_many_appends_then_freeze(self):
-        live = make_live("dense")
+        live = make_live()
         for index in range(12):
             column = np.zeros(live.n_users)
             column[index % live.n_users] = 0.5
@@ -265,7 +260,7 @@ class TestLiveInterestGrowth:
         assert frozen.interest.n_events == 17
 
     def test_interleaved_appends_and_removals(self):
-        live = make_live("dense")
+        live = make_live()
         for index in range(6):
             live.add_event(
                 CandidateEvent(

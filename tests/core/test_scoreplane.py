@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import EngineSpec
+from repro.core.engine import ENGINE_KINDS, EngineSpec
 from repro.core.entities import CandidateEvent, CompetingEvent
 from repro.core.interest import InterestMatrix
 from repro.core.live import LiveInstance
 from repro.core.schedule import Assignment
 from repro.core.scoreplane import ScorePlane
 
-from tests.conftest import make_random_instance
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 
 
 def build_plane(seed=900, kind="sparse", **kwargs):
@@ -61,12 +61,12 @@ class TestFill:
         plane.ensure()
         assert plane.fills == 2
 
-    @pytest.mark.parametrize("storage", ["dense", "sparse"])
-    def test_cold_fill_gathers_each_column_once(self, storage, monkeypatch):
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_cold_fill_gathers_each_column_once(self, form, monkeypatch):
         """A cold fill reads every event's interest column once, not once
         per interval (``n_intervals * n_events`` reads at 90 x 120)."""
         instance = make_random_instance(
-            seed=901, n_events=6, n_intervals=4, interest_backend=storage
+            seed=901, n_events=6, n_intervals=4, interest_input=form
         )
         gathered = []
         original = InterestMatrix.event_column_entries
@@ -138,14 +138,12 @@ class TestAutoReset:
         assert len(engine.schedule) == 1  # the maintained schedule survives
 
 
-@pytest.mark.parametrize(
-    "backend,kind", [("dense", "reference"), ("dense", "sparse"), ("sparse", "sparse")]
-)
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
 class TestLiveDeltas:
-    def build_live(self, backend, kind):
-        pytest.importorskip("scipy") if backend == "sparse" else None
+    def build_live(self, form, kind):
         instance = make_random_instance(
-            seed=901, n_events=6, n_intervals=4, interest_backend=backend
+            seed=901, n_events=6, n_intervals=4, interest_input=form
         )
         live = LiveInstance(instance)
         engine = EngineSpec(kind=kind).build(live)
@@ -163,8 +161,8 @@ class TestLiveDeltas:
         )
         np.testing.assert_allclose(plane.ensure(), expected, atol=1e-12)
 
-    def test_event_added(self, backend, kind):
-        live, plane = self.build_live(backend, kind)
+    def test_event_added(self, form, kind):
+        live, plane = self.build_live(form, kind)
         plane.ensure()
         column = np.zeros(live.n_users)
         column[:3] = 0.5
@@ -178,24 +176,24 @@ class TestLiveDeltas:
         assert plane.ensure().shape[1] == live.n_events
         self.check_current(live, plane, kind)
 
-    def test_event_removed(self, backend, kind):
-        live, plane = self.build_live(backend, kind)
+    def test_event_removed(self, form, kind):
+        live, plane = self.build_live(form, kind)
         plane.ensure()
         delta = live.remove_event(2)
         plane.apply_delta(delta)
         assert plane.ensure().shape[1] == live.n_events
         self.check_current(live, plane, kind)
 
-    def test_interest_replaced(self, backend, kind):
-        live, plane = self.build_live(backend, kind)
+    def test_interest_replaced(self, form, kind):
+        live, plane = self.build_live(form, kind)
         plane.ensure()
         column = np.zeros(live.n_users)
         column[1::2] = 0.25
         plane.apply_delta(live.replace_event_interest(3, column))
         self.check_current(live, plane, kind)
 
-    def test_competing_added_dirties_only_its_interval(self, backend, kind):
-        live, plane = self.build_live(backend, kind)
+    def test_competing_added_dirties_only_its_interval(self, form, kind):
+        live, plane = self.build_live(form, kind)
         plane.ensure()
         column = np.zeros(live.n_users)
         column[::2] = 0.75
@@ -206,10 +204,10 @@ class TestLiveDeltas:
         assert plane.dirty_intervals == frozenset({1})
         self.check_current(live, plane, kind)
 
-    def test_warm_maintenance_beats_cold_refill(self, backend, kind):
+    def test_warm_maintenance_beats_cold_refill(self, form, kind):
         """A delta stream must re-score strictly fewer cells than the
         equivalent sequence of cold fills."""
-        live, plane = self.build_live(backend, kind)
+        live, plane = self.build_live(form, kind)
         plane.ensure()
         cold_cells = plane.cells_filled
         column = np.zeros(live.n_users)
@@ -226,14 +224,14 @@ class TestLiveDeltas:
 
 
 class TestArrivalsStayWarm:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_many_arrivals_keep_warm_equal_to_cold(self, backend):
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_many_arrivals_keep_warm_equal_to_cold(self, form):
         """A cell's value never depends on the live event count or the
         query's batch size, so a long run of arrivals never forces a
         refill and the warm matrix stays bit-identical to a cold one."""
         instance = make_random_instance(
             seed=905, n_users=500, n_events=20, n_intervals=4,
-            interest_backend=backend,
+            interest_input=form,
         )
         live = LiveInstance(instance)
         plane = ScorePlane(EngineSpec().build(live))

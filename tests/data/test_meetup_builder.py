@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.meetup import InstanceBuildParams, build_instance
 from repro.ebsn.generator import EBSNConfig, MeetupStyleGenerator
-from repro.ebsn.jaccard import jaccard
+from repro.ebsn.jaccard import jaccard, jaccard_matrix
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +46,10 @@ class TestParamsValidation:
                 xi_range=(1.0, 5.0),
             )
 
-    def test_rejects_unknown_interest_backend(self):
-        with pytest.raises(ValueError, match="interest_backend"):
+    def test_interest_backend_option_is_gone(self):
+        with pytest.raises(TypeError, match="interest_backend"):
             InstanceBuildParams(
-                n_candidate_events=5, n_intervals=5, interest_backend="csr"
+                n_candidate_events=5, n_intervals=5, interest_backend="sparse"
             )
 
     def test_rejects_unknown_sigma_source(self):
@@ -97,22 +97,19 @@ class TestBuiltInstance:
                     jaccard(user.tags, event.tags), abs=1e-12
                 )
 
-    def test_default_storage_is_sparse_with_dense_values(self, snapshot, params):
-        """The default build mines ``mu`` straight into CSC storage; the
-        values are exactly those of the dense build."""
-        from dataclasses import replace
-
-        sparse = build_instance(snapshot, params, seed=5)
-        dense = build_instance(
-            snapshot, replace(params, interest_backend="dense"), seed=5
-        )
-        assert sparse.interest.backend == "sparse"
-        assert dense.interest.backend == "dense"
+    def test_storage_is_csc_with_dense_jaccard_values(self, snapshot, params):
+        """The build mines ``mu`` straight into CSC storage; the values are
+        exactly those of the dense Jaccard builder."""
+        instance = build_instance(snapshot, params, seed=5)
+        user_tags = [user.tags for user in instance.users]
+        assert instance.interest.candidate_sparse.format == "csc"
         assert np.array_equal(
-            sparse.interest.to_backend("dense").candidate, dense.interest.candidate
+            instance.interest.candidate,
+            jaccard_matrix(user_tags, [event.tags for event in instance.events]),
         )
         assert np.array_equal(
-            sparse.interest.to_backend("dense").competing, dense.interest.competing
+            instance.interest.competing,
+            jaccard_matrix(user_tags, [rival.tags for rival in instance.competing]),
         )
 
     def test_candidates_and_rivals_disjoint(self, snapshot, params):

@@ -19,6 +19,15 @@ from repro.data.serialization import (
 from tests.conftest import make_random_instance
 
 
+def assert_same_csc(actual, expected):
+    """Two interest stores hold the same CSC components, bit for bit."""
+    for side in ("candidate_sparse", "competing_sparse"):
+        got, want = getattr(actual, side), getattr(expected, side)
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+
+
 class TestInstanceDictRoundTrip:
     def test_round_trip_preserves_shapes(self):
         instance = make_random_instance(seed=200)
@@ -89,7 +98,7 @@ class TestInstanceFiles:
         )
         assert rebuilt.events == instance.events
 
-    def test_npz_is_smaller_than_json_for_dense_instances(self, tmp_path):
+    def test_npz_is_smaller_than_json(self, tmp_path):
         instance = make_random_instance(seed=207, n_users=60, n_events=20)
         json_path = tmp_path / "i.json"
         npz_path = tmp_path / "i.npz"
@@ -120,22 +129,16 @@ class TestScheduleRoundTrip:
             schedule_from_dict(payload, instance)
 
 
-class TestSparseBackendRoundTrip:
+class TestSparseRoundTrip:
     def _sparse_instance(self, seed=300):
         return make_random_instance(
-            seed=seed, interest_density=0.3, interest_backend="sparse"
+            seed=seed, interest_density=0.3, interest_input="coo"
         )
 
-    def test_json_round_trip_preserves_backend_and_values(self):
+    def test_json_round_trip_preserves_csc(self):
         instance = self._sparse_instance()
         rebuilt = instance_from_dict(instance_to_dict(instance))
-        assert rebuilt.interest.backend == "sparse"
-        np.testing.assert_array_equal(
-            rebuilt.interest.candidate, instance.interest.candidate
-        )
-        np.testing.assert_array_equal(
-            rebuilt.interest.competing, instance.interest.competing
-        )
+        assert_same_csc(rebuilt.interest, instance.interest)
 
     def test_payload_is_canonical_and_zero_free(self):
         import json
@@ -154,23 +157,14 @@ class TestSparseBackendRoundTrip:
         path = tmp_path / "sparse.json"
         save_instance(instance, path)
         rebuilt = load_instance(path)
-        assert rebuilt.interest.backend == "sparse"
-        np.testing.assert_array_equal(
-            rebuilt.interest.candidate, instance.interest.candidate
-        )
+        assert_same_csc(rebuilt.interest, instance.interest)
 
     def test_npz_round_trip_stays_sparse(self, tmp_path):
         instance = self._sparse_instance(seed=303)
         path = tmp_path / "sparse.npz"
         save_instance_npz(instance, path)
         rebuilt = load_instance_npz(path)
-        assert rebuilt.interest.backend == "sparse"
-        np.testing.assert_array_equal(
-            rebuilt.interest.candidate, instance.interest.candidate
-        )
-        np.testing.assert_array_equal(
-            rebuilt.interest.competing, instance.interest.competing
-        )
+        assert_same_csc(rebuilt.interest, instance.interest)
 
     def test_round_trip_preserves_utilities(self):
         instance = self._sparse_instance(seed=304)
@@ -182,3 +176,52 @@ class TestSparseBackendRoundTrip:
         assert total_utility(rebuilt, rebuilt_schedule) == pytest.approx(
             total_utility(instance, schedule), abs=1e-12
         )
+
+
+class TestLegacyDensePayloads:
+    """Files written while ``mu`` could be stored dense still load: nested
+    lists in JSON, ``interest_candidate`` / ``interest_competing`` arrays
+    in npz.  Both convert to the CSC a sparse save reloads as."""
+
+    def _instance(self):
+        return make_random_instance(seed=305, interest_density=0.3)
+
+    def test_dense_json_payload_loads_as_csc(self, tmp_path):
+        import json
+
+        instance = self._instance()
+        payload = instance_to_dict(instance)
+        payload["interest"] = {
+            "candidate": instance.interest.candidate.tolist(),
+            "competing": instance.interest.competing.tolist(),
+        }
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        sparse_path = tmp_path / "sparse.json"
+        save_instance(instance, sparse_path)
+        assert_same_csc(load_instance(path).interest, instance.interest)
+        assert_same_csc(
+            load_instance(path).interest, load_instance(sparse_path).interest
+        )
+
+    def test_dense_npz_archive_loads_as_csc(self, tmp_path):
+        import json
+
+        instance = self._instance()
+        metadata = instance_to_dict(instance)
+        del metadata["interest"], metadata["activity"]
+        path = tmp_path / "dense.npz"
+        np.savez_compressed(
+            path,
+            metadata=np.frombuffer(
+                json.dumps(metadata).encode("utf-8"), dtype=np.uint8
+            ),
+            activity=instance.activity.matrix,
+            interest_candidate=instance.interest.candidate,
+            interest_competing=instance.interest.competing,
+        )
+        sparse_path = tmp_path / "sparse.npz"
+        save_instance_npz(instance, sparse_path)
+        rebuilt = load_instance_npz(path)
+        assert rebuilt.events == instance.events
+        assert_same_csc(rebuilt.interest, load_instance_npz(sparse_path).interest)

@@ -25,10 +25,18 @@ class TestInstancePayloadErrors:
         with pytest.raises(ValueError, match="format version"):
             instance_from_dict(payload)
 
-    def test_corrupted_interest_matrix_caught_by_validation(self):
+    @pytest.mark.parametrize("layout", ["csc", "legacy-dense"])
+    def test_corrupted_interest_matrix_caught_by_validation(self, layout):
         instance = make_random_instance(seed=801)
         payload = instance_to_dict(instance)
-        payload["interest"]["candidate"][0][0] = 7.5  # outside [0, 1]
+        if layout == "csc":
+            payload["interest"]["candidate"]["values"][0] = 7.5  # outside [0, 1]
+        else:
+            payload["interest"] = {
+                "candidate": instance.interest.candidate.tolist(),
+                "competing": instance.interest.competing.tolist(),
+            }
+            payload["interest"]["candidate"][0][0] = 7.5
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             instance_from_dict(payload)
 

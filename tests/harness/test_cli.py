@@ -57,6 +57,19 @@ class TestEngineFlag:
         assert "invalid choice: 'vectorized'" in capsys.readouterr().err
 
 
+class TestRemovedBackendFlag:
+    """CSC is the only ``mu`` storage, so ``--backend`` is gone: passing it
+    exits 2, as argparse does for any unknown argument."""
+
+    @pytest.mark.parametrize("command", ["figure", "stream"])
+    @pytest.mark.parametrize("value", ["dense", "sparse"])
+    def test_backend_flag_is_a_usage_error(self, command, value, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([*ENGINE_COMMANDS[command], "--backend", value])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
+
 class TestDatasetCommand:
     def test_prints_summary_json(self, capsys):
         exit_code = main(

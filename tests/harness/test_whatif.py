@@ -91,6 +91,35 @@ class TestCompetitionCost:
         with pytest.raises(IndexError, match="out of range"):
             competition_cost(instance, k=5, competing_index=99)
 
+    def test_copy_without_a_rival_slices_csc_and_shares_candidates(
+        self, instance
+    ):
+        """The what-if copy drops one CSC column and shares the candidate
+        matrix; it never materializes the dense ``mu`` views."""
+        import numpy as np
+
+        from repro.harness.whatif import _without_competing
+
+        copy = _without_competing(instance, 2)
+        keep = [c for c in range(instance.n_competing) if c != 2]
+        assert copy.interest.candidate_sparse is instance.interest.candidate_sparse
+        np.testing.assert_array_equal(
+            copy.interest.competing, instance.interest.competing[:, keep]
+        )
+        assert [rival.interval for rival in copy.competing] == [
+            instance.competing[c].interval for c in keep
+        ]
+
+    def test_competition_cost_never_densifies(self, instance, monkeypatch):
+        def densify(self):
+            raise AssertionError("dense mu view materialized")
+
+        from repro.core.interest import InterestMatrix
+
+        monkeypatch.setattr(InterestMatrix, "candidate", property(densify))
+        monkeypatch.setattr(InterestMatrix, "competing", property(densify))
+        assert competition_cost(instance, k=5, competing_index=0) >= -1e-9
+
     def test_popular_rival_costs_more_than_ignored_one(self):
         """A rival everyone loves must cost at least as much as one nobody knows."""
         import numpy as np

@@ -1,7 +1,7 @@
 """Lock differential suite: locks never perturb what they do not bind.
 
 The acceptance contract for organizer locks, enforced across every
-registry solver on dense AND sparse interest backends:
+registry solver, with ``mu`` handed in as arrays AND as a messy COO:
 
 * ``locks=LockSet()`` (empty) is bit-identical to ``locks=None`` — the
   empty set collapses to the unlocked code path via ``LockSet.coerce``;
@@ -22,7 +22,7 @@ from repro.algorithms.registry import solver_registry
 from repro.api import ScheduleSession
 from repro.interactive import LockSet
 
-from tests.conftest import make_random_instance
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 
 #: One-shot solvers whose unlocked run is deterministic given the seed
 #: argument is unused (no RNG draws at all).
@@ -30,14 +30,11 @@ DETERMINISTIC = ("beam", "exact", "grd", "grd-heap", "top")
 SEEDED = ("grasp", "rand", "sa")
 ONE_SHOT = DETERMINISTIC + SEEDED
 
-BACKENDS = ("dense", "sparse")
 K = 3
 
 
-def build_case(backend: str):
-    if backend == "sparse":
-        pytest.importorskip("scipy")
-    instance = make_random_instance(seed=777, interest_backend=backend)
+def build_case(form: str):
+    instance = make_random_instance(seed=777, interest_input=form)
     return instance, "sparse"
 
 
@@ -65,16 +62,16 @@ class TestEmptyLocksAreTheUnlockedPath:
     """``LockSet()`` must take the exact unlocked code path, byte for byte."""
 
     @pytest.mark.parametrize("name", ONE_SHOT)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_one_shot_solvers(self, name, backend):
-        instance, engine = build_case(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_one_shot_solvers(self, name, form):
+        instance, engine = build_case(form)
         unlocked = solve(name, instance, engine, locks=None)
         empty = solve(name, instance, engine, locks=LockSet())
         assert empty.schedule == unlocked.schedule
         assert empty.utility == unlocked.utility
 
     def test_local_search_refiner(self):
-        instance, engine = build_case("dense")
+        instance, engine = build_case("array")
         start = solve("grd", instance, engine).schedule
         refiner = solver_registry.create("ls", engine=engine, seed=11)
         unlocked = refiner.refine(instance, start, locks=None)
@@ -84,7 +81,7 @@ class TestEmptyLocksAreTheUnlockedPath:
         assert empty.utility == unlocked.utility
 
     def test_incremental_scheduler(self):
-        instance, _ = build_case("dense")
+        instance, _ = build_case("array")
         unlocked = IncrementalScheduler(instance, K)
         empty = IncrementalScheduler(instance, K, locks=LockSet())
         assert empty.locks is None  # coerced onto the unlocked path
@@ -96,9 +93,9 @@ class TestNonBindingForbids:
     """Forbidding a cell the solver never wanted must change nothing."""
 
     @pytest.mark.parametrize("name", DETERMINISTIC)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_worst_cell_forbid_is_invisible(self, name, backend):
-        instance, engine = build_case(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_worst_cell_forbid_is_invisible(self, name, form):
+        instance, engine = build_case(form)
         unlocked = solve(name, instance, engine)
         session = ScheduleSession(instance, default_engine=engine)
         worst = worst_unchosen_cell(
@@ -112,9 +109,9 @@ class TestNonBindingForbids:
 
 class TestFullyPinned:
     @pytest.mark.parametrize("name", ONE_SHOT)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pinning_the_whole_solution_returns_it(self, name, backend):
-        instance, engine = build_case(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_pinning_the_whole_solution_returns_it(self, name, form):
+        instance, engine = build_case(form)
         unlocked = solve("grd", instance, engine)
         pins = tuple(
             (interval, event)
@@ -130,9 +127,9 @@ class TestWarmSession:
     locked solves read a masked copy of the session's score plane."""
 
     @pytest.mark.parametrize("name", ("grd", "grd-heap", "top"))
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_locks_never_perturb_warm_solves(self, name, backend):
-        instance, engine = build_case(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_locks_never_perturb_warm_solves(self, name, form):
+        instance, engine = build_case(form)
         session = ScheduleSession(instance, default_engine=engine)
         unlocked = session.solve(k=K, solver=name)
         chosen = unlocked.schedule.as_mapping()
@@ -152,7 +149,7 @@ class TestLockInvariants:
     @pytest.mark.parametrize("name", ONE_SHOT)
     @pytest.mark.parametrize("seed", (0, 7))
     def test_pins_present_and_forbids_absent(self, name, seed):
-        instance, engine = build_case("dense")
+        instance, engine = build_case("array")
         # pin one assignment the greedy draft proves feasible, forbid the
         # unlocked winner's other cells to force the solver to move
         draft = sorted(solve("grd", instance, engine).schedule.as_mapping().items())
@@ -169,7 +166,7 @@ class TestLockInvariants:
         locks.check_schedule(result.schedule)
 
     def test_refiner_never_moves_a_pin_or_lands_on_a_forbid(self):
-        instance, engine = build_case("dense")
+        instance, engine = build_case("array")
         start = solve("grd", instance, engine).schedule
         draft = sorted(start.as_mapping().items())
         (pin_event, pin_interval) = draft[0]
@@ -180,7 +177,7 @@ class TestLockInvariants:
         locks.check_schedule(refined.schedule)
 
     def test_incremental_honors_locks_through_maintenance(self):
-        instance, engine = build_case("dense")
+        instance, engine = build_case("array")
         draft = sorted(
             solve("grd", instance, engine).schedule.as_mapping().items()
         )

@@ -25,13 +25,13 @@ def ses_instances(
     max_users: int = 12,
     max_events: int = 6,
     max_intervals: int = 4,
-    backends: tuple[str, ...] = ("dense",),
+    inputs: tuple[str, ...] = ("array",),
 ) -> SESInstance:
     """A random, always-valid SES instance of bounded size.
 
-    ``backends`` lists the ``mu`` storage kinds to draw from; pass
-    ``("dense", "sparse")`` for backend-agnostic properties.  The all-zero
-    interest edge case (density 0) is part of the draw.
+    ``inputs`` lists the forms ``mu`` may be handed to ``InterestMatrix``
+    in (see ``tests.conftest.INTEREST_INPUTS``).  The all-zero interest
+    edge case (density 0) is part of the draw.
     """
     n_users = draw(st.integers(1, max_users))
     n_events = draw(st.integers(1, max_events))
@@ -41,7 +41,7 @@ def ses_instances(
     density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
     theta = draw(st.sampled_from([4.0, 8.0, 100.0]))
     seed = draw(st.integers(0, 2**20))
-    backend = draw(st.sampled_from(backends))
+    form = draw(st.sampled_from(inputs))
     return make_random_instance(
         n_users=n_users,
         n_events=n_events,
@@ -52,17 +52,17 @@ def ses_instances(
         xi_range=(0.5, min(3.0, theta)),
         interest_density=density,
         seed=seed,
-        interest_backend=backend,
+        interest_input=form,
     )
 
 
 @st.composite
 def instances_with_schedules(
     draw,
-    backends: tuple[str, ...] = ("dense",),
+    inputs: tuple[str, ...] = ("array",),
 ) -> tuple[SESInstance, Schedule]:
     """An instance plus a feasible schedule over it (possibly empty)."""
-    instance = draw(ses_instances(backends=backends))
+    instance = draw(ses_instances(inputs=inputs))
     seed = draw(st.integers(0, 2**20))
     target = draw(st.integers(0, instance.n_events))
 

@@ -2,8 +2,8 @@
 
 The single most load-bearing invariant in the library — every solver
 result, benchmark number and figure rests on it.  Both engines
-(reference / sparse) over both interest backends (dense / sparse)
-must agree to 1e-9 on every query a solver can issue,
+(reference / sparse), whatever form ``mu`` was handed in (arrays / a
+messy COO), must agree to 1e-9 on every query a solver can issue,
 through arbitrary assign/unassign sequences, including emptied intervals
 and all-zero interest.
 """
@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 from repro.core.engine import ENGINE_KINDS, EngineSpec, make_engine
 
-from tests.conftest import make_random_instance
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 from tests.properties.conftest import instances_with_schedules
 
 COMMON = settings(max_examples=50, deadline=None)
 
-BOTH_BACKENDS = ("dense", "sparse")
 FAST_ENGINES = ("sparse",)
 
 
@@ -55,7 +54,7 @@ def _assert_engines_agree(instance, schedule, engines):
             )
 
 
-@given(pair=instances_with_schedules(backends=BOTH_BACKENDS))
+@given(pair=instances_with_schedules(inputs=INTEREST_INPUTS))
 @COMMON
 def test_engines_agree_on_everything(pair):
     instance, schedule = pair
@@ -70,7 +69,7 @@ def test_engines_agree_on_everything(pair):
 
 
 @given(
-    pair=instances_with_schedules(backends=BOTH_BACKENDS),
+    pair=instances_with_schedules(inputs=INTEREST_INPUTS),
     drop_seed=st.integers(0, 2**20),
 )
 @settings(max_examples=50, deadline=None)
@@ -102,7 +101,7 @@ def test_engines_agree_after_unassigns(pair, drop_seed):
     _assert_engines_agree(instance, live, engines)
 
 
-@given(pair=instances_with_schedules(backends=BOTH_BACKENDS))
+@given(pair=instances_with_schedules(inputs=INTEREST_INPUTS))
 @settings(max_examples=30, deadline=None)
 def test_emptied_intervals_leave_no_trace(pair):
     """Assigning then unassigning everything returns every engine to zero."""
@@ -133,15 +132,15 @@ def test_emptied_intervals_leave_no_trace(pair):
 
 
 @given(
-    backend=st.sampled_from(BOTH_BACKENDS),
+    form=st.sampled_from(INTEREST_INPUTS),
     kind=st.sampled_from(ENGINE_KINDS),
     seed=st.integers(0, 2**10),
 )
 @settings(max_examples=20, deadline=None)
-def test_all_zero_interest_scores_nothing(backend, kind, seed):
+def test_all_zero_interest_scores_nothing(form, kind, seed):
     """With mu == 0 everywhere, every query answers exactly 0."""
     instance = make_random_instance(
-        interest_density=0.0, seed=seed, interest_backend=backend
+        interest_density=0.0, seed=seed, interest_input=form
     )
     engine = make_engine(instance, EngineSpec(kind))
     engine.assign(0, 0)
@@ -157,7 +156,7 @@ def test_all_zero_interest_scores_nothing(backend, kind, seed):
 
 
 @given(
-    pair=instances_with_schedules(backends=BOTH_BACKENDS),
+    pair=instances_with_schedules(inputs=INTEREST_INPUTS),
     kind=st.sampled_from(FAST_ENGINES),
 )
 @settings(max_examples=30, deadline=None)

@@ -2,7 +2,8 @@
 
 The acceptance property of the shared score plane: injecting a warm
 plane into any batch solver yields a *bit-identical schedule* and a
-utility within 1e-9 of the cold path, on both interest backends — even
+utility within 1e-9 of the cold path, whatever form ``mu`` was handed
+in — even
 after the plane has absorbed an arbitrary stream of live-instance deltas
 (arrivals, cancellations, drift, rivals) and served earlier solves.
 """
@@ -18,22 +19,19 @@ from repro.core.entities import CandidateEvent, CompetingEvent
 from repro.core.live import LiveInstance
 from repro.core.scoreplane import ScorePlane
 
-from tests.conftest import make_random_instance
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 
-BACKENDS = [("dense", "sparse"), ("sparse", "sparse")]
 #: Deterministic one-shot solvers whose first move sweeps initial scores.
 SOLVERS = ("grd", "grd-heap", "top", "beam")
 
 
-def build(backend, seed):
-    if backend == "sparse":
-        pytest.importorskip("scipy")
+def build(form, seed):
     return make_random_instance(
         seed=seed,
         n_users=25,
         n_events=7,
         n_intervals=5,
-        interest_backend=backend,
+        interest_input=form,
     )
 
 
@@ -45,13 +43,13 @@ def solve_pair(instance, spec, solver_name, k, plane):
     return cold, warm
 
 
-@pytest.mark.parametrize("backend,kind", BACKENDS)
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
 @pytest.mark.parametrize("solver_name", SOLVERS)
 @given(seed=st.integers(0, 40), k=st.integers(1, 6))
 @settings(max_examples=12, deadline=None)
-def test_plane_fed_solve_matches_cold(backend, kind, solver_name, seed, k):
-    instance = build(backend, seed)
-    spec = EngineSpec(kind=kind)
+def test_plane_fed_solve_matches_cold(form, solver_name, seed, k):
+    instance = build(form, seed)
+    spec = EngineSpec()
     plane = ScorePlane(spec.build(instance))
     cold, warm = solve_pair(instance, spec, solver_name, k, plane)
     assert warm.schedule.as_mapping() == cold.schedule.as_mapping()
@@ -63,20 +61,18 @@ def test_plane_fed_solve_matches_cold(backend, kind, solver_name, seed, k):
     assert again.schedule.as_mapping() == cold.schedule.as_mapping()
 
 
-@pytest.mark.parametrize("backend,kind", BACKENDS)
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
 @pytest.mark.parametrize("solver_name", ("grd", "grd-heap"))
 @given(seed=st.integers(0, 30), data=st.data())
 @settings(max_examples=10, deadline=None)
-def test_plane_stays_exact_under_live_deltas(
-    backend, kind, solver_name, seed, data
-):
+def test_plane_stays_exact_under_live_deltas(form, solver_name, seed, data):
     """After random structural deltas, a warm solve over the live view
     still equals a cold GRD solve of a frozen snapshot.  With
     ``grd-heap`` this is the stream oracle's contract: its warm regret
     sample must reproduce GRD's schedule and utility."""
-    instance = build(backend, seed)
+    instance = build(form, seed)
     live = LiveInstance(instance)
-    spec = EngineSpec(kind=kind)
+    spec = EngineSpec()
     plane = ScorePlane(spec.build(live))
     plane.ensure()
     rng = np.random.default_rng(seed)

@@ -1,15 +1,14 @@
 """Golden workload/trace cases shared by the resilience suites.
 
-Each case pins a workload seed and a trace seed, spanning dense and
-sparse interest backends — the kill-point differential tests replay
-these under every policy and assert a recovered session is bit-identical
-to an uninterrupted one.
+Each case pins a workload seed and a trace seed (the ``dense_*`` cases
+were first recorded on dense ``mu`` storage and keep their names) — the
+kill-point differential tests replay these under every policy and assert
+a recovered session is bit-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.engine import EngineSpec
 from repro.workloads.config import ExperimentConfig
@@ -19,15 +18,15 @@ from repro.workloads.traces import TraceConfig, TraceGenerator
 GOLDEN_CASES = {
     "dense_a": dict(
         seed=11, k=4, n_users=40, n_events=8, n_intervals=5,
-        n_ops=16, backend="dense",
+        n_ops=16,
     ),
     "dense_b": dict(
         seed=12, k=3, n_users=25, n_events=6, n_intervals=4,
-        n_ops=12, backend="dense",
+        n_ops=12,
     ),
     "sparse_a": dict(
         seed=13, k=4, n_users=60, n_events=10, n_intervals=5,
-        n_ops=16, backend="sparse",
+        n_ops=16,
     ),
 }
 
@@ -42,13 +41,10 @@ def golden_config(name: str) -> ExperimentConfig:
         n_users=case["n_users"],
         n_events=case["n_events"],
         n_intervals=case["n_intervals"],
-        interest_backend=case["backend"],
     )
 
 
 def golden_instance(name: str):
-    if GOLDEN_CASES[name]["backend"] == "sparse":
-        pytest.importorskip("scipy")
     config = golden_config(name)
     return WorkloadGenerator(root_seed=GOLDEN_CASES[name]["seed"]).build(config)
 
@@ -61,39 +57,40 @@ def golden_trace(name: str):
     ).generate()
 
 
-#: every case runs the default sparse engine over its own interest storage
+#: every case runs the default sparse engine
 ENGINE = EngineSpec()
 
 
-def restamp_engine(durability, kind: str) -> None:
-    """Re-stamp a durability directory as written by an engine ``kind``.
+def restamp_engine(durability, **fields) -> None:
+    """Re-stamp a durability directory's recorded engine spec with
+    ``fields`` (e.g. ``kind="vectorized"`` or ``backend=None``).
 
     Rewrites the journal header and every checkpoint body that records
     an engine, keeping all records byte-for-byte otherwise — the shape
-    of a directory left behind by an older build whose default engine
-    kind no longer exists.
+    of a directory left behind by an older build, whose default engine
+    kind no longer exists or whose spec carried a since-removed field.
     """
     from repro.resilience.checkpoint import CheckpointStore
     from repro.resilience.journal import DeltaJournal
 
     metadata = DeltaJournal.scan(durability.journal_path).metadata
     rewrite_journal(
-        durability, header=dict(metadata, engine=dict(metadata["engine"], kind=kind))
+        durability, header=dict(metadata, engine=dict(metadata["engine"], **fields))
     )
     store = CheckpointStore(durability.checkpoint_directory)
     for offset in store.offsets():
         body = store.load(offset)
         if "engine" in body:
-            body["engine"] = dict(body["engine"], kind=kind)
+            body["engine"] = dict(body["engine"], **fields)
             store.write(offset, body)
 
 
 def assert_same_instance(actual, expected) -> None:
     """Field-for-field equality of two frozen instances.
 
-    Entities compare as dataclasses, names and tags included.  Sparse
-    interest is compared on its CSC components, so two instances that
-    merely densify alike do not pass.
+    Entities compare as dataclasses, names and tags included.  Interest
+    is compared on its CSC components, so two instances that merely
+    densify alike do not pass.
     """
     assert actual.users == expected.users
     assert actual.intervals == expected.intervals
@@ -103,21 +100,12 @@ def assert_same_instance(actual, expected) -> None:
     np.testing.assert_array_equal(
         actual.activity.matrix, expected.activity.matrix
     )
-    assert actual.interest.backend == expected.interest.backend
-    if expected.interest.backend == "dense":
-        for side in ("candidate", "competing"):
-            np.testing.assert_array_equal(
-                getattr(actual.interest, side), getattr(expected.interest, side)
-            )
-    else:
-        for side in ("candidate_sparse", "competing_sparse"):
-            got = getattr(actual.interest, side)
-            want = getattr(expected.interest, side)
-            assert got.shape == want.shape
-            for part in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(
-                    getattr(got, part), getattr(want, part)
-                )
+    for side in ("candidate_sparse", "competing_sparse"):
+        got = getattr(actual.interest, side)
+        want = getattr(expected.interest, side)
+        assert got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
     assert [list(c) for c in actual.competing_by_interval] == [
         list(c) for c in expected.competing_by_interval
     ]

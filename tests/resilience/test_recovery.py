@@ -270,12 +270,12 @@ class TestRemovedEngineKind:
             engine=ENGINE,
             durability=durability,
         ).run(golden_trace("dense_a"), stop_after=9)
-        restamp_engine(durability, "vectorized")
+        restamp_engine(durability, kind="vectorized")
         with pytest.raises(RecoveryError, match="engine kind 'vectorized'") as info:
             recover(durability)
         assert str(durability.journal_path) in str(info.value)
         # the failed recovery left the journal intact and re-openable
-        restamp_engine(durability, "sparse")
+        restamp_engine(durability, kind="sparse")
         recovered = recover(durability)
         clean = _run_clean("dense_a", "incremental")
         _assert_identical(clean, recovered.resume(golden_trace("dense_a")))
@@ -284,7 +284,6 @@ class TestRemovedEngineKind:
 SPECS = {
     "default": EngineSpec(),
     "reference": EngineSpec("reference"),
-    "sparse-on-dense": EngineSpec(backend="dense"),
     "sharded": EngineSpec(shards=2, workers=1, block_users=64),
 }
 
@@ -308,12 +307,41 @@ class TestEngineSpecCodec:
         payload = json.loads(json.dumps(engine_spec_to_dict(spec)))
         assert engine_spec_from_dict(payload, tmp_path / "journal") == spec
 
+    @pytest.mark.parametrize("backend", [None, "dense", "sparse"])
+    def test_recorded_storage_backend_is_dropped(self, backend, tmp_path):
+        """Specs written while ``mu`` had two storages carry a ``backend``
+        field (``dataclasses.asdict`` wrote ``null`` by default)."""
+        payload = dict(engine_spec_to_dict(EngineSpec()), backend=backend)
+        decoded = engine_spec_from_dict(payload, tmp_path / "journal")
+        assert decoded == EngineSpec()
+
     @pytest.mark.parametrize("name", sorted(UNDECODABLE))
     def test_undecodable_spec_is_a_recovery_error(self, name, tmp_path):
         journal = tmp_path / "journal"
         with pytest.raises(RecoveryError) as info:
             engine_spec_from_dict(UNDECODABLE[name], journal)
         assert str(journal) in str(info.value)
+
+
+class TestLegacyBackendField:
+    """A directory whose journal header and checkpoints record the
+    removed ``EngineSpec.backend`` field still recovers, and resumes bit
+    for bit."""
+
+    @pytest.mark.parametrize("backend", [None, "dense", "sparse"])
+    def test_recovers_and_resumes(self, backend, tmp_path):
+        durability = Durability(tmp_path / "ses", checkpoint_every=4)
+        StreamDriver(
+            golden_instance("dense_a"),
+            policy="incremental",
+            engine=ENGINE,
+            durability=durability,
+        ).run(golden_trace("dense_a"), stop_after=9)
+        restamp_engine(durability, backend=backend)
+        recovered = recover(durability)
+        assert recovered.checkpoint_offset == 8
+        clean = _run_clean("dense_a", "incremental")
+        _assert_identical(clean, recovered.resume(golden_trace("dense_a")))
 
 
 class TestAccumulationDrift:
@@ -329,7 +357,7 @@ class TestAccumulationDrift:
         from repro.workloads.generator import WorkloadGenerator
         from repro.workloads.traces import TraceConfig, TraceGenerator
 
-        config = ExperimentConfig(k=24, n_users=200, interest_backend="dense")
+        config = ExperimentConfig(k=24, n_users=200)
         instance = WorkloadGenerator(root_seed=2018).build(config)
         trace = TraceGenerator(
             config, TraceConfig(n_ops=12), root_seed=2018

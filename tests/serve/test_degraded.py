@@ -337,7 +337,7 @@ class TestDurableSession:
         crashed = _session(durability=durability)
         mutate_serving(crashed, 3)
         crashed._writer.abandon()
-        restamp_engine(durability, "vectorized")
+        restamp_engine(durability, kind="vectorized")
         with pytest.raises(RecoveryError, match="engine kind 'vectorized'") as info:
             ServingSession.recover(durability)
         assert str(durability.journal_path) in str(info.value)

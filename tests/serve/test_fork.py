@@ -2,24 +2,24 @@
 
 The load-bearing contract: a fork is an O(cells) *copy* — the forked
 plane answers solves bit-identically to its parent while performing zero
-engine score evaluations of its own, on every engine kind and interest
-backend, including after the parent absorbed live deltas.
+engine score evaluations of its own, on every engine kind and whatever
+form ``mu`` was handed in, including after the parent absorbed live
+deltas.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import EngineSpec, solver_registry
+from repro.core.engine import ENGINE_KINDS
 from repro.core.entities import CompetingEvent
 from repro.core.live import LiveInstance
 from repro.core.scoreplane import ScorePlane
 
-from tests.conftest import make_random_instance
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 
-BACKENDS = ("dense", "sparse")
-#: (engine kind, mu storage): the oracle on dense storage, the sparse
-#: engine on both storages.
-STACKS = (("reference", "dense"), ("sparse", "dense"), ("sparse", "sparse"))
+#: (engine kind, ``mu`` input form): every pairing.
+STACKS = tuple((kind, form) for kind in ENGINE_KINDS for form in INTEREST_INPUTS)
 STACK_IDS = ["-".join(stack) for stack in STACKS]
 
 
@@ -29,10 +29,10 @@ def grd_solve(instance, k, plane):
     return result.utility, tuple(sorted(result.schedule.as_mapping().items()))
 
 
-def make_instance(backend="dense"):
+def make_instance(form="array"):
     return make_random_instance(
         n_users=30, n_events=8, n_intervals=5, n_competing=6, seed=1711,
-        interest_backend=backend,
+        interest_input=form,
     )
 
 
@@ -42,9 +42,9 @@ def instance():
 
 
 class TestFork:
-    @pytest.mark.parametrize("kind,backend", STACKS, ids=STACK_IDS)
-    def test_fork_is_bit_identical_and_zero_evaluation(self, kind, backend):
-        instance = make_instance(backend)
+    @pytest.mark.parametrize("kind,form", STACKS, ids=STACK_IDS)
+    def test_fork_is_bit_identical_and_zero_evaluation(self, kind, form):
+        instance = make_instance(form)
         plane = ScorePlane(EngineSpec(kind).build(instance))
         plane.ensure()  # warm the parent
         filled = plane.cells_filled
@@ -59,9 +59,9 @@ class TestFork:
         # and forking didn't charge the parent either
         assert plane.cells_filled == filled
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fork_of_cold_plane_matches_too(self, backend):
-        instance = make_instance(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_fork_of_cold_plane_matches_too(self, form):
+        instance = make_instance(form)
         plane = ScorePlane(EngineSpec().build(instance))
         fork = plane.fork()  # nothing warm to copy: fork fills itself
         assert grd_solve(instance, 4, fork) == grd_solve(instance, 4, plane)
@@ -77,14 +77,14 @@ class TestFork:
         assert plane.cells_refreshed == 0
         assert grd_solve(instance, 3, fork) == grd_solve(instance, 3, plane)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fork_after_delta_stream(self, backend):
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_fork_after_delta_stream(self, form):
         """Parent absorbs live deltas in O(delta); forks taken afterwards
         still answer bit-identically to a cold solve over the new state."""
         rng = np.random.default_rng(77)
         base = make_random_instance(
             n_users=24, n_events=6, n_intervals=4, n_competing=4, seed=903,
-            interest_backend=backend,
+            interest_input=form,
         )
         live = LiveInstance(base)
         plane = ScorePlane(EngineSpec().build(live))
@@ -113,9 +113,9 @@ class TestFork:
 
 
 class TestEngineClone:
-    @pytest.mark.parametrize("kind,backend", STACKS, ids=STACK_IDS)
-    def test_clone_scores_match_after_assignments(self, kind, backend):
-        instance = make_instance(backend)
+    @pytest.mark.parametrize("kind,form", STACKS, ids=STACK_IDS)
+    def test_clone_scores_match_after_assignments(self, kind, form):
+        instance = make_instance(form)
         engine = EngineSpec(kind).build(instance)
         engine.assign(0, 1)
         engine.assign(2, 0)
@@ -131,9 +131,9 @@ class TestEngineClone:
                     event, interval
                 )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_clone_is_deep_for_mutable_state(self, backend):
-        instance = make_instance(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_clone_is_deep_for_mutable_state(self, form):
+        instance = make_instance(form)
         engine = EngineSpec().build(instance)
         engine.assign(0, 1)
         clone = engine.clone()

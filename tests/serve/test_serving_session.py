@@ -3,7 +3,7 @@
 The acceptance differential: the same deterministic workload executed by
 K concurrent client threads, by a serial replay on a fresh session, and
 by per-request cold construction must produce identical response
-fingerprints on the dense AND sparse engines — concurrency must be
+fingerprints on the sparse AND reference engines — concurrency must be
 invisible in the results, visible only in the latency.
 """
 
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.api import EngineSpec, SolveRequest
+from repro.core.engine import ENGINE_KINDS
 from repro.serve import ServingSession
 from repro.workloads.config import ExperimentConfig
 from repro.workloads.generator import WorkloadGenerator
@@ -55,10 +56,8 @@ def run_threaded(serving, items, n_threads=4):
     return fingerprints
 
 
-def build_workload_instance(spec):
-    config = ExperimentConfig(
-        k=4, n_users=80, interest_backend=spec.interest_backend
-    )
+def build_workload_instance():
+    config = ExperimentConfig(k=4, n_users=80)
     instance = WorkloadGenerator(root_seed=SEED).build(config)
     trace = TraceGenerator(
         config, TraceConfig(n_ops=3), root_seed=SEED
@@ -67,10 +66,10 @@ def build_workload_instance(spec):
 
 
 class TestConcurrentDifferential:
-    @pytest.mark.parametrize("backend", ("dense", "sparse"))
-    def test_k_threads_match_serial_replay_and_cold(self, backend):
-        spec = EngineSpec(backend=backend)
-        instance, trace = build_workload_instance(spec)
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
+    def test_k_threads_match_serial_replay_and_cold(self, kind):
+        spec = EngineSpec(kind)
+        instance, trace = build_workload_instance()
         items = make_workload(
             12,
             4,
@@ -96,7 +95,7 @@ class TestConcurrentDifferential:
 
     def test_two_runs_same_seed_identical_despite_interleaving(self):
         spec = EngineSpec()
-        instance, _ = build_workload_instance(spec)
+        instance, _ = build_workload_instance()
         items = make_workload(10, 3, SEED, engine=spec, solvers=("grd", "sa"))
         assert any(
             item.request is not None and item.request.seed is not None
@@ -110,14 +109,14 @@ class TestConcurrentDifferential:
         )
         assert first == second
 
-    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    @pytest.mark.parametrize("kind", ENGINE_KINDS)
     def test_threads_against_a_mutating_writer_stay_version_consistent(
-        self, backend
+        self, kind
     ):
         """Solves racing a writer must each match the cold solve of *some*
         committed version — never a torn mix of two versions."""
-        spec = EngineSpec(backend=backend)
-        instance, _ = build_workload_instance(spec)
+        spec = EngineSpec(kind)
+        instance, _ = build_workload_instance()
         serving = ServingSession(instance, default_engine=spec)
         rng = np.random.default_rng(11)
         versions = {0: serving.version_instance()}

@@ -27,9 +27,7 @@ from repro.shard.executor import ShardExecutor
 from repro.shard.interest import ShardedInterest
 from repro.shard.plan import ShardPlan
 
-from tests.conftest import make_random_instance
-
-pytest.importorskip("scipy")
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 
 SHARD_COUNTS = (1, 2, 7)
 BLOCK_USERS = 16
@@ -40,7 +38,7 @@ def sharded(instance, shards=1, **kwargs):
     return ShardedEngine(instance, shards=shards, **kwargs)
 
 
-@pytest.fixture(scope="module", params=["dense", "sparse"])
+@pytest.fixture(scope="module", params=INTEREST_INPUTS)
 def instance(request) -> SESInstance:
     return make_random_instance(
         n_users=73,
@@ -48,7 +46,7 @@ def instance(request) -> SESInstance:
         n_intervals=5,
         n_competing=6,
         seed=31,
-        interest_backend=request.param,
+        interest_input=request.param,
     )
 
 
@@ -187,7 +185,6 @@ class TestShardedInterestBacked:
     def pair(self):
         flat_instance = make_random_instance(
             n_users=80, n_events=7, n_intervals=4, seed=8,
-            interest_backend="sparse",
         )
         plan = ShardPlan(n_users=80, n_shards=2, block_users=BLOCK_USERS)
         interest = ShardedInterest.from_interest(flat_instance.interest, plan)
@@ -246,22 +243,22 @@ class TestShardedInterestBacked:
         assert np.array_equal(results[0], results[2])
 
 
-class TestStorageParity:
-    def test_dense_and_sparse_storage_answer_the_same_bits(self):
-        """Block sub-engines gather the same nonzeros in the same order
-        from either storage, so a sharded engine over dense ``mu``
-        answers exactly what it answers over CSC ``mu``."""
+class TestInputParity:
+    def test_array_and_coo_inputs_answer_the_same_bits(self):
+        """``mu`` handed in as arrays or as a COO with explicit zeros and
+        duplicate entries converts to the same CSC storage, so a sharded
+        engine answers the same bits over either."""
         engines = {}
-        for storage in ("dense", "sparse"):
+        for form in INTEREST_INPUTS:
             instance = make_random_instance(
                 n_users=73, n_events=8, n_intervals=5, n_competing=6,
-                seed=31, interest_backend=storage,
+                seed=31, interest_input=form,
             )
             engine = sharded(instance, shards=3)
             engine.assign(0, 1)
             engine.assign(3, 2)
-            engines[storage] = engine
-        dense, csc = engines["dense"], engines["sparse"]
+            engines[form] = engine
+        dense, csc = engines["array"], engines["coo"]
         free = [1, 2, 4, 5, 6, 7]
         np.testing.assert_array_equal(
             dense.scores_for_rows(range(5), free),

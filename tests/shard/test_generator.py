@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineSpec
+from repro.shard.interest import ShardedInterest
 from repro.workloads.generator import synthesize_sharded_instance
-
-pytest.importorskip("scipy")
 
 SHAPE = dict(n_events=9, n_intervals=4, density=0.05)
 
@@ -47,7 +46,7 @@ class TestShape:
         assert inst.n_users == 700
         assert inst.n_events == SHAPE["n_events"]
         assert inst.n_intervals == SHAPE["n_intervals"]
-        assert inst.interest.backend == "sharded"
+        assert isinstance(inst.interest, ShardedInterest)
         assert inst.interest.plan.n_blocks == 6
 
     def test_density_controls_nnz(self):
@@ -99,7 +98,7 @@ class TestStorage:
         inst = synthesize_sharded_instance(
             800, shards=2, block_users=256, seed=9, **SHAPE
         )
-        flat = inst.interest.to_interest("sparse")
+        flat = inst.interest.to_interest()
         from repro.core.instance import SESInstance
 
         flat_inst = SESInstance(

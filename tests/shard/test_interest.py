@@ -10,8 +10,6 @@ from repro.core.interest import InterestMatrix, slice_entries
 from repro.shard.interest import ShardedInterest
 from repro.shard.plan import ShardPlan
 
-pytest.importorskip("scipy")
-
 N_USERS, N_EVENTS, N_COMPETING = 97, 7, 5
 
 
@@ -22,7 +20,7 @@ def flat() -> InterestMatrix:
     candidate *= rng.random(candidate.shape) < 0.3
     competing = rng.uniform(0, 1, (N_USERS, N_COMPETING))
     competing *= rng.random(competing.shape) < 0.3
-    return InterestMatrix.from_arrays(candidate, competing, backend="sparse")
+    return InterestMatrix.from_arrays(candidate, competing)
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +57,8 @@ class TestAccessorProtocolParity:
         than the user axis."""
         return ShardPlan(n_users=N_USERS, n_shards=3, block_users=request.param)
 
-    def test_shape_and_backend(self, flat, plan):
+    def test_shape(self, flat, plan):
         sharded = build(flat, plan)
-        assert sharded.backend == "sharded"
         assert (sharded.n_users, sharded.n_events, sharded.n_competing) == (
             N_USERS,
             N_EVENTS,
@@ -186,9 +183,11 @@ class TestConstruction:
             ShardedInterest.from_blocks(plan, candidate, blocks)
 
     def test_generic_duck_source_matches_sparse_source(self, flat, plan):
-        """A dense-backed matrix reshards through the entries fallback."""
-        dense_flat = flat.to_backend("dense")
-        from_entries = ShardedInterest.from_interest(dense_flat, plan)
+        """A live store (no CSC view) reshards through the entries
+        fallback."""
+        from repro.core.live import LiveInterest
+
+        from_entries = ShardedInterest.from_interest(LiveInterest(flat), plan)
         from_sparse = ShardedInterest.from_interest(flat, plan)
         np.testing.assert_array_equal(
             from_entries.candidate, from_sparse.candidate
@@ -199,11 +198,12 @@ class TestConstruction:
 
 
 class TestConversion:
-    def test_to_interest_backends(self, flat, plan):
-        sharded = build(flat, plan)
-        back_sparse = sharded.to_interest("sparse")
-        assert back_sparse.backend == "sparse"
-        np.testing.assert_array_equal(back_sparse.candidate, flat.candidate)
-        back_dense = sharded.to_interest("dense")
-        assert back_dense.backend == "dense"
-        np.testing.assert_array_equal(back_dense.candidate, flat.candidate)
+    def test_to_interest(self, flat, plan):
+        back = build(flat, plan).to_interest()
+        assert isinstance(back, InterestMatrix)
+        for side in ("candidate_sparse", "competing_sparse"):
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(getattr(back, side), part),
+                    getattr(getattr(flat, side), part),
+                )

@@ -13,8 +13,6 @@ from repro.shard.engine import ShardedEngine
 
 from tests.conftest import make_random_instance
 
-pytest.importorskip("scipy")
-
 FLAT = EngineSpec(kind="sparse")
 SHARDED = EngineSpec(kind="sparse", shards=2, block_users=16)
 
@@ -23,7 +21,6 @@ SHARDED = EngineSpec(kind="sparse", shards=2, block_users=16)
 def pool():
     instance = make_random_instance(
         n_users=50, n_events=6, n_intervals=4, seed=12,
-        interest_backend="sparse",
     )
     return PlanePool(LiveInstance(instance))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import SerializationError
+from repro.core.interest import InterestMatrix
 from repro.data.serialization import (
     instance_from_dict,
     instance_to_dict,
@@ -16,11 +17,10 @@ from repro.data.serialization import (
     save_instance_npz,
     save_sharded_instance,
 )
+from repro.shard.interest import ShardedInterest
 from repro.workloads.generator import synthesize_sharded_instance
 
 from tests.conftest import make_random_instance
-
-pytest.importorskip("scipy")
 
 #: Block storages earlier builds wrote (float32 CSC, float32 dense,
 #: float32 memmap); this build refuses their directories by name.
@@ -38,7 +38,7 @@ def instance():
 class TestFlatFallbacks:
     def test_json_dict_flattens_to_sparse(self, instance):
         back = instance_from_dict(instance_to_dict(instance))
-        assert back.interest.backend == "sparse"
+        assert isinstance(back.interest, InterestMatrix)
         np.testing.assert_array_equal(
             back.interest.candidate, instance.interest.candidate
         )
@@ -47,7 +47,7 @@ class TestFlatFallbacks:
         path = tmp_path / "inst.npz"
         save_instance_npz(instance, path)
         back = load_instance_npz(path)
-        assert back.interest.backend == "sparse"
+        assert isinstance(back.interest, InterestMatrix)
         np.testing.assert_array_equal(
             back.interest.candidate, instance.interest.candidate
         )
@@ -62,7 +62,7 @@ class TestDirectoryFormat:
         back = load_sharded_instance(tmp_path / "d")
         manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert manifest["storage"] == "csc"
-        assert back.interest.backend == "sharded"
+        assert isinstance(back.interest, ShardedInterest)
         assert back.interest.plan == instance.interest.plan
         np.testing.assert_array_equal(
             back.interest.candidate, instance.interest.candidate

@@ -21,10 +21,8 @@ from repro.core.live import LiveInstance
 from repro.core.scoreplane import ScorePlane
 from repro.stream import StreamDriver, Trace
 
-from tests.conftest import make_random_instance
+from tests.conftest import INTEREST_INPUTS, make_random_instance
 from tests.stream.golden.regenerate import CASES, build_case
-
-pytest.importorskip("scipy")
 
 GOLDEN_DIR = Path(__file__).parents[1] / "stream" / "golden"
 SHARD_COUNTS = (1, 2, 7)
@@ -51,12 +49,12 @@ def delta_script(live: LiveInstance, seed: int):
     yield live.remove_event(0)
 
 
-@pytest.mark.parametrize("backend", ["dense", "sparse"])
+@pytest.mark.parametrize("form", INTEREST_INPUTS)
 class TestDeltaStreamParity:
-    def trajectory(self, backend, spec_kwargs, seed=17):
+    def trajectory(self, form, spec_kwargs, seed=17):
         instance = make_random_instance(
             n_users=60, n_events=6, n_intervals=4, seed=seed,
-            interest_backend=backend,
+            interest_input=form,
         )
         live = LiveInstance(instance)
         spec = EngineSpec(kind="sparse", **spec_kwargs)
@@ -73,32 +71,32 @@ class TestDeltaStreamParity:
             utilities.append(engine.total_utility())
         return snapshots, utilities, live.freezes
 
-    def test_bit_identical_across_p(self, backend):
+    def test_bit_identical_across_p(self, form):
         base_snaps, base_utils, _ = self.trajectory(
-            backend, dict(shards=1, block_users=BLOCK_USERS)
+            form, dict(shards=1, block_users=BLOCK_USERS)
         )
         for shards in SHARD_COUNTS[1:]:
             snaps, utils, _ = self.trajectory(
-                backend, dict(shards=shards, block_users=BLOCK_USERS)
+                form, dict(shards=shards, block_users=BLOCK_USERS)
             )
             assert utils == base_utils
             for a, b in zip(base_snaps, snaps):
                 assert np.array_equal(a, b)
 
-    def test_matches_unsharded_to_1e9(self, backend):
-        flat_snaps, flat_utils, flat_freezes = self.trajectory(backend, {})
+    def test_matches_unsharded_to_1e9(self, form):
+        flat_snaps, flat_utils, flat_freezes = self.trajectory(form, {})
         snaps, utils, freezes = self.trajectory(
-            backend, dict(shards=3, block_users=BLOCK_USERS)
+            form, dict(shards=3, block_users=BLOCK_USERS)
         )
         assert utils == pytest.approx(flat_utils, rel=1e-9, abs=1e-12)
         for a, b in zip(flat_snaps, snaps):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
         assert freezes == flat_freezes == 0
 
-    def test_single_block_replay_is_bit_identical_to_unsharded(self, backend):
-        flat_snaps, flat_utils, _ = self.trajectory(backend, {})
+    def test_single_block_replay_is_bit_identical_to_unsharded(self, form):
+        flat_snaps, flat_utils, _ = self.trajectory(form, {})
         snaps, utils, _ = self.trajectory(
-            backend, dict(shards=2, block_users=1000)
+            form, dict(shards=2, block_users=1000)
         )
         assert utils == flat_utils
         for a, b in zip(flat_snaps, snaps):
@@ -120,10 +118,7 @@ class TestGoldenReplaysSharded:
         driver = StreamDriver(instance, policy="incremental", engine=spec)
         return driver.run(trace)
 
-    @pytest.mark.parametrize(
-        "name",
-        [n for n in CASES if CASES[n][0] == "sparse"],
-    )
+    @pytest.mark.parametrize("name", list(CASES))
     def test_single_block_matches_golden_exactly(self, name):
         result = self.replay(name, shards=2, block_users=10**6)
         expected = self.EXPECTED[name]["policies"]["incremental"]
@@ -132,10 +127,7 @@ class TestGoldenReplaysSharded:
         assert result.final_k == expected["final_k"]
         assert result.freezes == 0
 
-    @pytest.mark.parametrize(
-        "name",
-        [n for n in CASES if CASES[n][0] == "sparse"],
-    )
+    @pytest.mark.parametrize("name", list(CASES))
     def test_multi_block_replay_p_independent_and_close(self, name):
         results = [
             self.replay(name, shards=p, block_users=BLOCK_USERS)
@@ -151,7 +143,7 @@ class TestGoldenReplaysSharded:
         assert all(result.freezes == 0 for result in results)
 
     def test_stream_result_records_sharding(self):
-        name = next(n for n in CASES if CASES[n][0] == "sparse")
+        name = "sparse_a"
         payload = self.replay(name, shards=2, block_users=BLOCK_USERS).as_dict()
         assert payload["shards"] == 2
         assert payload["workers"] is None

@@ -7,10 +7,10 @@ Run from the repository root after an *intentional* behavior change::
 Each case pins a seeded trace (JSONL) plus the exact expected replay
 observations — per-op utility trajectory, final schedule, final utility,
 rebuild and freeze counts — for every maintenance policy, on the sparse
-engine over the interest storage named by the case.  ``tests/stream/test_golden.py`` replays the
-committed traces and compares **exactly** (floats included: replay is
-deterministic, and JSON round-trips doubles losslessly via repr), so any
-drift in scheduler, engine or policy behavior fails loudly.
+engine.  ``tests/stream/test_golden.py`` replays the committed traces
+and compares **exactly** (floats included: replay is deterministic, and
+JSON round-trips doubles losslessly via repr), so any drift in
+scheduler, engine or policy behavior fails loudly.
 
 Before being committed, the live-path trajectories were differentially
 checked against the pre-LiveInstance frozen-rebuild scheduler on these
@@ -31,25 +31,26 @@ from repro.workloads.traces import TraceConfig, TraceGenerator
 
 GOLDEN_DIR = Path(__file__).parent
 
-#: name -> (interest backend, root seed, instance shape, op count)
+#: name -> (root seed, instance shape, op count).  The ``dense_*`` cases
+#: were recorded on dense ``mu`` storage; CSC replays them to the same
+#: bits, so they keep their names and fixtures.
 CASES = {
-    "dense_a": ("dense", 11, dict(k=4, n_users=40, n_events=8, n_intervals=5), 16),
-    "dense_b": ("dense", 12, dict(k=3, n_users=25, n_events=6, n_intervals=4), 12),
-    "sparse_a": ("sparse", 13, dict(k=4, n_users=60, n_events=10, n_intervals=5), 16),
+    "dense_a": (11, dict(k=4, n_users=40, n_events=8, n_intervals=5), 16),
+    "dense_b": (12, dict(k=3, n_users=25, n_events=6, n_intervals=4), 12),
+    "sparse_a": (13, dict(k=4, n_users=60, n_events=10, n_intervals=5), 16),
 }
 
 #: policy name -> constructor params used for the golden replays
 POLICY_PARAMS = {"periodic-rebuild": {"rebuild_every": 2}}
 
 
-#: every case replays on the default sparse engine; the dense cases keep
-#: dense ``mu`` storage, so both interest backends stay pinned
+#: every case replays on the default sparse engine
 ENGINE = EngineSpec()
 
 
 def build_case(name: str):
-    backend, seed, shape, n_ops = CASES[name]
-    config = ExperimentConfig(interest_backend=backend, **shape)
+    seed, shape, n_ops = CASES[name]
+    config = ExperimentConfig(**shape)
     trace = TraceGenerator(
         config, TraceConfig(n_ops=n_ops), root_seed=seed
     ).generate()

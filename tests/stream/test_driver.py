@@ -12,20 +12,17 @@ from repro.workloads.config import ExperimentConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.traces import TraceConfig, TraceGenerator
 
-_CONFIG_KWARGS = dict(k=4, n_users=40, n_events=8, n_intervals=5)
+from tests.conftest import INTEREST_INPUTS, with_interest_input
+
+CONFIG = ExperimentConfig(k=4, n_users=40, n_events=8, n_intervals=5)
 
 
-def config_for(backend: str) -> ExperimentConfig:
-    return ExperimentConfig(interest_backend=backend, **_CONFIG_KWARGS)
-
-
-def build_case(backend: str = "dense", n_ops: int = 14, seed: int = 9):
-    config = config_for(backend)
+def build_case(form: str = "array", n_ops: int = 14, seed: int = 9):
     trace = TraceGenerator(
-        config, TraceConfig(n_ops=n_ops), root_seed=seed
+        CONFIG, TraceConfig(n_ops=n_ops), root_seed=seed
     ).generate()
-    instance = WorkloadGenerator(root_seed=seed).build(config)
-    return instance, trace
+    instance = WorkloadGenerator(root_seed=seed).build(CONFIG)
+    return with_interest_input(instance, form), trace
 
 
 class TestValidation:
@@ -100,10 +97,10 @@ class TestValidation:
 class TestReplayDeterminism:
     """Same trace + policy => identical op log, trajectory, final schedule."""
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_replay_is_deterministic(self, policy, backend):
-        instance, trace = build_case(backend)
+    def test_replay_is_deterministic(self, policy, form):
+        instance, trace = build_case(form)
         spec = EngineSpec()
         results = [
             StreamDriver(instance, policy=policy, engine=spec).run(trace)
@@ -125,10 +122,10 @@ class TestPeriodicParity:
     """The acceptance property: periodic-rebuild's final state IS a
     one-shot registry solve on the final instance state."""
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
     @pytest.mark.parametrize("rebuild_every", [1, 3])
-    def test_final_state_matches_one_shot_solve(self, backend, rebuild_every):
-        instance, trace = build_case(backend)
+    def test_final_state_matches_one_shot_solve(self, form, rebuild_every):
+        instance, trace = build_case(form)
         spec = EngineSpec()
         driver = StreamDriver(
             instance,
@@ -212,11 +209,9 @@ class TestPolicyQuality:
 class TestStructuralFastPath:
     """The O(delta) live path must never fall back to instance rebuilds."""
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_incremental_replay_never_freezes(self, backend):
-        if backend == "sparse":
-            pytest.importorskip("scipy")
-        instance, trace = build_case(backend)
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_incremental_replay_never_freezes(self, form):
+        instance, trace = build_case(form)
         result = StreamDriver(
             instance, policy="incremental", engine=EngineSpec()
         ).run(trace)

@@ -1,6 +1,6 @@
 """Golden-trace regression suite: frozen streams, exact expected replays.
 
-Three small seeded traces (two dense, one sparse) live as committed JSONL
+Three small seeded traces live as committed JSONL
 fixtures under ``golden/`` together with their exact expected
 observations per maintenance policy.  Replaying them must reproduce the
 expected per-op utility trajectory **exactly** (float equality, not
@@ -52,9 +52,6 @@ class TestFixturesAreCurrent:
 class TestGoldenReplays:
     @pytest.mark.parametrize("name,policy", case_params())
     def test_replay_matches_expected_exactly(self, name, policy):
-        backend = CASES[name][0]
-        if backend == "sparse":
-            pytest.importorskip("scipy")
         instance, _, spec = build_case(name)
         trace = Trace.load(GOLDEN_DIR / f"{name}.jsonl")
         result = replay(instance, trace, spec, policy)

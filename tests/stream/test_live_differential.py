@@ -3,11 +3,11 @@
 The pre-LiveInstance scheduler rebuilt an immutable ``SESInstance`` from
 scratch on every structural op.  That path is gone from the library, so
 this suite re-implements it as a *shadow*: a fresh ``SESInstance`` is
-maintained per op with the same backend-preserving
+maintained per op with the same CSC
 ``InterestMatrix.with_event_column`` / ``without_event_column`` /
 ``with_replaced_event_column`` / ``with_competing_column`` edits the old
-code used.  Seeded random op sequences (both interest backends) then
-assert, after **every** op:
+code used.  Seeded random op sequences (``mu`` handed in as arrays or as
+a messy COO) then assert, after **every** op:
 
 * ``LiveInstance.freeze()`` equals the shadow instance field for field
   (entities, interest matrices, activity, organizer, derived ``K_t``);
@@ -42,6 +42,8 @@ from repro.stream.trace import (
 from repro.workloads.config import ExperimentConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.traces import TraceConfig, TraceGenerator
+
+from tests.conftest import with_interest_input
 
 ATOL = 1e-9
 
@@ -120,7 +122,6 @@ def assert_instances_equal(frozen: SESInstance, shadow: SESInstance) -> None:
     assert frozen.theta == shadow.theta
     assert np.array_equal(frozen.activity.matrix, shadow.activity.matrix)
     left, right = frozen.interest, shadow.interest
-    assert left.backend == right.backend
     assert np.array_equal(left.candidate, right.candidate)
     assert np.array_equal(left.competing, right.competing)
     assert np.array_equal(frozen.competing_mass, shadow.competing_mass)
@@ -179,21 +180,17 @@ def assert_schedule_feasible(scheduler: IncrementalScheduler) -> None:
 
 
 def run_case(
-    backend: str, seed: int, maintain: bool, engine: EngineSpec | None = None
+    form: str, seed: int, maintain: bool, engine: EngineSpec | None = None
 ) -> int:
-    config = ExperimentConfig(
-        k=4,
-        n_users=30,
-        n_events=7,
-        n_intervals=4,
-        interest_backend=backend,
-    )
+    config = ExperimentConfig(k=4, n_users=30, n_events=7, n_intervals=4)
     trace = TraceGenerator(
         config,
         TraceConfig(n_ops=25, interest_density=0.3),
         root_seed=seed,
     ).generate()
-    instance = WorkloadGenerator(root_seed=seed).build(config)
+    instance = with_interest_input(
+        WorkloadGenerator(root_seed=seed).build(config), form
+    )
     scheduler = IncrementalScheduler(
         instance, config.k, engine=engine or EngineSpec()
     )
@@ -211,17 +208,16 @@ def run_case(
 @pytest.mark.parametrize("seed", [21, 22, 23])
 @pytest.mark.parametrize("maintain", [True, False], ids=["maintained", "repair-only"])
 class TestDifferentialFuzz:
-    def test_dense_backend(self, seed, maintain):
-        assert run_case("dense", seed, maintain) > 0
+    def test_array_input(self, seed, maintain):
+        assert run_case("array", seed, maintain) > 0
 
-    def test_sparse_backend(self, seed, maintain):
-        pytest.importorskip("scipy")
-        assert run_case("sparse", seed, maintain) > 0
+    def test_coo_input(self, seed, maintain):
+        assert run_case("coo", seed, maintain) > 0
 
-    def test_reference_engine_over_dense_backend(self, seed, maintain):
+    def test_reference_engine(self, seed, maintain):
         """The oracle absorbs live deltas through the base-class hooks
         alone; it must stay exact under the same op sequences."""
-        assert run_case("dense", seed, maintain, EngineSpec("reference")) > 0
+        assert run_case("array", seed, maintain, EngineSpec("reference")) > 0
 
 
 class TestFreezeCaching:

@@ -16,6 +16,8 @@ from repro.workloads.config import ExperimentConfig
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.traces import TraceConfig, TraceGenerator
 
+from tests.conftest import INTEREST_INPUTS, with_interest_input
+
 
 def manual_trace(ops, n_events=4, n_users=10, k=2):
     return Trace(
@@ -131,25 +133,22 @@ class TestReplayEquivalence:
     SEEDS = (2, 3, 5, 6)
 
     @staticmethod
-    def build(backend, seed):
-        config = ExperimentConfig(
-            k=4, n_users=40, n_events=8, n_intervals=5,
-            interest_backend=backend,
-        )
+    def build(form, seed):
+        config = ExperimentConfig(k=4, n_users=40, n_events=8, n_intervals=5)
         trace = TraceGenerator(
             config, TraceConfig(n_ops=18), root_seed=seed
         ).generate()
-        instance = WorkloadGenerator(root_seed=seed).build(config)
+        instance = with_interest_input(
+            WorkloadGenerator(root_seed=seed).build(config), form
+        )
         spec = EngineSpec()
         return instance, trace, spec
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_final_states_match(self, backend, policy, seed):
-        if backend == "sparse":
-            pytest.importorskip("scipy")
-        instance, trace, spec = self.build(backend, seed)
+    def test_final_states_match(self, form, policy, seed):
+        instance, trace, spec = self.build(form, seed)
         compact = trace.compact()
         assert len(compact) < len(trace)  # seeds chosen to actually compact
         original = StreamDriver(instance, policy=policy, engine=spec).run(trace)

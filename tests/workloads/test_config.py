@@ -102,12 +102,18 @@ class TestInterestBackend:
 
         assert ExperimentConfig().interest_backend == "sparse"
 
-    def test_with_backend_copies(self):
+    def test_sparse_is_the_only_accepted_value(self):
+        """CSC is the only ``mu`` storage: callers that still pass
+        ``interest_backend="sparse"`` construct, ``"dense"`` is refused."""
+        import pytest
+
         from repro.workloads.config import ExperimentConfig
 
-        config = ExperimentConfig().with_backend("dense")
-        assert config.interest_backend == "dense"
-        assert ExperimentConfig().interest_backend == "sparse"
+        config = ExperimentConfig(k=6, n_users=300, interest_backend="sparse")
+        assert config == ExperimentConfig(k=6, n_users=300)
+        with pytest.raises(ValueError, match="interest_backend must be 'sparse'"):
+            ExperimentConfig(interest_backend="dense")
+        assert not hasattr(config, "with_backend")
 
     def test_invalid_backend_rejected(self):
         import pytest

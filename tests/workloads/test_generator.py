@@ -69,34 +69,37 @@ class TestBuild:
         assert result.utility > 0
 
 
-class TestSparseBackendBuild:
-    def test_backend_flows_through_and_survives_restriction(self):
+class TestCscBuild:
+    def test_csc_storage_survives_restriction(self):
         from repro.workloads.config import ExperimentConfig
         from repro.workloads.generator import WorkloadGenerator
 
-        config = ExperimentConfig(k=5, n_users=40, interest_backend="sparse")
+        config = ExperimentConfig(k=5, n_users=40)
         instance = WorkloadGenerator(root_seed=11).build(config, seed=2)
-        assert instance.interest.backend == "sparse"
+        assert instance.interest.candidate_sparse.format == "csc"
+        assert instance.interest.candidate_sparse.shape[0] == 40
         assert instance.n_users == 40
 
-    def test_sparse_and_dense_builds_are_numerically_identical(self):
+    def test_explicit_sparse_config_builds_the_same_instance(self):
+        """``interest_backend="sparse"`` (what existing callers still
+        pass) changes nothing about the build."""
         import numpy as np
 
         from repro.workloads.config import ExperimentConfig
         from repro.workloads.generator import WorkloadGenerator
 
-        dense = WorkloadGenerator(root_seed=11).build(
+        default = WorkloadGenerator(root_seed=11).build(
             ExperimentConfig(k=5, n_users=40), seed=2
         )
-        sparse = WorkloadGenerator(root_seed=11).build(
+        explicit = WorkloadGenerator(root_seed=11).build(
             ExperimentConfig(k=5, n_users=40, interest_backend="sparse"), seed=2
         )
+        for side in ("candidate_sparse", "competing_sparse"):
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(getattr(explicit.interest, side), part),
+                    getattr(getattr(default.interest, side), part),
+                )
         np.testing.assert_array_equal(
-            sparse.interest.candidate, dense.interest.candidate
-        )
-        np.testing.assert_array_equal(
-            sparse.interest.competing, dense.interest.competing
-        )
-        np.testing.assert_array_equal(
-            sparse.activity.matrix, dense.activity.matrix
+            explicit.activity.matrix, default.activity.matrix
         )
