@@ -2,13 +2,13 @@
 
 Paper methods (Sections III–IV):
 
-* :class:`GreedyScheduler` (GRD) — Algorithm 1, list-based.
+* :class:`GreedyScheduler` (GRD) — Algorithm 1, with lazy rescoring.
 * :class:`TopKScheduler` (TOP) — top-k initial scores, no updates.
 * :class:`RandomScheduler` (RAND) — random valid assignments.
 
 Reproduction infrastructure and extensions:
 
-* :class:`LazyGreedyScheduler` — heap GRD, identical selections, faster pops.
+* :class:`LazyGreedyScheduler` — ``grd-heap``, a kept name for GRD's loop.
 * :class:`ExhaustiveScheduler` — exact optimum on tiny instances.
 * :class:`LocalSearchRefiner` — relocate/replace/exchange hill climbing.
 * :class:`AnnealingScheduler` — Metropolis search with geometric cooling.

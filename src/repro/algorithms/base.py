@@ -193,7 +193,7 @@ class Scheduler(ABC):
         :class:`~repro.core.scoreplane.ScorePlane` of initial (Eq. 4,
         empty-schedule) scores.  The plane supplies the engine (passing a
         second, different engine is an error); solvers whose first move
-        is a full score sweep — GRD, the lazy heap, TOP, beam roots,
+        is a full score sweep — GRD (also as ``grd-heap``), TOP, beam roots,
         GRASP constructions — read the cached matrix instead of
         re-filling it, and the selection is bit-identical to a cold
         solve (the plane's warm-start contract).

@@ -93,7 +93,7 @@ class GraspScheduler(Scheduler):
             )
             if self._polish and mapping:
                 mapping, utility = self._polish_mapping(
-                    instance, mapping, stats, work_engine, locks
+                    instance, mapping, stats, work_engine, locks, deadline
                 )
             if utility > best_utility:
                 best_utility, best_mapping = utility, mapping
@@ -168,6 +168,7 @@ class GraspScheduler(Scheduler):
         stats: SolverStats,
         engine: ScoreEngine,
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> tuple[dict[int, int], float]:
         from repro.core.schedule import Schedule
 
@@ -180,6 +181,8 @@ class GraspScheduler(Scheduler):
             max_rounds=self._polish_rounds,
             seed=self._rng,
         )
-        refined = refiner.refine(instance, schedule, engine=engine, locks=locks)
+        refined = refiner.refine(
+            instance, schedule, engine=engine, locks=locks, deadline=deadline
+        )
         stats.moves_accepted += refined.stats.moves_accepted
         return refined.schedule.as_mapping(), refined.utility

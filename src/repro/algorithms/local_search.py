@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ScheduleResult, SolverStats
+from repro.algorithms.base import NO_DEADLINE, Deadline, ScheduleResult, SolverStats
 from repro.algorithms.registry import register_solver
 from repro.core.engine import EngineSpec, ScoreEngine
 from repro.core.feasibility import FeasibilityChecker
@@ -64,6 +64,7 @@ class LocalSearchRefiner:
         *,
         engine: "ScoreEngine | None" = None,
         locks: LockSet | None = None,
+        deadline: Deadline = NO_DEADLINE,
     ) -> ScheduleResult:
         """Improve ``schedule`` in place-semantics-free fashion; returns a result.
 
@@ -78,6 +79,10 @@ class LocalSearchRefiner:
         forbidden (interval, event) cell.  The input schedule must
         already honor the locks (:class:`~repro.core.errors.LockError`
         otherwise).
+
+        ``deadline`` is checked at the top of every round, so a climb
+        whose deadline passes raises
+        :class:`~repro.core.errors.DeadlineExceeded` within one round.
         """
         locks = LockSet.coerce(locks)
         if locks is not None:
@@ -100,6 +105,7 @@ class LocalSearchRefiner:
                 engine.assign(assignment.event, assignment.interval)
 
             for _ in range(self._max_rounds):
+                deadline.check()
                 improved = self._one_round(
                     instance, engine, checker, stats, locks=locks
                 )

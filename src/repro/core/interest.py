@@ -131,29 +131,37 @@ def _is_stored(matrix: Any) -> bool:
     )
 
 
+def _canonical_copy(matrix: Any, name: str) -> Any:
+    """A validated float64 CSC copy of scipy ``matrix``: duplicates
+    summed, explicit zeros dropped and indices sorted."""
+    csc = _sp.csc_matrix(matrix, dtype=np.float64, copy=True)
+    csc.sum_duplicates()
+    csc.eliminate_zeros()
+    csc.sort_indices()
+    data = csc.data
+    if np.isnan(data).any():
+        raise InstanceValidationError(f"{name} contains NaN entries")
+    if data.size and (data.min() < 0.0 or data.max() > 1.0):
+        raise InstanceValidationError(
+            f"{name} entries must lie in [0, 1]; observed range "
+            f"[{data.min()}, {data.max()}]"
+        )
+    return csc
+
+
 def _to_csc(matrix: Any, name: str) -> Any:
     """Validate ``matrix`` and return it as canonical, read-only CSC.
 
     Arrays and nested lists get the probability-matrix checks and must be
     2-D; scipy matrices of any format are copied to float64 CSC with
     duplicates summed, explicit zeros dropped and indices sorted, then
-    range-checked.  Another matrix's storage is shared, not copied.
+    range-checked.  Another matrix's storage, or a matrix handed over
+    through :meth:`InterestMatrix.adopt`, is shared, not copied.
     """
     if _is_stored(matrix):
         return matrix
     if _sp.issparse(matrix):
-        csc = _sp.csc_matrix(matrix, dtype=np.float64, copy=True)
-        csc.sum_duplicates()
-        csc.eliminate_zeros()
-        csc.sort_indices()
-        data = csc.data
-        if np.isnan(data).any():
-            raise InstanceValidationError(f"{name} contains NaN entries")
-        if data.size and (data.min() < 0.0 or data.max() > 1.0):
-            raise InstanceValidationError(
-                f"{name} entries must lie in [0, 1]; observed range "
-                f"[{data.min()}, {data.max()}]"
-            )
+        csc = _canonical_copy(matrix, name)
     else:
         array = check_probability_matrix(matrix, name)
         if array.ndim != 2:
@@ -343,6 +351,19 @@ class InterestMatrix:
         return cls(candidate, competing)
 
     @classmethod
+    def adopt(cls, candidate: Any, competing: Any) -> "InterestMatrix":
+        """Build from scipy matrices the caller made only to hand over.
+
+        Their data buffers are marked read-only, so a canonical matrix
+        whose values all lie in ``(0, 1]`` becomes the storage as it is
+        instead of being copied; any other input is copied, validated and
+        rejected exactly as the constructor does.
+        """
+        for matrix in (candidate, competing):
+            matrix.data.setflags(write=False)
+        return cls(candidate, competing)
+
+    @classmethod
     def from_scipy(
         cls,
         candidate: Any,
@@ -421,7 +442,7 @@ class InterestMatrix:
         densify a Meetup-scale instance.
         """
         column = self._as_column(column)
-        return InterestMatrix(
+        return InterestMatrix.adopt(
             _sp.hstack([self._candidate, column], format="csc"),
             self._competing,
         )
@@ -434,7 +455,7 @@ class InterestMatrix:
                 f"{self.n_events} events"
             )
         keep = [e for e in range(self.n_events) if e != event]
-        return InterestMatrix(self._candidate[:, keep], self._competing)
+        return InterestMatrix.adopt(self._candidate[:, keep], self._competing)
 
     def with_replaced_event_column(
         self, event: int, column: Any
@@ -451,12 +472,14 @@ class InterestMatrix:
             column,
             self._candidate[:, event + 1 :],
         ]
-        return InterestMatrix(_sp.hstack(parts, format="csc"), self._competing)
+        return InterestMatrix.adopt(
+            _sp.hstack(parts, format="csc"), self._competing
+        )
 
     def with_competing_column(self, column: Any) -> "InterestMatrix":
         """A copy with ``column`` appended as a new competing event."""
         column = self._as_column(column)
-        return InterestMatrix(
+        return InterestMatrix.adopt(
             self._candidate,
             _sp.hstack([self._competing, column], format="csc"),
         )
@@ -470,7 +493,7 @@ class InterestMatrix:
             raise ValueError(
                 f"cannot restrict to {n_users} users; matrix has {self.n_users}"
             )
-        return InterestMatrix(
+        return InterestMatrix.adopt(
             self._candidate[:n_users], self._competing[:n_users]
         )
 

@@ -192,6 +192,11 @@ class LiveInterest:
     column expansion, per-interval competing-mass accumulation, element
     access), so engines and the reference Eq. 1–4 functions consume live
     and frozen interest interchangeably.
+
+    :meth:`freeze` builds the CSC storage of a side (candidate or
+    competing) only when a mutation touched that side since the last
+    freeze; otherwise the snapshots share it, so a version kept per
+    write holds a copy of the side that write changed and no more.
     """
 
     def __init__(self, matrix: InterestMatrix) -> None:
@@ -202,6 +207,9 @@ class LiveInterest:
         self._competing_entries = [
             matrix.competing_column_entries(c) for c in range(matrix.n_competing)
         ]
+        # each side's storage as of the last freeze; None once mutated
+        self._frozen_events: Any = matrix.candidate_sparse
+        self._frozen_competing: Any = matrix.competing_sparse
 
     # -- shape ----------------------------------------------------------
     @property
@@ -292,10 +300,12 @@ class LiveInterest:
     def append_event(self, column: Any) -> tuple[np.ndarray, np.ndarray]:
         entries = _entries_of(self._as_column(column))
         self._event_entries.append(entries)
+        self._frozen_events = None
         return entries
 
     def remove_event(self, event: int) -> None:
         del self._event_entries[event]
+        self._frozen_events = None
 
     def replace_event(
         self, event: int, column: Any
@@ -304,20 +314,25 @@ class LiveInterest:
         rows, values = _entries_of(self._as_column(column))
         old_rows, old_values = self._event_entries[event]
         self._event_entries[event] = (rows, values)
+        self._frozen_events = None
         return old_rows, old_values, rows, values
 
     def append_competing(self, column: Any) -> tuple[np.ndarray, np.ndarray]:
         entries = _entries_of(self._as_column(column))
         self._competing_entries.append(entries)
+        self._frozen_competing = None
         return entries
 
     # -- freezing -------------------------------------------------------
     def freeze(self) -> InterestMatrix:
         """An immutable :class:`InterestMatrix` equal to the live state."""
-        return InterestMatrix.from_scipy(
-            self._to_csc(self._event_entries, self.n_events),
-            self._to_csc(self._competing_entries, self.n_competing),
-        )
+        if self._frozen_events is None:
+            self._frozen_events = self._to_csc(self._event_entries, self.n_events)
+        if self._frozen_competing is None:
+            self._frozen_competing = self._to_csc(
+                self._competing_entries, self.n_competing
+            )
+        return InterestMatrix.adopt(self._frozen_events, self._frozen_competing)
 
     def _to_csc(
         self, columns: list[tuple[np.ndarray, np.ndarray]], n_columns: int
@@ -325,11 +340,9 @@ class LiveInterest:
         indptr = np.zeros(n_columns + 1, dtype=np.intp)
         for index, (rows, _) in enumerate(columns):
             indptr[index + 1] = indptr[index] + rows.size
-        if n_columns:
-            indices = np.concatenate([rows for rows, _ in columns])
-            data = np.concatenate([values for _, values in columns])
-        else:
-            indices, data = _EMPTY_ROWS, _EMPTY_VALUES
+        # fresh buffers: freeze() hands them over, read-only, as storage
+        indices = np.concatenate([rows for rows, _ in columns] + [_EMPTY_ROWS])
+        data = np.concatenate([values for _, values in columns] + [_EMPTY_VALUES])
         return _sp.csc_matrix(
             (data, indices, indptr), shape=(self._n_users, n_columns)
         )

@@ -17,7 +17,7 @@ Two provable facts shape the solvers (both are property-tested):
   ``f(M) = M / (K + M)`` increasing, so scores are never negative;
 * **diminishing returns** — ``f`` is concave, so adding other events to the
   same interval can only *lower* the score of a pending assignment.  This
-  monotone staleness is what makes the lazy-heap GRD variant exact.
+  monotone staleness is what makes GRD's lazy rescoring exact.
 
 :func:`assignment_score` is the loop-based reference implementation: it
 gathers the interval's columns once and loops over users in Python (see

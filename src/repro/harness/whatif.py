@@ -96,7 +96,7 @@ def _without_competing(instance: SESInstance, drop: int) -> SESInstance:
         for new_index, old in enumerate(keep)
     )
     # slice the CSC columns and share the candidate matrix: no dense copy
-    interest = InterestMatrix(
+    interest = InterestMatrix.adopt(
         instance.interest.candidate_sparse,
         instance.interest.competing_sparse[:, keep],
     )

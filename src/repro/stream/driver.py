@@ -183,10 +183,9 @@ class StreamDriver:
         (``None`` disables — the default, as each sample costs a solve).
     oracle_solver:
         Registry name of the batch solver used as the oracle.  Defaults
-        to ``"grd-heap"``: the oracle only consumes the re-solve's
-        *utility* (the schedule is discarded), heap-GRD's utility is
-        exactly list-GRD's, and its lazy revalidation makes each warm
-        sample several times cheaper than a full GRD sweep.
+        to ``"grd-heap"``, the name GRD's lazy pick loop is also served
+        under: the oracle only consumes the re-solve's *utility* (the
+        schedule is discarded), and journals record the name.
     locks:
         Organizer pin/forbid constraints threaded into the policy's
         maintained scheduler at bind time; every repair, rebuild and

@@ -82,3 +82,63 @@ class TestDeadline:
 
     def test_exceeded_is_a_library_error(self):
         assert issubclass(DeadlineExceeded, SESError)
+
+
+class TestGraspPolishDeadline:
+    """GRASP's local-search polish checks the request's deadline once
+    per round, so a deadline that passes during a restart stops the
+    polish instead of letting all ``polish_rounds`` rounds run."""
+
+    def test_deadline_passing_after_construction_stops_the_polish(
+        self, monkeypatch
+    ):
+        from repro.algorithms.grasp import GraspScheduler
+        from repro.algorithms.local_search import LocalSearchRefiner
+
+        class PassesAfterConstruction:
+            """A deadline double that passes once a construction is done."""
+
+            passed = False
+
+            def check(self):
+                if self.passed:
+                    raise DeadlineExceeded("the solve's deadline has passed")
+
+        deadline = PassesAfterConstruction()
+        construct = GraspScheduler._one_construction
+
+        def construct_then_pass(self, *args, **kwargs):
+            built = construct(self, *args, **kwargs)
+            deadline.passed = True
+            return built
+
+        rounds = []
+
+        def always_improving(self, *args, **kwargs):
+            rounds.append(1)
+            return True
+
+        monkeypatch.setattr(GraspScheduler, "_one_construction", construct_then_pass)
+        monkeypatch.setattr(LocalSearchRefiner, "_one_round", always_improving)
+        instance = make_random_instance(seed=777)
+        solver = GraspScheduler(seed=11, restarts=2, polish_rounds=5)
+        with pytest.raises(DeadlineExceeded):
+            solver.solve(instance, K, deadline=deadline)
+        assert rounds == []
+
+    def test_polish_rounds_run_without_a_deadline(self, monkeypatch):
+        """The same solve with no deadline runs every polish round: the
+        counter above would see them."""
+        from repro.algorithms.grasp import GraspScheduler
+        from repro.algorithms.local_search import LocalSearchRefiner
+
+        rounds = []
+
+        def always_improving(self, *args, **kwargs):
+            rounds.append(1)
+            return True
+
+        monkeypatch.setattr(LocalSearchRefiner, "_one_round", always_improving)
+        instance = make_random_instance(seed=777)
+        GraspScheduler(seed=11, restarts=2, polish_rounds=5).solve(instance, K)
+        assert len(rounds) == 2 * 5

@@ -10,6 +10,7 @@ from repro.core.feasibility import is_schedule_feasible
 from repro.core.objective import total_utility
 from repro.core.schedule import Assignment, Schedule
 
+from tests.algorithms.eager_grd import EagerGreedyScheduler
 from tests.conftest import make_random_instance
 
 
@@ -136,6 +137,31 @@ class TestStats:
         instance = make_random_instance(seed=88)
         result = GreedyScheduler().solve(instance, 3)
         assert result.stats.score_updates > 0
+
+    def test_rescores_fewer_cells_than_eager_and_counts_every_one(
+        self, monkeypatch
+    ):
+        """``score_updates`` counts exactly the cells the engine rescored
+        (``engine cells == initial_scores + score_updates``), and the lazy
+        loop rescores strictly fewer of them than Algorithm 1's eager
+        update makes for the same picks."""
+        instance = make_random_instance(
+            seed=92, n_events=12, n_intervals=6, n_users=20
+        )
+        engine = make_engine(instance)
+        cells = []
+        kernel = engine._scores_for_rows
+
+        def counting(intervals, events):
+            cells.append(len(intervals) * len(events))
+            return kernel(intervals, events)
+
+        monkeypatch.setattr(engine, "_scores_for_rows", counting)
+        lazy = GreedyScheduler().solve(instance, 6, engine=engine)
+        eager = EagerGreedyScheduler().solve(instance, 6)
+        assert lazy.schedule == eager.schedule
+        assert 0 < lazy.stats.score_updates < eager.stats.score_updates
+        assert sum(cells) == lazy.stats.initial_scores + lazy.stats.score_updates
 
 
 class TestDeterminism:

@@ -1,35 +1,42 @@
-"""Tests of the lazy-heap GRD variant: exactness versus list GRD."""
+"""Tests of ``grd-heap``: the name GRD's lazy pick loop is also served as.
 
-import pytest
+Compared with Algorithm 1's eager loop (the oracle in
+``tests/algorithms/eager_grd.py``), schedule and utility bits alike.
+"""
 
 from repro.algorithms.greedy import GreedyScheduler
 from repro.algorithms.greedy_heap import LazyGreedyScheduler
 from repro.core.feasibility import is_schedule_feasible
 
+from tests.algorithms.eager_grd import EagerGreedyScheduler
 from tests.conftest import make_random_instance
 
 
-class TestEquivalenceWithListGRD:
+class TestEquivalenceWithEagerGRD:
     def test_same_utility_across_random_instances(self):
-        """Lazy revalidation must not change what greedy selects.
-
-        Utilities must match exactly (modulo float noise); the schedules
-        themselves may differ only under exact score ties.
-        """
+        """Lazy rescoring must not change what greedy selects."""
         for seed in range(8):
             instance = make_random_instance(seed=seed)
-            list_result = GreedyScheduler().solve(instance, 4)
-            heap_result = LazyGreedyScheduler().solve(instance, 4)
-            assert heap_result.utility == pytest.approx(
-                list_result.utility, abs=1e-9
-            ), f"seed {seed}"
+            eager = EagerGreedyScheduler().solve(instance, 4)
+            lazy = LazyGreedyScheduler().solve(instance, 4)
+            assert list(lazy.schedule) == list(eager.schedule), f"seed {seed}"
+            assert lazy.utility.hex() == eager.utility.hex(), f"seed {seed}"
 
     def test_same_schedule_without_ties(self):
         instance = make_random_instance(seed=90)
         assert (
             LazyGreedyScheduler().solve(instance, 4).schedule
-            == GreedyScheduler().solve(instance, 4).schedule
+            == EagerGreedyScheduler().solve(instance, 4).schedule
         )
+
+    def test_runs_grds_loop(self):
+        instance = make_random_instance(seed=94, n_events=10, n_intervals=5)
+        heap = LazyGreedyScheduler().solve(instance, 6)
+        grd = GreedyScheduler().solve(instance, 6)
+        assert heap.solver == "GRD-heap"
+        assert list(heap.schedule) == list(grd.schedule)
+        assert heap.utility.hex() == grd.utility.hex()
+        assert heap.stats == grd.stats
 
     def test_feasible_and_complete(self):
         instance = make_random_instance(seed=91)
@@ -44,14 +51,14 @@ class TestEquivalenceWithListGRD:
 
 class TestLaziness:
     def test_rescores_fewer_entries_than_full_refresh(self):
-        """The point of the heap: far fewer score updates than |E| per pick."""
+        """Fewer score updates than Algorithm 1's full row refresh."""
         instance = make_random_instance(
             seed=92, n_events=12, n_intervals=6, n_users=20
         )
         k = 6
-        heap_result = LazyGreedyScheduler().solve(instance, k)
-        list_result = GreedyScheduler().solve(instance, k)
-        assert heap_result.stats.score_updates <= list_result.stats.score_updates
+        lazy = LazyGreedyScheduler().solve(instance, k)
+        eager = EagerGreedyScheduler().solve(instance, k)
+        assert lazy.stats.score_updates < eager.stats.score_updates
 
     def test_pops_at_least_k(self):
         instance = make_random_instance(seed=93)

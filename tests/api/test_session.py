@@ -187,7 +187,7 @@ class TestSessionScorePlane:
         assert plane.engine is session.engine_for()
 
     def test_initial_sweep_paid_once_across_requests(self, instance):
-        """GRD, TOP and heap-GRD all warm-start from the same plane: the
+        """GRD, TOP and ``grd-heap`` all warm-start from the same plane: the
         full |T| x |E| initial sweep happens exactly once per spec."""
         session = ScheduleSession(instance)
         first = session.solve(k=3, solver="grd")

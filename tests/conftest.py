@@ -155,6 +155,24 @@ def fsynced_inodes(monkeypatch: pytest.MonkeyPatch) -> list[int]:
 
 
 @pytest.fixture
+def interest_copies(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    """Names of the matrices :class:`InterestMatrix` copies from here on:
+    every input that is not handed over as storage goes through
+    ``_canonical_copy``."""
+    import repro.core.interest as interest
+
+    names: list[str] = []
+    copy = interest._canonical_copy
+
+    def counting(matrix: object, name: str) -> object:
+        names.append(name)
+        return copy(matrix, name)
+
+    monkeypatch.setattr(interest, "_canonical_copy", counting)
+    return names
+
+
+@pytest.fixture
 def random_instance() -> SESInstance:
     """A small but non-trivial random instance."""
     return make_random_instance(seed=42)

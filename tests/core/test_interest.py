@@ -286,6 +286,68 @@ class TestConversionBoundary:
             )
 
 
+class TestHandOver:
+    """Matrices built only to be handed to :class:`InterestMatrix` become
+    its storage without a second copy; bad values still raise."""
+
+    MATRIX = InterestMatrix.from_arrays(
+        np.array([[0.5, 0.0, 0.25], [0.0, 0.75, 1.0], [0.1, 0.0, 0.0]]),
+        np.array([[0.4, 0.0], [0.0, 0.2], [0.3, 0.3]]),
+    )
+    COLUMN = np.array([0.0, 0.6, 0.9])
+
+    EDITS = {
+        "with_event_column": lambda m, c: m.with_event_column(c),
+        "with_competing_column": lambda m, c: m.with_competing_column(c),
+        "with_replaced_event_column": lambda m, c: m.with_replaced_event_column(1, c),
+        "without_event_column": lambda m, c: m.without_event_column(1),
+        "restrict_users": lambda m, c: m.restrict_users(2),
+    }
+
+    def test_copies_are_counted(self, interest_copies):
+        import scipy.sparse as sp
+
+        InterestMatrix.from_scipy(sp.csc_matrix(np.array([[0.5]])))
+        assert interest_copies == ["candidate interest", "competing interest"]
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_column_edits_copy_nothing(self, interest_copies, edit):
+        edited = self.EDITS[edit](self.MATRIX, self.COLUMN)
+        assert interest_copies == []
+        for csc in (edited.candidate_sparse, edited.competing_sparse):
+            assert not csc.data.flags.writeable
+            assert csc.has_canonical_format
+
+    def test_edited_values_are_the_edit(self):
+        edited = self.MATRIX.with_replaced_event_column(1, self.COLUMN)
+        expected = self.MATRIX.candidate.copy()
+        expected[:, 1] = self.COLUMN
+        np.testing.assert_array_equal(edited.candidate, expected)
+
+    def test_live_freeze_copies_nothing(self, interest_copies):
+        from repro.core.live import LiveInterest
+
+        live = LiveInterest(self.MATRIX)
+        live.append_event(self.COLUMN)
+        frozen = live.freeze()
+        assert interest_copies == []
+        np.testing.assert_array_equal(
+            frozen.candidate,
+            np.column_stack([self.MATRIX.candidate, self.COLUMN]),
+        )
+        np.testing.assert_array_equal(frozen.competing, self.MATRIX.competing)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.25])
+    def test_bad_columns_still_raise(self, interest_copies, bad):
+        column = self.COLUMN.copy()
+        column[1] = bad
+        with pytest.raises(InstanceValidationError):
+            self.MATRIX.with_event_column(column)
+        with pytest.raises(InstanceValidationError):
+            self.MATRIX.with_competing_column(column)
+        assert interest_copies
+
+
 class TestStatistics:
     def test_sparsity_counts_exact_zeros(self):
         matrix = InterestMatrix.from_arrays(np.array([[0.0, 0.5], [0.0, 0.0]]))

@@ -199,6 +199,31 @@ class TestFreeze:
         assert live.freezes == 1
 
     @pytest.mark.parametrize("form", INTEREST_INPUTS)
+    def test_snapshots_share_the_side_no_write_touched(self, form):
+        """A freeze rebuilds only the interest side a write changed; the
+        other side is the previous snapshot's storage, not a copy."""
+        live = make_live(form)
+        source = live.freeze().interest
+        live.remove_event(0)
+        cancelled = live.freeze().interest
+        assert cancelled.competing_sparse is source.competing_sparse
+        assert cancelled.candidate_sparse is not source.candidate_sparse
+        column = np.zeros(live.n_users)
+        column[3] = 0.6
+        live.add_competing(
+            CompetingEvent(index=live.n_competing, interval=1), column
+        )
+        rivalled = live.freeze().interest
+        assert rivalled.candidate_sparse is cancelled.candidate_sparse
+        assert rivalled.competing_sparse is not cancelled.competing_sparse
+        np.testing.assert_array_equal(
+            rivalled.candidate, np.delete(source.candidate, 0, axis=1)
+        )
+        np.testing.assert_array_equal(
+            rivalled.competing, np.column_stack([source.competing, column])
+        )
+
+    @pytest.mark.parametrize("form", INTEREST_INPUTS)
     def test_frozen_instance_serves_engines(self, form):
         live = make_live(form)
         live.remove_event(1)

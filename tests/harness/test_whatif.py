@@ -120,6 +120,16 @@ class TestCompetitionCost:
         monkeypatch.setattr(InterestMatrix, "competing", property(densify))
         assert competition_cost(instance, k=5, competing_index=0) >= -1e-9
 
+    def test_copy_without_a_rival_adopts_the_slice(
+        self, instance, interest_copies
+    ):
+        """The sliced competing matrix becomes the copy's storage as it
+        is: the constructor's copying branch never runs."""
+        from repro.harness.whatif import _without_competing
+
+        _without_competing(instance, 2)
+        assert interest_copies == []
+
     def test_popular_rival_costs_more_than_ignored_one(self):
         """A rival everyone loves must cost at least as much as one nobody knows."""
         import numpy as np

@@ -11,6 +11,7 @@ from repro.core.feasibility import FeasibilityChecker, is_schedule_feasible
 from repro.core.objective import total_utility
 from repro.core.schedule import Assignment
 
+from tests.algorithms.eager_grd import EagerGreedyScheduler
 from tests.properties.conftest import ses_instances
 
 COMMON = settings(max_examples=40, deadline=None)
@@ -60,24 +61,21 @@ def test_solvers_fill_k_whenever_a_valid_assignment_remains(instance, k, seed):
                 )
 
 
-@given(instance=ses_instances(), k=st.integers(1, 5))
+@given(instance=ses_instances(), k=st.integers(1, 6))
 @COMMON
-def test_heap_grd_matches_list_grd_utility(instance, k):
-    """The lazy heap must not change greedy's achieved utility.
+def test_lazy_grd_matches_eager_grd(instance, k):
+    """GRD's lazy rescoring must not change a single pick.
 
-    Only *utility* is asserted: the two implementations may break exact
-    score ties differently.  All positive-score selections coincide (the
-    candidates and their scores are identical and distinct almost surely);
-    ties arise structurally at score 0 (events nobody wants), where
-    different placement orders can dead-end feasibility differently —
-    changing ``achieved_k`` but, since the tied scores are all zero, never
-    the utility.
+    Both names that run the lazy loop (``GRD`` and ``GRD-heap``) return
+    the schedule, in pick order, and the utility bits of Algorithm 1's
+    eager loop, including past the positive-gain frontier, where ties
+    at score 0 decide which placements dead-end feasibility.
     """
-    list_result = GreedyScheduler().solve(instance, k)
-    heap_result = LazyGreedyScheduler().solve(instance, k)
-    assert abs(list_result.utility - heap_result.utility) <= 1e-9 * max(
-        1.0, list_result.utility
-    )
+    eager = EagerGreedyScheduler().solve(instance, k)
+    for solver in (GreedyScheduler(), LazyGreedyScheduler()):
+        lazy = solver.solve(instance, k)
+        assert list(lazy.schedule) == list(eager.schedule), solver.name
+        assert lazy.utility.hex() == eager.utility.hex(), solver.name
 
 
 @given(instance=ses_instances(max_users=8, max_events=5, max_intervals=3),
