@@ -33,6 +33,7 @@ from repro.core.instance import SESInstance
 from repro.core.schedule import Schedule
 from repro.core.scoreplane import ScorePlane
 from repro.interactive.locks import LockSet
+from repro.utils.validation import check_budget
 
 __all__ = [
     "Deadline",
@@ -212,9 +213,7 @@ class Scheduler(ABC):
         passed.  ``None`` never expires, and a deadline that does not
         pass leaves the result bit-identical.
         """
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
-        k = min(k, instance.n_events)
+        k = min(check_budget(k, "k"), instance.n_events)
         locks = LockSet.coerce(locks)
         if locks is not None:
             locks.validate_for(instance)

@@ -34,6 +34,7 @@ SCORE_PATH_MODULES = (
     "algorithms/incremental.py",
     "serve/pool.py",
     "serve/session.py",
+    "api/session.py",
     "shard/plan.py",
     "shard/executor.py",
     "shard/engine.py",

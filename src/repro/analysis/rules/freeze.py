@@ -31,6 +31,9 @@ HOT_PATH_MODULES = (
     "algorithms/incremental.py",
     "serve/pool.py",
     "serve/session.py",
+    # the session methods both session kinds share (gap reports, version
+    # saves, stream replays) run on the serving read path too
+    "api/session.py",
     # durability sits on the same per-op path: the DurableWriter in
     # resilience/journal.py journals every applied op of both session
     # kinds and checkpoints on the cadence, in O(delta) and O(schedule) —

@@ -9,8 +9,10 @@ Everything a client needs to schedule events lives here:
 * :class:`SolveRequest` / :class:`SolveResponse` — frozen query/result
   value objects;
 * :class:`ScheduleSession` — the serving loop: load an instance once,
-  answer many solve / what-if / report queries, amortizing engine
-  construction across requests;
+  answer many solve / gap-report / version / what-if / report / stream
+  queries, amortizing engine construction across requests.  Its
+  methods live in :class:`repro.api.session.BaseSession`, which the
+  concurrent :class:`repro.serve.ServingSession` shares;
 * :func:`solve_once` — one-shot convenience for scripts.
 
 Quickstart::

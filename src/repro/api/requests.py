@@ -2,7 +2,8 @@
 
 A :class:`SolveRequest` names *what* to solve (solver, budget ``k``,
 engine spec, seed, solver parameters) without touching *how* it is
-executed; :class:`repro.api.ScheduleSession` (or :func:`repro.api.solve_once`)
+executed; a session (:class:`repro.api.ScheduleSession`,
+:func:`repro.api.solve_once` or :class:`repro.serve.ServingSession`)
 turns it into a :class:`SolveResponse` wrapping the solver's
 :class:`~repro.algorithms.base.ScheduleResult`.  Both are frozen value
 objects, so requests can be built once and replayed against many sessions
@@ -19,6 +20,7 @@ from repro.algorithms.base import ScheduleResult
 from repro.core.engine import EngineSpec
 from repro.core.schedule import Schedule
 from repro.interactive.locks import LockSet
+from repro.utils.validation import check_budget
 
 __all__ = ["SolveRequest", "SolveResponse"]
 
@@ -30,7 +32,8 @@ class SolveRequest:
     Parameters
     ----------
     k:
-        Number of assignments to place (clamped to ``|E|`` by the solver).
+        Number of assignments to place (clamped to ``|E|`` by the solver):
+        an integer (numpy integers included, bools not), ``>= 0``.
     solver:
         Registry name (see :data:`repro.api.solver_registry`), e.g.
         ``"grd"``, ``"sa"``, ``"beam"``.
@@ -66,8 +69,7 @@ class SolveRequest:
     locks: LockSet | Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"k must be non-negative, got {self.k}")
+        object.__setattr__(self, "k", check_budget(self.k, "k"))
         if self.engine is not None:
             object.__setattr__(self, "engine", EngineSpec.coerce(self.engine))
         # freeze a private copy so a caller mutating their dict afterwards
@@ -87,7 +89,10 @@ class SolveResponse:
 
     Carries the original request, the resolved :class:`EngineSpec` the
     engine actually ran under, whether that engine came from the session
-    cache, and the full :class:`ScheduleResult`.
+    cache, and the full :class:`ScheduleResult`.  A serving session
+    wraps it in a :class:`~repro.serve.ServedResponse`, which exposes
+    the same fields; every session method that takes a response takes
+    either.
     """
 
     request: SolveRequest
@@ -107,6 +112,12 @@ class SolveResponse:
     @property
     def utility(self) -> float:
         return self.result.utility
+
+    @property
+    def version(self) -> int:
+        """The generation the solve ran at: always 0 on a plain session,
+        as on its gap reports and saved versions."""
+        return 0
 
     @property
     def runtime_seconds(self) -> float:

@@ -11,7 +11,13 @@ servers (pretalx is the reference in PAPERS.md):
   forked read replicas with generation invalidation, bounded LRU reuse;
 * :mod:`repro.serve.session` — :class:`ServingSession`: the thread-safe
   front-end routing mutations through the writer lock while solves,
-  what-ifs and stream simulations run in parallel on replicas.
+  what-ifs and stream simulations run in parallel on replicas.  It
+  inherits every organizer and analysis method from
+  :class:`repro.api.session.BaseSession`, the base
+  :class:`~repro.api.ScheduleSession` shares, and adds only its read
+  hook (pool leases and version snapshots), deadline-aware solves, the
+  mutators, durability and the pool accessors.  (``repro.serve``
+  imports ``repro.api``, never the reverse.)
 
 The load-bearing guarantees, all differential-tested: a forked replica's
 solves are bit-identical to the parent plane's; K concurrent clients

@@ -1,27 +1,28 @@
 """ServingSession: thread-safe, multi-client front-end over one instance.
 
-:class:`~repro.api.session.ScheduleSession` is the single-threaded
-serving loop; this wrapper makes it safe to hammer from many client
-threads at once while the instance itself evolves:
+:class:`ServingSession` inherits every organizer and analysis method
+(gap reports, named versions, what-ifs, reports, stream replays,
+``solve_many``) from :class:`~repro.api.session.BaseSession`, under the
+names :class:`~repro.api.session.ScheduleSession` uses, and adds only
+what concurrent serving over an evolving instance needs:
 
-* **reads run in parallel** — every :meth:`solve` leases a
+* **its read hook** — every solve and gap report leases a
   :class:`~repro.serve.pool.Replica` from the shared
-  :class:`~repro.serve.pool.PlanePool` and runs the solver against the
-  replica's private plane/engine over the immutable snapshot of the
-  version it leased.  No read ever touches shared mutable state, so K
-  threads produce responses bit-identical to the same requests replayed
-  serially (differential-tested in
-  ``tests/serve/test_serving_session.py``);
-* **mutations are single-writer** — :meth:`add_event`,
+  :class:`~repro.serve.pool.PlanePool` and runs against the replica's
+  private plane/engine over the immutable snapshot of the version it
+  leased; what-ifs, reports and stream replays read the current
+  version's frozen snapshot (:meth:`PlanePool.version_instance`).  No
+  read ever touches shared mutable state, so K threads produce
+  responses bit-identical to the same requests replayed serially
+  (differential-tested in ``tests/serve/test_serving_session.py``);
+* **lease bounds and the deadline floor** of :meth:`ServingSession.solve`;
+* **single-writer mutations** — :meth:`add_event`,
   :meth:`cancel_event`, :meth:`update_event_interest` and
   :meth:`add_competing` route through :meth:`PlanePool.write`, which
   applies the change under the pool's writer lock, patches every warm
   primary in O(delta), and bumps the generation so outstanding replicas
   are invalidated on return — never silently reused;
-* **what-if / report / stream reads** run against the current version's
-  frozen snapshot (:meth:`PlanePool.version_instance`); they build their
-  private solvers/drivers per call, so they are reentrant by
-  construction.
+* **durability** — journaled commits and :meth:`ServingSession.recover`.
 
 Every response is stamped with the generation it was computed at
 (:attr:`ServedResponse.version`), mirroring pretalx's versioned-schedule
@@ -33,23 +34,19 @@ from __future__ import annotations
 import contextlib
 import functools
 import threading
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.algorithms.base import Deadline, ScheduleResult, Scheduler
 from repro.algorithms.registry import SolverRegistry
 from repro.api.requests import SolveRequest, SolveResponse
-from repro.api.session import ScheduleSession
+from repro.api.session import BaseSession
 from repro.core.engine import EngineSpec
 from repro.core.entities import CandidateEvent, CompetingEvent
 from repro.core.errors import DeadlineExceeded
 from repro.core.instance import SESInstance
 from repro.core.live import LiveDelta, LiveInstance
 from repro.core.schedule import Schedule
-from repro.interactive.gaps import GapReport, build_gap_report
-from repro.interactive.locks import LockSet
-from repro.interactive.versions import ScheduleVersion, VersionDiff, VersionStore
 from repro.serve.pool import PlanePool, PoolStats, check_bound
 
 if TYPE_CHECKING:
@@ -109,9 +106,10 @@ class ServedResponse:
     """A :class:`SolveResponse` plus its serving provenance.
 
     ``version`` is the pool generation the solve ran at; ``pool_hit``
-    whether the lease was served from a parked replica (True) or a fresh
-    fork (False).  The underlying response's conveniences are re-exposed
-    so callers can stay agnostic of which session type served them.
+    (the wrapped ``reused_engine``) whether the lease was served from a
+    parked replica (True) or a fresh fork (False).  The wrapped
+    response's fields are re-exposed, so callers and session methods
+    stay agnostic of which session type served them.
 
     ``degraded`` marks a best-effort answer: either a ``deadline_ms``
     budget passed before the requested solver finished (the response
@@ -123,9 +121,12 @@ class ServedResponse:
 
     response: SolveResponse
     version: int
-    pool_hit: bool
     degraded: bool = False
     staleness: int = 0
+
+    @property
+    def pool_hit(self) -> bool:
+        return self.response.reused_engine
 
     @property
     def result(self) -> Any:
@@ -134,6 +135,14 @@ class ServedResponse:
     @property
     def request(self) -> SolveRequest:
         return self.response.request
+
+    @property
+    def engine(self) -> EngineSpec:
+        return self.response.engine
+
+    @property
+    def solver(self) -> str:
+        return self.response.solver
 
     @property
     def schedule(self) -> Schedule:
@@ -152,7 +161,7 @@ class ServedResponse:
         return f"{self.response.summary()} @v{self.version}{tag}"
 
 
-class ServingSession:
+class ServingSession(BaseSession):
     """Serve concurrent solve / what-if / stream queries over one instance.
 
     Parameters
@@ -195,10 +204,10 @@ class ServingSession:
         durability: Any = None,
         generation: int = 0,
     ) -> None:
-        # the inner session is used for request validation and solver
-        # construction only (both version-independent); its per-spec
-        # engine cache is never touched by the concurrent paths
-        self._session = ScheduleSession(instance, default_engine, registry)
+        # request validation, solver construction and the organizer and
+        # analysis methods come from BaseSession; reads go through the
+        # pool (the read hook below), never through a plain session
+        super().__init__(default_engine, registry)
         self._live = LiveInstance(instance)
         self._pool = PlanePool(
             self._live,
@@ -207,12 +216,6 @@ class ServingSession:
             fault_plan=fault_plan,
             keep_stale_replica=keep_stale_replica,
         )
-        self._served_lock = threading.Lock()
-        self._requests_served = 0
-        # named schedule snapshots; guarded by their own lock so version
-        # saves/diffs never contend with the solve hot path
-        self._versions = VersionStore()
-        self._versions_lock = threading.Lock()
         # durable sessions serialize [pool write -> journal append] under
         # one lock so the journal order always equals the apply order
         self._write_lock = threading.Lock()
@@ -232,20 +235,18 @@ class ServingSession:
                 functools.partial(_checkpoint_body, self._pool),
             )
 
-    # -- introspection ---------------------------------------------------
-    @property
-    def default_engine(self) -> EngineSpec:
-        return self._session.default_engine
+    # -- the read hook ---------------------------------------------------
+    def _lease(
+        self, spec: EngineSpec, max_wait_s: float | None = None
+    ) -> PlanePool._Lease:
+        """A replica pinned to the generation it was forked at."""
+        return self._pool.lease(spec, max_wait_s=max_wait_s)
 
+    # -- introspection ---------------------------------------------------
     @property
     def version(self) -> int:
         """Current generation (0 until the first mutation commits)."""
         return self._pool.generation
-
-    @property
-    def requests_served(self) -> int:
-        with self._served_lock:
-            return self._requests_served
 
     @property
     def pool(self) -> PlanePool:
@@ -259,6 +260,8 @@ class ServingSession:
         """The immutable snapshot of the current version."""
         return self._pool.version_instance()
 
+    _snapshot = version_instance
+
     def describe(self) -> str:
         stats = self._pool.stats()
         return (
@@ -267,10 +270,6 @@ class ServingSession:
             f"{stats.forks} fork(s), {stats.hits} hit(s), "
             f"{stats.invalidations} invalidation(s)"
         )
-
-    def _count_served(self) -> None:
-        with self._served_lock:
-            self._requests_served += 1
 
     # -- the concurrent read path ----------------------------------------
     def solve(
@@ -309,42 +308,30 @@ class ServingSession:
         values, and take ``inf`` as no bound.  The request is validated
         before any lease is taken.
         """
-        if request is None:
-            request = SolveRequest(**query)
-        elif query:
-            raise TypeError(
-                "pass either a SolveRequest or keyword fields, not both"
-            )
+        request = self._request(request, query)
         check_bound("deadline_ms", deadline_ms)
         check_bound("max_wait_s", max_wait_s)
-        solver = self._session.solver_for(request)
         deadline = (
             None if deadline_ms is None else Deadline.after(deadline_ms / 1e3)
         )
-        response = self._solve_leased(request, solver, max_wait_s, deadline)
-        self._count_served()
-        return response
+        return self._serve(request, max_wait_s=max_wait_s, deadline=deadline)
 
     def _solve_leased(
         self,
         request: SolveRequest,
         solver: Scheduler,
-        max_wait_s: float | None,
-        deadline: Deadline | None,
+        max_wait_s: float | None = None,
+        deadline: Deadline | None = None,
     ) -> ServedResponse:
         """Run ``request`` on one lease; with ``deadline``, floor first."""
-        spec = (
-            EngineSpec.coerce(request.engine)
-            if request.engine is not None
-            else self._session.default_engine
-        )
+        spec = self._spec(request.engine)
         floor_solver = solver
         if deadline is not None:
             bound = max(0.001, deadline.remaining())
             max_wait_s = bound if max_wait_s is None else min(bound, max_wait_s)
             if request.solver != "grd":
-                floor_solver = self._session.registry.create("grd", engine=spec)
-        with self._pool.lease(spec, max_wait_s=max_wait_s) as replica:
+                floor_solver = self._registry.create("grd", engine=spec)
+        with self._lease(spec, max_wait_s) as replica:
 
             def run(
                 scheduler: Scheduler, until: Deadline | None = None
@@ -374,160 +361,9 @@ class ServingSession:
                     reused_engine=replica.pool_hit,
                 ),
                 version=replica.generation,
-                pool_hit=replica.pool_hit,
                 degraded=degraded or replica.staleness > 0,
                 staleness=replica.staleness,
             )
-
-    def gap_report(
-        self,
-        schedule: Schedule | ServedResponse,
-        k: int | None = None,
-        *,
-        engine: EngineSpec | str | None = None,
-        locks: LockSet | None = None,
-        limit: int | None = None,
-    ) -> GapReport:
-        """Explain a draft's gaps against the current version, concurrently.
-
-        Leases a warm replica exactly like :meth:`solve`, so the report
-        reads its gains off cached plane scores (zero extra Eq. 4
-        evaluations after any solve at the same version) and comes back
-        stamped with the generation it was computed at.  Pass a
-        :class:`ServedResponse` to reuse its request's ``k`` and locks.
-        """
-        if isinstance(schedule, ServedResponse):
-            served = schedule
-            schedule = served.schedule
-            if k is None:
-                k = served.result.requested_k
-            if locks is None:
-                locks = served.request.locks
-            if engine is None:
-                engine = served.response.engine
-        elif k is None:
-            raise TypeError("k is required when passing a bare schedule")
-        spec = (
-            EngineSpec.coerce(engine)
-            if engine is not None
-            else self._session.default_engine
-        )
-        with self._pool.lease(spec) as replica:
-            report = build_gap_report(
-                replica.frozen, schedule, k, replica.plane,
-                locks=locks, limit=limit,
-            )
-            report = replace(report, version=replica.generation)
-        self._count_served()
-        return report
-
-    def save_version(
-        self,
-        name: str,
-        response: ServedResponse,
-        *,
-        overwrite: bool = False,
-    ) -> ScheduleVersion:
-        """Snapshot a served solve under ``name`` (thread-safe).
-
-        The snapshot is stamped with the response's generation, so a
-        later diff can tell whether two versions even saw the same
-        instance state.
-        """
-        with self._versions_lock:
-            return self._versions.save(
-                name,
-                response.schedule,
-                response.utility,
-                k=response.result.requested_k,
-                solver=response.result.solver,
-                stamp=response.version,
-                overwrite=overwrite,
-            )
-
-    def schedule_version(self, name: str) -> ScheduleVersion:
-        """A saved snapshot by name (:class:`KeyError` when unknown)."""
-        with self._versions_lock:
-            return self._versions.get(name)
-
-    def versions(self) -> tuple[str, ...]:
-        """Saved version names in save order."""
-        with self._versions_lock:
-            return self._versions.names()
-
-    def diff_versions(self, base: str, target: str | None = None) -> VersionDiff:
-        """What changed from ``base`` to ``target`` (default: latest save)."""
-        with self._versions_lock:
-            return self._versions.diff(base, target)
-
-    def what_if_theta(
-        self, k: int, thetas: Sequence[float], solver: str = "grd",
-        **params: Any,
-    ) -> Any:
-        """Utility curve as the staffing budget varies (current version)."""
-        from repro.harness import whatif
-
-        curve = whatif.sweep_theta(
-            self.version_instance(), k, thetas,
-            solver=self._whatif_solver(solver, params),
-        )
-        self._count_served()
-        return curve
-
-    def competition_cost(
-        self, k: int, competing_index: int, solver: str = "grd",
-        **params: Any,
-    ) -> float:
-        """Attendance recovered if one rival vanished (current version)."""
-        from repro.harness import whatif
-
-        cost = whatif.competition_cost(
-            self.version_instance(), k, competing_index,
-            solver=self._whatif_solver(solver, params),
-        )
-        self._count_served()
-        return cost
-
-    def report(self, schedule: Schedule) -> Any:
-        """Full :class:`~repro.harness.inspect.ScheduleReport` at the
-        current version."""
-        from repro.harness.inspect import ScheduleReport
-
-        self._count_served()
-        return ScheduleReport(self.version_instance(), schedule)
-
-    def stream(
-        self,
-        trace: Any,
-        policy: Any = "incremental",
-        k: int | None = None,
-        engine: EngineSpec | str | None = None,
-        *,
-        oracle_every: int | None = None,
-        oracle_solver: str = "grd-heap",
-        **policy_params: Any,
-    ) -> Any:
-        """Replay a change trace against the current version's snapshot.
-
-        The driver materializes its own private
-        :class:`~repro.core.live.LiveInstance` over the frozen snapshot,
-        so the replay is a *simulation*: it never mutates the serving
-        state (use the mutators below to commit real changes).
-        """
-        from repro.stream import StreamDriver
-
-        driver = StreamDriver(
-            self.version_instance(),
-            k=k,
-            policy=policy,
-            engine=engine if engine is not None else self.default_engine,
-            oracle_every=oracle_every,
-            oracle_solver=oracle_solver,
-            **policy_params,
-        )
-        result = driver.run(trace)
-        self._count_served()
-        return result
 
     # -- the single-writer mutation path ---------------------------------
     def _commit(
@@ -715,12 +551,6 @@ class ServingSession:
         # where the journal left off
         session._writer = writer
         return session
-
-    # -- internals -------------------------------------------------------
-    def _whatif_solver(self, solver: str, params: dict[str, Any]) -> Any:
-        return self._session.registry.create(
-            solver, engine=self.default_engine, **params
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.describe()

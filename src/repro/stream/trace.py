@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 import numpy as np
 
 from repro.core.errors import TraceError
+from repro.utils.validation import check_budget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.algorithms.incremental import IncrementalScheduler
@@ -271,8 +272,9 @@ class RaiseBudget(ChangeOp):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.new_k <= 0:
-            raise ValueError(f"new_k must be positive, got {self.new_k}")
+        object.__setattr__(
+            self, "new_k", check_budget(self.new_k, "new_k", positive=True)
+        )
 
     def apply(
         self, live: "IncrementalScheduler", *, maintain: bool = True
@@ -377,10 +379,9 @@ class Trace:
         object.__setattr__(self, "ops", tuple(self.ops))
         if self.n_users <= 0:
             raise ValueError(f"n_users must be positive, got {self.n_users}")
-        if self.initial_k < 0:
-            raise ValueError(
-                f"initial_k must be non-negative, got {self.initial_k}"
-            )
+        object.__setattr__(
+            self, "initial_k", check_budget(self.initial_k, "initial_k")
+        )
         if self.n_events is not None and self.n_events <= 0:
             raise ValueError(f"n_events must be positive, got {self.n_events}")
         if self.n_intervals is not None and self.n_intervals <= 0:
@@ -647,7 +648,7 @@ class Trace:
         return cls(
             ops=ops,
             n_users=int(header["n_users"]),
-            initial_k=int(header["initial_k"]),
+            initial_k=header["initial_k"],
             n_events=None if n_events is None else int(n_events),
             n_intervals=None if n_intervals is None else int(n_intervals),
             seed=header.get("seed"),

@@ -1,7 +1,8 @@
 """Input-validation guards shared across the library.
 
-The guards raise :class:`ValueError`/:class:`IndexError` with messages that
-name the offending argument, so failures surface at construction time rather
+The guards raise :class:`ValueError`/:class:`IndexError` (and
+:class:`TypeError` for a value of the wrong kind) with messages that name
+the offending argument, so failures surface at construction time rather
 than as NaNs deep inside a solver run.  A probability matrix that fails its
 check raises :class:`~repro.core.errors.InstanceValidationError` (itself a
 :class:`ValueError`).
@@ -14,12 +15,28 @@ import numpy as np
 from repro.core.errors import InstanceValidationError
 
 __all__ = [
+    "check_budget",
     "check_fraction",
     "check_index",
     "check_non_negative",
     "check_positive",
     "check_probability_matrix",
 ]
+
+
+def check_budget(value: object, name: str, *, positive: bool = False) -> int:
+    """Require an assignment budget: an integer (numpy integers included,
+    bools not) that is ``>= 0``, or ``> 0`` with ``positive``; return it
+    as an ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        )
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return int(value)
 
 
 def check_positive(value: float, name: str) -> float:

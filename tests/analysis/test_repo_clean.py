@@ -145,6 +145,28 @@ class TestServeHotPathCoverage:
         result = run_lint([bad], resolve_rules(["freeze-ban"]))
         assert rules_of(result) == ["freeze-ban"]
 
+    def test_shared_session_methods_are_in_both_hot_path_scopes(
+        self, tmp_path
+    ):
+        # the serving session's organizer and analysis methods live in
+        # the session base both kinds share: a .freeze() and a float32
+        # array in a file at that module's path must fire both rules
+        from repro.serve import ServingSession
+
+        module = Path(inspect.getfile(ServingSession.gap_report))
+        target = tmp_path / module.parent.name
+        target.mkdir()
+        bad = target / module.name
+        bad.write_text(
+            "import numpy as np\n\n"
+            "def peek(live):\n"
+            "    return live.freeze(), np.zeros(3, dtype=np.float32)\n"
+        )
+        result = run_lint(
+            [bad], resolve_rules(["freeze-ban", "dtype-discipline"])
+        )
+        assert sorted(rules_of(result)) == ["dtype-discipline", "freeze-ban"]
+
     def test_serve_tree_is_determinism_clean(self):
         result = run_lint(
             [SRC / "repro/serve"], resolve_rules(["determinism"])

@@ -1,14 +1,16 @@
 """What-if sweeps never read planes cached for the unmodified instance.
 
 ``ScheduleSession.plane_for`` caches warm :class:`ScorePlane` matrices
-keyed to the *session's* instance; ``what_if_theta`` /
-``what_if_locations`` solve *modified copies* of that instance.  If a
-what-if solve ever warm-started from the session's cached plane, its
-scores would belong to the wrong theta / location layout and the curve
-would silently lie.  These regression tests lock in the isolation,
-whatever form ``mu`` was handed in: sweeps computed through a warm, heavily-cached
-session are bit-identical to sweeps computed cold on a fresh solver,
-and running them leaves the session's cached planes untouched.
+keyed to the *session's* instance, and a ``ServingSession``'s pool keeps
+warm primaries; ``what_if_theta`` / ``what_if_locations`` solve
+*modified copies* of that instance.  If a what-if solve ever
+warm-started from a session's cached plane, its scores would belong to
+the wrong theta / location layout and the curve would silently lie.
+These regression tests lock in the isolation on both session kinds,
+whatever form ``mu`` was handed in: sweeps computed through a warm,
+heavily-cached session are bit-identical to sweeps computed cold on a
+fresh solver, and running them leaves the session's cached planes
+untouched.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from repro.algorithms.registry import solver_registry
 from repro.api import ScheduleSession, SolveRequest
 from repro.harness import whatif
+from repro.serve import ServingSession
 
 from tests.conftest import INTEREST_INPUTS, make_random_instance
 
@@ -31,20 +34,34 @@ def build_case(form: str):
     return instance, "sparse"
 
 
-def warm_session(instance, engine):
+def warm_session(kind, instance, engine):
     """A session whose plane cache is hot and whose engines are reused."""
-    session = ScheduleSession(instance, default_engine=engine)
+    session = kind(instance, default_engine=engine)
     session.solve(SolveRequest(k=K, solver="grd"))
     session.solve(SolveRequest(k=K + 1, solver="top"))
-    assert session.plane_for(None).cells_filled > 0
+    assert cached_planes(session)[0] > 0
     return session
 
 
+def cached_planes(session):
+    """Cells filled and refreshed by the session's warm planes, then
+    their contents: a plain session's plane matrix, or a serving
+    session's per-spec primary and pool counters."""
+    if isinstance(session, ServingSession):
+        (primary,) = session.pool.primary_stats().values()
+        return (primary["cells_filled"], primary["cells_refreshed"],
+                primary, session.pool_stats())
+    plane = session.plane_for(None)
+    return (plane.cells_filled, plane.cells_refreshed,
+            plane.ensure().tolist())
+
+
+@pytest.mark.parametrize("kind", [ScheduleSession, ServingSession])
 class TestWhatIfIsolation:
     @pytest.mark.parametrize("form", INTEREST_INPUTS)
-    def test_theta_sweep_matches_cold_computation(self, form):
+    def test_theta_sweep_matches_cold_computation(self, form, kind):
         instance, engine = build_case(form)
-        session = warm_session(instance, engine)
+        session = warm_session(kind, instance, engine)
         warm = session.what_if_theta(K, THETAS)
         cold = whatif.sweep_theta(
             instance, K, THETAS, solver=solver_registry.create("grd", engine=engine)
@@ -52,9 +69,9 @@ class TestWhatIfIsolation:
         assert warm.utilities == cold.utilities
 
     @pytest.mark.parametrize("form", INTEREST_INPUTS)
-    def test_location_sweep_matches_cold_computation(self, form):
+    def test_location_sweep_matches_cold_computation(self, form, kind):
         instance, engine = build_case(form)
-        session = warm_session(instance, engine)
+        session = warm_session(kind, instance, engine)
         warm = session.what_if_locations(K, LOCATION_COUNTS)
         cold = whatif.sweep_locations(
             instance,
@@ -65,27 +82,24 @@ class TestWhatIfIsolation:
         assert warm.utilities == cold.utilities
 
     @pytest.mark.parametrize("form", INTEREST_INPUTS)
-    def test_sweeps_leave_cached_planes_untouched(self, form):
+    def test_sweeps_leave_cached_planes_untouched(self, form, kind):
         """The dual hazard: a what-if must neither read the session plane
         nor write modified-instance scores back into it."""
         instance, engine = build_case(form)
-        session = warm_session(instance, engine)
-        plane = session.plane_for(None)
-        before = (plane.cells_filled, plane.cells_refreshed)
-        matrix_before = plane.ensure().copy()
+        session = warm_session(kind, instance, engine)
+        before = cached_planes(session)
 
         session.what_if_theta(K, THETAS)
         session.what_if_locations(K, LOCATION_COUNTS)
         session.competition_cost(K, 0)
 
-        assert (plane.cells_filled, plane.cells_refreshed) == before
-        assert (plane.ensure() == matrix_before).all()
+        assert cached_planes(session) == before
 
-    def test_interleaved_whatifs_do_not_perturb_later_solves(self):
+    def test_interleaved_whatifs_do_not_perturb_later_solves(self, kind):
         """Solve, sweep, solve again: the second solve must be bit-identical
         to the first (same request, same cached plane)."""
         instance, engine = build_case("array")
-        session = ScheduleSession(instance, default_engine=engine)
+        session = kind(instance, default_engine=engine)
         request = SolveRequest(k=K, solver="grd")
         first = session.solve(request)
         session.what_if_theta(K, THETAS)

@@ -159,8 +159,9 @@ class TestServing:
         )
         assert bumped.version == session.version > report.version
 
-    def test_served_response_k_and_locks_are_reused(self, instance):
-        session = ServingSession(instance)
+    @pytest.mark.parametrize("kind", [ScheduleSession, ServingSession])
+    def test_served_response_k_and_locks_are_reused(self, instance, kind):
+        session = kind(instance)
         locks = LockSet().forbid(0, 0)
         served = session.solve(k=2, solver="grd", locks=locks)
         report = session.gap_report(served)
@@ -172,8 +173,9 @@ class TestServing:
             )
             assert cell.status == "forbidden"
 
-    def test_gap_report_counts_as_served_request(self, instance):
-        session = ServingSession(instance)
+    @pytest.mark.parametrize("kind", [ScheduleSession, ServingSession])
+    def test_gap_report_counts_as_served_request(self, instance, kind):
+        session = kind(instance)
         served = session.solve(k=2, solver="grd")
         before = session.requests_served
         session.gap_report(served)

@@ -1,7 +1,7 @@
 """Organizer locks under live change streams, across maintenance policies.
 
 The streaming contract: locks handed to :class:`StreamDriver` (or
-``ScheduleSession.stream``) bind every intermediate and final schedule,
+either session kind's ``stream``) bind every intermediate and final schedule,
 whatever maintenance policy absorbs the ops — incremental repair,
 periodic batch rebuilds, or the hybrid.  Cancels renumber the event axis,
 and the locks renumber with it.
@@ -16,6 +16,7 @@ from repro.algorithms.incremental import IncrementalScheduler
 from repro.api import ScheduleSession
 from repro.core.errors import LockError
 from repro.interactive import LockSet
+from repro.serve import ServingSession
 from repro.stream import POLICY_NAMES, StreamDriver, Trace
 from repro.stream.trace import (
     AnnounceRival,
@@ -106,9 +107,10 @@ class TestLocksSurviveStreams:
                 maintenance.scheduler.schedule
             )
 
-    def test_session_stream_threads_locks(self, instance):
+    @pytest.mark.parametrize("kind", [ScheduleSession, ServingSession])
+    def test_session_stream_threads_locks(self, instance, kind):
         locks = feasible_locks(instance)
-        session = ScheduleSession(instance)
+        session = kind(instance)
         result = session.stream(
             churn_trace(instance), "incremental", k=K, locks=locks
         )

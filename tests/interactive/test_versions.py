@@ -102,16 +102,17 @@ class TestDiff:
         assert "v3" in text and "stamp=4" in text
 
 
+@pytest.mark.parametrize("kind", [ScheduleSession, ServingSession])
 class TestSessionVersions:
-    def test_save_diff_round_trip(self, instance):
-        session = ScheduleSession(instance)
+    def test_save_diff_round_trip(self, instance, kind):
+        session = kind(instance)
         first = session.solve(k=2, solver="grd")
         second = session.solve(k=3, solver="grd")
         session.save_version("draft", first)
         session.save_version("more", second)
         assert session.versions() == ("draft", "more")
-        assert session.version("draft").solver == first.solver
-        assert session.version("draft").k == 2
+        assert session.schedule_version("draft").solver == first.solver
+        assert session.schedule_version("draft").k == 2
 
         diff = session.diff_versions("draft")
         assert diff.target == "more"
@@ -119,16 +120,16 @@ class TestSessionVersions:
             second.utility - first.utility
         )
         # the snapshot matches the response it came from
-        assert dict(session.version("more").assignments) == (
+        assert dict(session.schedule_version("more").assignments) == (
             second.schedule.as_mapping()
         )
 
-    def test_saved_version_survives_later_solves(self, instance):
-        session = ScheduleSession(instance)
+    def test_saved_version_survives_later_solves(self, instance, kind):
+        session = kind(instance)
         session.save_version("pin", session.solve(k=2, solver="grd"))
-        before = session.version("pin")
+        before = session.schedule_version("pin")
         session.solve(k=4, solver="top")
-        assert session.version("pin") == before
+        assert session.schedule_version("pin") == before
 
 
 class TestServingVersions:

@@ -21,6 +21,7 @@ from repro.algorithms import (
     SearchBudgetExceeded,
     SolverRegistry,
 )
+from repro.api import EngineSpec, ScheduleSession, solver_registry
 from repro.core.errors import RecoveryError, ScheduleSizeError
 from repro.resilience import Durability, FaultPlan
 from repro.serve import PlanePool, ServingSession
@@ -109,6 +110,43 @@ class TestDeadlineBounds:
         response = session.solve(k=4, **{name: math.inf})
         assert not response.degraded
         assert response.utility == session.solve(k=4).utility
+
+
+class TestBudgetBoundary:
+    """A budget that is not an integer fails at the boundary with a
+    TypeError naming ``k``, before any engine build or pool lease, on
+    every one-shot solver and through both session kinds."""
+
+    @pytest.mark.parametrize("solver", solver_registry.one_shot_names())
+    @pytest.mark.parametrize("bad", [2.5, True, "3", None], ids=repr)
+    def test_non_integer_k_rejected_before_any_build_or_lease(
+        self, counted, monkeypatch, solver, bad
+    ):
+        builds = []
+        monkeypatch.setattr(
+            EngineSpec, "build", lambda spec, instance: builds.append(spec)
+        )
+        instance = make_random_instance(seed=42)
+        for session in (ServingSession(instance), ScheduleSession(instance)):
+            with pytest.raises(TypeError, match="k must be an integer"):
+                session.solve(k=bad, solver=solver)
+        with pytest.raises(TypeError, match="k must be an integer"):
+            solver_registry.create(solver).solve(instance, bad)
+        assert builds == []
+        # the one solve counted is the direct call, rejected on entry
+        assert counted == {"acquire": 0, "release": 0, "solve": 1}
+
+    @pytest.mark.parametrize("kind", [ScheduleSession, ServingSession])
+    def test_numpy_integer_k_solves_like_int(self, kind):
+        instance = make_random_instance(seed=42)
+        numpy_k = kind(instance).solve(k=np.int64(3))
+        plain_k = kind(instance).solve(k=3)
+        assert numpy_k.request.k == 3 and type(numpy_k.request.k) is int
+        assert numpy_k.schedule == plain_k.schedule
+        assert numpy_k.utility.hex() == plain_k.utility.hex()
+        direct = GreedyScheduler().solve(instance, np.int64(3))
+        assert direct.schedule == plain_k.schedule
+        assert direct.utility.hex() == plain_k.utility.hex()
 
 
 class TestDeadlineCost:

@@ -136,6 +136,38 @@ class TestJsonl:
         with pytest.raises(ValueError, match="unsupported trace format"):
             Trace.from_jsonl('{"format":"other/9","n_users":1,"initial_k":0}')
 
+    def test_fractional_budgets_rejected_not_truncated(self):
+        header, *ops = make_trace().to_jsonl().splitlines()
+        with pytest.raises(TypeError, match="initial_k must be an integer"):
+            Trace.from_jsonl(
+                "\n".join([header.replace('"initial_k":3', '"initial_k":2.5'), *ops])
+            )
+        with pytest.raises(TypeError, match="new_k must be an integer"):
+            Trace.from_jsonl(
+                "\n".join([header, *ops]).replace('"new_k":5', '"new_k":3.5')
+            )
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("bad", [3.5, True, "4", None], ids=repr)
+    def test_non_integer_budgets_rejected(self, bad):
+        with pytest.raises(TypeError, match="new_k must be an integer"):
+            RaiseBudget(time=0.0, new_k=bad)
+        with pytest.raises(TypeError, match="initial_k must be an integer"):
+            make_trace(initial_k=bad)
+
+    def test_out_of_range_budgets_keep_their_value_errors(self):
+        with pytest.raises(ValueError, match="new_k must be positive"):
+            RaiseBudget(time=0.0, new_k=0)
+        with pytest.raises(ValueError, match="initial_k must be non-negative"):
+            make_trace(initial_k=-1)
+
+    def test_numpy_budgets_stored_as_int(self):
+        trace = make_trace(initial_k=np.int64(3))
+        assert type(trace.initial_k) is int
+        assert type(RaiseBudget(time=0.0, new_k=np.int64(5)).new_k) is int
+        assert trace == make_trace()
+
 
 class TestReplayabilityValidation:
     """Regression: traces referencing dead/unknown events, duplicate live

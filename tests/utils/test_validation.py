@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.errors import InstanceValidationError
 from repro.utils.validation import (
+    check_budget,
     check_fraction,
     check_index,
     check_non_negative,
@@ -31,6 +32,28 @@ class TestScalarGuards:
         assert check_fraction(0.0, "p") == 0.0
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             check_fraction(1.01, "p")
+
+
+class TestBudgetGuard:
+    def test_integers_returned_as_int(self):
+        for value in (0, 3, np.int64(3), np.int32(3), np.uint8(3)):
+            budget = check_budget(value, "k")
+            assert budget == value and type(budget) is int
+
+    @pytest.mark.parametrize(
+        "value", [2.5, 3.0, True, np.True_, "3", None, np.float64(3)],
+        ids=repr,
+    )
+    def test_non_integers_rejected_naming_the_field(self, value):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            check_budget(value, "k")
+
+    def test_negative_and_non_positive(self):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            check_budget(-1, "k")
+        assert check_budget(1, "new_k", positive=True) == 1
+        with pytest.raises(ValueError, match="new_k must be positive"):
+            check_budget(0, "new_k", positive=True)
 
 
 class TestIndexGuard:
