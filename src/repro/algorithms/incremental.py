@@ -105,6 +105,7 @@ from repro.core.live import LiveDelta, LiveInstance, arrival_event, rival_event
 from repro.core.schedule import Assignment, Schedule
 from repro.core.scoreplane import ScorePlane
 from repro.interactive.locks import LockSet
+from repro.utils.validation import check_budget
 
 __all__ = ["IncrementalScheduler"]
 
@@ -130,9 +131,9 @@ class IncrementalScheduler:
         engine: EngineSpec | str | None = None,
         *,
         locks: LockSet | None = None,
+        schedule: Mapping[int, int] | None = None,
     ):
-        if k < 0:
-            raise ValueError(f"k must be non-negative, got {k}")
+        k = check_budget(k, "k")
         self._engine_spec = EngineSpec.coerce(engine)
         self._k = k
         self._locks = LockSet.coerce(locks)
@@ -154,6 +155,11 @@ class IncrementalScheduler:
         self._plane = ScorePlane(self._engine, auto_reset=False)
         # lazily-created empty-schedule plane for batch consumers
         self._base_plane: ScorePlane | None = None
+        if schedule is not None:
+            # start from a given {event: interval} mapping (recovery's
+            # checkpoint) instead of the initial greedy fill
+            self.adopt(schedule)
+            return
         if self._locks is not None:
             self._commit_pins()
         self._fill()
@@ -345,6 +351,7 @@ class IncrementalScheduler:
 
     def raise_budget(self, new_k: int, *, maintain: bool = True) -> None:
         """Increase the budget and fill the new headroom greedily."""
+        new_k = check_budget(new_k, "new_k")
         if new_k < self._k:
             raise ValueError(
                 f"budget can only grow (use cancel_event to shrink); "
@@ -410,7 +417,9 @@ class IncrementalScheduler:
         not bit-identical to — state accumulated along the live mutation
         history.  Restoring this snapshot on top of an adopted schedule
         makes the scheduler bit-identical to the one it was exported
-        from in every semantic observable.
+        from in every semantic observable.  The engine's part is numpy
+        arrays (:meth:`~repro.core.engine.ScoreEngine.export_mass_state`),
+        the capacity sums' part JSON-ready lists.
         """
         return {
             "engine": self._engine.export_mass_state(),

@@ -86,7 +86,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -181,20 +180,21 @@ class ScoreEngine(ABC):
     # ------------------------------------------------------------------
     # accumulated-state snapshots (checkpoint/recovery)
     # ------------------------------------------------------------------
-    def export_mass_state(self) -> list[Any] | None:
-        """JSON-ready snapshot of order-sensitive accumulated float state.
+    def export_mass_state(self) -> dict[str, np.ndarray] | None:
+        """Snapshot of order-sensitive accumulated float state, as arrays.
 
         Per-interval scheduled mass is accumulated in assignment order,
         so rebuilding it from the schedule alone (sorted ``assign``
         calls) lands within an ulp of — but not bit-identical to — the
         live values.  Engines that keep such accumulators return them
-        here (insertion order included: ``total_utility`` sums intervals
-        in that order); engines that derive every answer fresh from the
+        here as flat numpy arrays, which checkpoints store in binary
+        (insertion order included: ``total_utility`` sums intervals in
+        that order); engines that derive every answer fresh from the
         schedule return ``None``.
         """
         return None
 
-    def restore_mass_state(self, state: list[Any]) -> None:
+    def restore_mass_state(self, state: dict[str, np.ndarray]) -> None:
         """Adopt a snapshot produced by :meth:`export_mass_state`."""
         raise TypeError(
             f"{type(self).__name__} keeps no accumulated mass state"
@@ -999,25 +999,44 @@ class SparseEngine(ScoreEngine):
             self.interval_utility(interval) for interval in self._scheduled_mass
         )
 
-    def export_mass_state(self) -> list[Any]:
-        return [
-            [
-                int(interval),
-                mass.rows.tolist(),
-                mass.values.tolist(),
-                mass.counts.tolist(),
-            ]
-            for interval, mass in self._scheduled_mass.items()
-        ]
+    def export_mass_state(self) -> dict[str, np.ndarray]:
+        """Every interval's ``M_t`` as flat arrays.
 
-    def restore_mass_state(self, state: list[Any]) -> None:
+        ``intervals`` lists the intervals in insertion order (the order
+        :meth:`total_utility` sums in) and ``lengths`` their entry
+        counts; ``rows``, ``values`` and ``counts`` concatenate the
+        intervals' entries in that order.  Rows and counts are 32-bit:
+        a user index outgrows int32 only long past the populations whose
+        activity matrix fits in memory.
+        """
+        masses = list(self._scheduled_mass.values())
+
+        def flat(field: str, dtype: type) -> np.ndarray:
+            parts = [getattr(mass, field) for mass in masses]
+            return np.concatenate([np.zeros(0, dtype), *parts], dtype=dtype)
+
+        return {
+            "intervals": np.array(list(self._scheduled_mass), dtype=np.int32),
+            "lengths": np.array([m.rows.size for m in masses], dtype=np.int32),
+            "rows": flat("rows", np.int32),
+            "values": flat("values", np.float64),
+            "counts": flat("counts", np.int32),
+        }
+
+    def restore_mass_state(self, state: dict[str, np.ndarray]) -> None:
+        """Rebuild ``M_t`` from :meth:`export_mass_state`'s arrays, in
+        their order, as writeable copies of the engine's own dtypes."""
+        stops = np.cumsum(state["lengths"]).tolist()
+        starts = [0, *stops[:-1]]
         self._scheduled_mass = {}
-        for interval, rows, values, counts in state:
+        for interval, start, stop in zip(
+            state["intervals"].tolist(), starts, stops
+        ):
             mass = _SparseMass()
-            mass.rows = np.asarray(rows, dtype=np.intp)
-            mass.values = np.asarray(values, dtype=float)
-            mass.counts = np.asarray(counts, dtype=np.int64)
-            self._scheduled_mass[int(interval)] = mass
+            mass.rows = state["rows"][start:stop].astype(np.intp)
+            mass.values = state["values"][start:stop].astype(np.float64)
+            mass.counts = state["counts"][start:stop].astype(np.int64)
+            self._scheduled_mass[interval] = mass
 
 
 _ENGINES = {

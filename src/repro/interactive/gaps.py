@@ -32,6 +32,7 @@ from repro.core.instance import SESInstance
 from repro.core.schedule import Assignment, Schedule
 from repro.core.scoreplane import ScorePlane
 from repro.interactive.locks import LockSet
+from repro.utils.validation import check_budget
 
 __all__ = ["GapCell", "EventGaps", "GapReport", "build_gap_report"]
 
@@ -152,8 +153,7 @@ def build_gap_report(
     ``limit`` keeps only the top-``limit`` gap events (by best fillable
     gain); ``None`` reports every unscheduled event.
     """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    k = check_budget(k, "k")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
     lock_set = LockSet.coerce(locks)

@@ -7,7 +7,9 @@ replay and a :class:`~repro.serve.ServingSession` — share one core:
   (format ``ses-wal/1``) with torn-tail repair on re-open and a
   configurable fsync policy.
 * :class:`CheckpointStore` — atomic, instance-free snapshots
-  (``ses-ckpt/2``); the base instance is written once as
+  (``ses-ckpt/3``: canonical JSON with numpy arrays, such as a
+  stream's engine float state, stored as binary; other formats are
+  refused by name); the base instance is written once as
   ``instance.npz``.
 * :class:`DurableWriter` — the one commit path: apply -> journal ->
   ack, a journal sync before every checkpoint, a checkpoint every
@@ -16,7 +18,8 @@ replay and a :class:`~repro.serve.ServingSession` — share one core:
   routine: the newest checkpoint the journal covers that restores
   cleanly, over the instance derived from the base and the journal
   prefix, then journal-tail replay through the session's normal path;
-  older checkpoints are the fallback.  :func:`recover` (streams) and
+  older checkpoints are the fallback, and a recovery that finds none
+  names why each was skipped.  :func:`recover` (streams) and
   ``ServingSession.recover`` run it, and a recovered session is
   bit-identical to an uninterrupted one (the kill-point suites prove
   it at every op index).

@@ -93,9 +93,10 @@ def recover_session(
     its :data:`Restore` step.  Checkpoints the journal covers are tried
     newest-first: each one's instance is derived with ``apply``
     (:func:`derive_instance`) and the restore step runs on it.  A
-    damaged checkpoint, one of another kind, or a restore step raising
-    :class:`RecoveryError` falls back to the next older one.  On any
-    failure the journal is abandoned.
+    damaged checkpoint (or one of another format), one of another kind,
+    or a restore step raising :class:`RecoveryError` falls back to the
+    next older one; when none restores, the error names why the last
+    ones were skipped.  On any failure the journal is abandoned.
 
     Returns the restored session, its checkpoint's offset, the writer it
     commits through from here on (appending after the last intact
@@ -116,7 +117,9 @@ def recover_session(
         store = CheckpointStore(config.checkpoint_directory)
         failures: list[str] = []
         bound = scan.offset
-        while (found := store.newest_valid(max_offset=bound)) is not None:
+        while (
+            found := store.newest_valid(max_offset=bound, skipped=failures)
+        ) is not None:
             offset, body = found
             bound = offset - 1
             if body.get("kind") != kind:

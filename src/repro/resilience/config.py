@@ -4,11 +4,13 @@
 
     instance.npz                     # the base instance, written once
     wal.jsonl                        # write-ahead journal, ses-wal/1
-    checkpoints/ckpt-<offset>.json   # instance-free checkpoints, ses-ckpt/2
+    checkpoints/ckpt-<offset>.json   # instance-free checkpoints, ses-ckpt/3
 
 The journal header records the byte length and CRC32 of
 ``instance.npz``; every checkpoint stands on that file plus the journal
-prefix before its offset.
+prefix before its offset.  Checkpoints are JSON with their arrays (a
+stream's engine float state) in binary; a checkpoint of an older format
+is skipped, and recovery names its format when none is left.
 :class:`~repro.stream.driver.StreamDriver` and
 :class:`~repro.serve.session.ServingSession` both accept it and commit
 through the same :class:`~repro.resilience.journal.DurableWriter`;

@@ -10,8 +10,8 @@ schedule, locks, policy state and the accumulated float state, bitwise.
 
 :func:`recover` runs the shared recovery routine
 (:func:`repro.resilience.base.recover_session`) with the stream's
-restore step: re-bind the policy on the instance at the checkpoint's
-offset, adopt the checkpointed state, and replay the journal tail
+restore step: bind the policy on the instance at the checkpoint's
+offset straight onto the checkpointed state, and replay the journal tail
 *through the normal delta path* — ``policy.apply(op)`` exactly as the
 original run called it — verifying every utility against the journaled
 one with exact float equality.  The recovered session is bit-identical
@@ -116,9 +116,10 @@ def _checkpoint_body(
         "k": scheduler.k,
         "locks": None if scheduler.locks is None else scheduler.locks.to_dict(),
         "engine": engine_spec_to_dict(scheduler.engine_spec),
-        # accumulated float state, bit-exact: adopting the schedule alone
-        # rebuilds engine mass / capacity sums in sorted order, an ulp
-        # away from the live accumulation history
+        # accumulated float state, bit-exact (engine mass as arrays, which
+        # the store writes in binary): adopting the schedule alone rebuilds
+        # engine mass / capacity sums in sorted order, an ulp away from the
+        # live accumulation history
         "float_state": scheduler.export_float_state(),
         "policy": {
             "name": policy_name,
@@ -253,27 +254,31 @@ def _restore_checkpoint(
     offset) and replay the journal tail, verified: the recovery
     routine's :data:`~repro.resilience.base.Restore` step.
 
+    Past offset 0 the policy binds straight onto the checkpoint's
+    schedule and runs no solve; at the offset-0 floor it binds fresh.
     Raises :class:`RecoveryError` on any exact-equality mismatch — the
     restored utility against the journal record the checkpoint claims to
     sit on, and the replayed utility against the journaled one at every
-    tail op (JSON round-trips floats losslessly, so exact comparison is
-    sound).  The caller falls back to an older checkpoint on failure.
+    tail op (checkpoints and journals round-trip floats losslessly, so
+    exact comparison is sound).  The caller falls back to an older
+    checkpoint on failure.
     """
     locks = (
         None if body["locks"] is None else LockSet.from_dict(body["locks"])
     )
     policy_info = body["policy"]
     policy = make_policy(policy_info["name"], **policy_info["params"])
-    policy.bind(instance, int(body["k"]), engine=engine, locks=locks)
+    k = int(body["k"])
     schedule = {
         int(event): int(interval)
         for event, interval in body["schedule"].items()
     }
     if checkpoint_offset == 0:
-        # the recovery floor: bind just re-ran the original initial solve
-        # on the base instance, so the live float state is
+        # the recovery floor: a fresh bind re-runs the original initial
+        # solve on the base instance, so the live float state is
         # bit-identical by construction — adopting would re-accumulate it
         # in sorted order instead
+        policy.bind(instance, k, engine=engine, locks=locks)
         if dict(policy.scheduler.schedule.as_mapping()) != schedule:
             raise RecoveryError(
                 "offset-0 checkpoint schedule does not match a fresh "
@@ -281,7 +286,9 @@ def _restore_checkpoint(
             )
         policy.load_state(policy_info["state"])
     else:
-        policy.scheduler.adopt(schedule)
+        # bind straight onto the checkpoint's schedule: an initial greedy
+        # fill here would only be thrown away
+        policy.bind(instance, k, engine=engine, locks=locks, schedule=schedule)
         float_state = body.get("float_state")
         if float_state is not None:
             policy.scheduler.restore_float_state(float_state)
@@ -314,12 +321,13 @@ def recover(source: Durability | str) -> "RecoveredStream":
     """Rebuild a durable stream session from its directory.
 
     Runs :func:`~repro.resilience.base.recover_session` with the stream
-    restore step: re-bind the policy on the checkpoint's instance, adopt
-    its schedule and bitwise float state, and replay the journal tail
-    through ``policy.apply``, checking every utility against the
-    journaled one with exact float equality.  At the offset-0 floor a
-    fresh bind re-runs the original initial solve, so it is bit-exact by
-    construction.  An engine this build cannot rebuild fails recovery.
+    restore step: bind the policy on the checkpoint's instance straight
+    onto its schedule (no initial solve), restore its bitwise float
+    state, and replay the journal tail through ``policy.apply``,
+    checking every utility against the journaled one with exact float
+    equality.  At the offset-0 floor a fresh bind re-runs the original
+    initial solve, so it is bit-exact by construction.  An engine this
+    build cannot rebuild fails recovery.
     """
     config = source if isinstance(source, Durability) else Durability(source)
 

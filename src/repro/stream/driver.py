@@ -35,6 +35,7 @@ from repro.interactive.locks import LockSet
 
 from repro.stream.policies import MaintenancePolicy, make_policy
 from repro.stream.trace import Trace
+from repro.utils.validation import check_budget
 
 if TYPE_CHECKING:
     from repro.resilience.config import Durability
@@ -235,7 +236,7 @@ class StreamDriver:
             )
         solver_registry.get(oracle_solver)  # fail fast on unknown names
         self._instance = instance
-        self._k = k
+        self._k = None if k is None else check_budget(k, "k")
         self._policy = policy
         self._engine = EngineSpec.coerce(engine)
         self._oracle_every = oracle_every

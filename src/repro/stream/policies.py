@@ -37,6 +37,7 @@ registry, so the whole subsystem stays sparse-friendly end to end.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from typing import Any
 
 import numpy as np
@@ -83,12 +84,18 @@ class MaintenancePolicy(ABC):
         k: int,
         engine: EngineSpec | str | None = None,
         locks: LockSet | None = None,
+        *,
+        schedule: Mapping[int, int] | None = None,
     ) -> None:
         """Attach to an instance: build the maintained scheduler.
 
         ``locks`` threads organizer pin/forbid constraints into the
         maintained scheduler; every repair and rebuild honors them, and
         pins survive event-cancel renumbering for the stream's lifetime.
+        ``schedule`` (an ``{event: interval}`` mapping, recovery's
+        checkpoint) binds straight onto that schedule through
+        :meth:`~repro.algorithms.incremental.IncrementalScheduler.adopt`:
+        no initial greedy fill, and no bind-time solve of any policy.
         """
         if self._live is not None:
             raise RuntimeError(
@@ -96,7 +103,11 @@ class MaintenancePolicy(ABC):
                 f"single-use — construct a fresh one per replay"
             )
         self._live = IncrementalScheduler(
-            instance, k, engine=EngineSpec.coerce(engine), locks=locks
+            instance,
+            k,
+            engine=EngineSpec.coerce(engine),
+            locks=locks,
+            schedule=schedule,
         )
 
     @abstractmethod
@@ -200,9 +211,11 @@ class PeriodicRebuildPolicy(MaintenancePolicy):
         k: int,
         engine: EngineSpec | str | None = None,
         locks: LockSet | None = None,
+        *,
+        schedule: Mapping[int, int] | None = None,
     ) -> None:
-        super().bind(instance, k, engine, locks)
-        if self._solver != "grd":
+        super().bind(instance, k, engine, locks, schedule=schedule)
+        if self._solver != "grd" and schedule is None:
             # the scheduler's initial fill IS a GRD run; only a non-GRD
             # solver needs a bind-time re-solve to align the start
             self._resolve()
@@ -278,8 +291,10 @@ class HybridPolicy(MaintenancePolicy):
         k: int,
         engine: EngineSpec | str | None = None,
         locks: LockSet | None = None,
+        *,
+        schedule: Mapping[int, int] | None = None,
     ) -> None:
-        super().bind(instance, k, engine, locks)
+        super().bind(instance, k, engine, locks, schedule=schedule)
         # materializing the base plane now makes every pressure-triggered
         # rebuild() a warm refill (seeded from cached base scores)
         self.scheduler.base_plane()

@@ -412,10 +412,12 @@ class TestZeroDenominatorConvention:
         is a tiny negative residue: every query surface answers the
         reference's 0.0, bit for bit."""
         engine, oracle = residue_engines(form)
-        [(_, rows, values, counts)] = [
-            state for state in engine.export_mass_state() if state[0] == 0
-        ]
-        assert rows == [0] and counts == [1] and values[0] < 0.0
+        state = engine.export_mass_state()
+        stops = np.cumsum(state["lengths"])
+        [position] = np.flatnonzero(state["intervals"] == 0)
+        at_0 = slice(stops[position] - state["lengths"][position], stops[position])
+        rows, values, counts = (state[n][at_0] for n in ("rows", "values", "counts"))
+        assert rows.tolist() == [0] and counts.tolist() == [1] and values[0] < 0.0
         expected = oracle.score(3, 0)
         assert expected == 0.0
         answers = [
@@ -431,3 +433,94 @@ class TestZeroDenominatorConvention:
             [oracle.scores_for_interval(t, [3, 4]) for t in (0, 1)],
             atol=1e-12,
         )
+
+
+def history_engine(form="array"):
+    """``placed_engine``'s schedule reached through a history that sorted
+    re-assignment does not repeat: interval 2 is filled first, and a
+    sibling at interval 1 is assigned and withdrawn."""
+    engine = SparseEngine(placed_engine(form).instance)
+    for event, interval in [(5, 2), (3, 1), (6, 1), (0, 1)]:
+        engine.assign(event, interval)
+    engine.unassign(6)
+    return engine
+
+
+def surface_bits(engine):
+    return {name: read(engine).tobytes() for name, read in QUERY_SURFACES.items()}
+
+
+class TestMassStateArrays:
+    """``export_mass_state`` hands checkpoints flat arrays, and restoring
+    them reproduces the live accumulation bit for bit."""
+
+    def test_export_is_flat_arrays_in_insertion_order(self):
+        state = history_engine().export_mass_state()
+        assert state["intervals"].tolist() == [2, 1]
+        assert {name: array.dtype for name, array in state.items()} == {
+            "intervals": np.int32,
+            "lengths": np.int32,
+            "rows": np.int32,
+            "values": np.float64,
+            "counts": np.int32,
+        }
+        entries = int(state["lengths"].sum())
+        assert entries == state["rows"].size == state["values"].size
+        assert entries == state["counts"].size
+
+    def test_empty_engine_exports_empty_arrays(self):
+        engine = SparseEngine(placed_engine().instance)
+        state = engine.export_mass_state()
+        assert all(array.size == 0 for array in state.values())
+        engine.restore_mass_state(state)
+        assert engine.total_utility() == 0.0
+
+    @pytest.mark.parametrize("target", ["fresh", "clone"])
+    def test_restore_answers_every_query_with_the_same_bits(self, target):
+        engine = history_engine()
+        state = engine.export_mass_state()
+        if target == "fresh":
+            other = SparseEngine(engine.instance)
+            for event, interval in sorted(PLACED.items()):
+                other.assign(event, interval)
+            # sorted re-assignment alone lands off the live bits
+            assert surface_bits(other) != surface_bits(engine)
+        else:
+            other = engine.clone()
+        other.restore_mass_state(state)
+        assert surface_bits(other) == surface_bits(engine)
+        # both go on alike: the restored mass takes further updates
+        for each in (engine, other):
+            each.assign(6, 1)
+            each.unassign(3)
+        assert other.total_utility().hex() == engine.total_utility().hex()
+        assert (
+            other.scores_for_rows(range(4), [1, 2, 3]).tobytes()
+            == engine.scores_for_rows(range(4), [1, 2, 3]).tobytes()
+        )
+
+    def test_restored_arrays_are_writeable_copies(self):
+        engine = history_engine()
+        state = engine.export_mass_state()
+        for array in state.values():
+            array.setflags(write=False)  # as a checkpoint load hands them over
+        other = SparseEngine(engine.instance)
+        for event, interval in sorted(PLACED.items()):
+            other.assign(event, interval)
+        other.restore_mass_state(state)
+        for mass in other._scheduled_mass.values():
+            assert (mass.rows.dtype, mass.values.dtype, mass.counts.dtype) == (
+                np.intp, np.float64, np.int64,
+            )
+            for array in (mass.rows, mass.values, mass.counts):
+                assert array.flags.writeable
+                assert not any(np.shares_memory(array, s) for s in state.values())
+
+    def test_negative_residue_restores_onto_a_fresh_engine(self):
+        engine, oracle = residue_engines()
+        fresh = SparseEngine(engine.instance)
+        fresh.assign(2, 0)
+        fresh.restore_mass_state(engine.export_mass_state())
+        assert fresh.score(3, 0).hex() == engine.score(3, 0).hex() == "0x0.0p+0"
+        assert fresh.total_utility().hex() == engine.total_utility().hex()
+        assert fresh.omega(2).hex() == engine.omega(2).hex()

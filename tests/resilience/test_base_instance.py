@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.core.errors import JournalError, RecoveryError
@@ -58,6 +59,23 @@ def _crashed(kind, tmp_path, stop_after=9):
         mutate_serving(session, stop_after)
         session._writer.abandon()  # the crash simulator
     return durability
+
+
+def _as_previous_format(body):
+    """A checkpoint body as the previous build (``ses-ckpt/2``) wrote it:
+    the engine mass as ``[interval, rows, values, counts]`` number lists."""
+    if "float_state" not in body:
+        return body
+    mass = body["float_state"]["engine"]
+    stops = np.cumsum(mass["lengths"]).tolist()
+    engine = [
+        [interval, *(mass[name][stop - size:stop].tolist()
+                     for name in ("rows", "values", "counts"))]
+        for interval, size, stop in zip(
+            mass["intervals"].tolist(), mass["lengths"].tolist(), stops
+        )
+    ]
+    return dict(body, float_state=dict(body["float_state"], engine=engine))
 
 
 def _recover_error(kind, durability) -> str:
@@ -173,6 +191,40 @@ class TestTypedFailures:
         message = _recover_error(kind, durability)
         assert str(durability.instance_path) in message
         assert "ses-ckpt/1" in message
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_checkpoints_of_the_previous_format(self, kind, tmp_path):
+        """The previous build wrote ``ses-ckpt/2`` checkpoints, float
+        state as JSON numbers; recovery names the format of each one it
+        skipped."""
+        durability = _crashed(kind, tmp_path)
+        store = CheckpointStore(durability.checkpoint_directory)
+        for offset in store.offsets():
+            body = _as_previous_format(store.load(offset))
+            encoded = json.dumps(body, sort_keys=True, separators=(",", ":"))
+            envelope = {
+                "body": body,
+                "crc": zlib.crc32(encoded.encode()) & 0xFFFFFFFF,
+                "format": "ses-ckpt/2",
+                "offset": offset,
+            }
+            (store.directory / f"ckpt-{offset:08d}.json").write_text(
+                json.dumps(envelope)
+            )
+        message = _recover_error(kind, durability)
+        assert "could be restored" in message
+        assert message.count("has format 'ses-ckpt/2'; expected 'ses-ckpt/3'") == 3
+        for offset in store.offsets():
+            assert f"ckpt-{offset:08d}.json" in message
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_damaged_checkpoints_report_why(self, kind, tmp_path):
+        durability = _crashed(kind, tmp_path)
+        for path in durability.checkpoint_directory.glob("ckpt-*.json"):
+            raw = path.read_text()
+            path.write_text(raw[: len(raw) // 2])
+        message = _recover_error(kind, durability)
+        assert message.count("is not valid JSON") == 3
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_prefix_record_that_does_not_apply(self, kind, tmp_path):

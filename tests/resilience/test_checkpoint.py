@@ -1,16 +1,28 @@
-"""CheckpointStore: atomic publish, CRC verification, newest-valid-wins."""
+"""CheckpointStore: atomic publish, CRC verification, binary arrays,
+newest-valid-wins."""
 
 from __future__ import annotations
 
 import json
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import CheckpointError
 from repro.resilience import CHECKPOINT_FORMAT, CheckpointStore
+
+from tests.core.test_engine import residue_engines
+
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _crc(payload) -> int:
+    return zlib.crc32(_canonical(payload).encode("utf-8")) & 0xFFFFFFFF
 
 
 class TestWriteLoad:
@@ -127,6 +139,100 @@ class TestVerification:
             store.load(9)
 
 
+class TestBinaryArrays:
+    """Body arrays are stored as dtype + base64 inside the canonical
+    envelope, and come back bit for bit."""
+
+    def _assert_same_bits(self, loaded, original):
+        little = original.dtype.newbyteorder("<")
+        assert loaded.dtype == little
+        assert loaded.shape == original.shape
+        assert loaded.tobytes() == original.astype(little).tobytes()
+
+    def test_arrays_round_trip_bit_for_bit(self, tmp_path):
+        residue, _ = residue_engines()
+        subnormal = np.nextafter(0.0, 1.0)
+        edges = np.array([-0.0, 0.0, 1e-300, subnormal, -subnormal, np.inf])
+        body = {
+            "mass": residue.export_mass_state(),
+            "edges": edges,
+            "nested": [{"flags": np.array([True, False])}, 7],
+            "matrix": np.arange(6, dtype=np.int64).reshape(2, 3),
+            "big_endian": np.array([1.5, -2.25, -0.0], dtype=">f8"),
+        }
+        assert body["mass"]["values"][0] < 0.0  # the negative residue
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.write(5, body)
+        loaded = store.load(5)
+        for name, array in body["mass"].items():
+            self._assert_same_bits(loaded["mass"][name], array)
+        self._assert_same_bits(loaded["edges"], edges)
+        assert np.signbit(loaded["edges"][0])
+        self._assert_same_bits(loaded["nested"][0]["flags"], body["nested"][0]["flags"])
+        assert loaded["nested"][1] == 7
+        self._assert_same_bits(loaded["matrix"], body["matrix"])
+        self._assert_same_bits(loaded["big_endian"], body["big_endian"])
+        np.testing.assert_array_equal(loaded["big_endian"], body["big_endian"])
+
+    def test_arrays_are_binary_inside_the_canonical_envelope(self, tmp_path):
+        values = np.array([0.1, 1e-300, -2.5])
+        path = CheckpointStore(tmp_path / "ckpt").write(3, {"values": values})
+        envelope = json.loads(path.read_text())
+        stored = envelope["body"]["values"]["__ndarray__"]
+        assert stored["dtype"] == "<f8" and stored["shape"] == [3]
+        assert envelope["crc"] == _crc(envelope["body"])
+        assert path.read_bytes() == _canonical(envelope).encode("utf-8")
+
+    def test_flipped_base64_character_fails_the_crc(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        path = store.write(1, {"values": np.linspace(0.0, 1.0, 32)})
+        raw = path.read_text()
+        payload = json.loads(raw)["body"]["values"]["__ndarray__"]["base64"]
+        at = raw.index(payload) + len(payload) // 2
+        flipped = "B" if raw[at] == "A" else "A"
+        path.write_text(raw[:at] + flipped + raw[at + 1:])
+        with pytest.raises(CheckpointError, match="CRC"):
+            store.load(1)
+
+    @pytest.mark.parametrize(
+        "field, damage",
+        [
+            ("base64", lambda data: data[:-4]),  # 15 bytes: no whole float64s
+            ("dtype", lambda dtype: "|O"),  # pointers, not values
+            ("shape", lambda shape: [3]),
+        ],
+        ids=["truncated", "object-dtype", "shape"],
+    )
+    def test_undecodable_array_with_a_valid_crc(self, field, damage, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        path = store.write(2, {"values": np.array([0.25, 0.5])})
+        envelope = json.loads(path.read_text())
+        stored = envelope["body"]["values"]["__ndarray__"]
+        stored[field] = damage(stored[field])
+        envelope["crc"] = _crc(envelope["body"])
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(CheckpointError, match="undecodable array"):
+            store.load(2)
+
+    @pytest.mark.parametrize("array", [np.array(["a"]), np.array([None])])
+    def test_non_numeric_arrays_are_refused(self, array, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        with pytest.raises(TypeError, match="numeric arrays"):
+            store.write(0, {"x": array})
+        assert store.offsets() == []
+
+    def test_previous_format_is_refused_by_name(self, tmp_path):
+        """A ``ses-ckpt/2`` file, float state as JSON number lists."""
+        store = CheckpointStore(tmp_path / "ckpt")
+        body = {"float_state": {"engine": [[0, [0], [-1.1e-16], [1]]]}}
+        envelope = {
+            "body": body, "crc": _crc(body), "format": "ses-ckpt/2", "offset": 4,
+        }
+        (store.directory / "ckpt-00000004.json").write_text(_canonical(envelope))
+        with pytest.raises(CheckpointError, match="'ses-ckpt/2'.*'ses-ckpt/3'"):
+            store.load(4)
+
+
 class TestNewestValid:
     def test_empty_store(self, tmp_path):
         assert CheckpointStore(tmp_path / "ckpt").newest_valid() is None
@@ -152,6 +258,17 @@ class TestNewestValid:
         path = store.write(4, {"at": 4})
         path.write_text(path.read_text()[:10])
         assert store.newest_valid() == (0, {"at": 0})
+
+    def test_skipped_checkpoints_report_why(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.write(0, {"at": 0})
+        path = store.write(4, {"at": 4})
+        path.write_text(path.read_text()[:10])
+        store.write(9, {"at": 9})
+        skipped: list[str] = []
+        assert store.newest_valid(max_offset=8, skipped=skipped) == (0, {"at": 0})
+        [reason] = skipped
+        assert "ckpt-00000004.json" in reason and "JSON" in reason
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.incremental import IncrementalScheduler
+from repro.core.engine import EngineSpec
 from repro.core.errors import InstanceValidationError
+from repro.core.scoreplane import ScorePlane
+from repro.interactive.gaps import build_gap_report
+from repro.stream import StreamDriver
 from repro.utils.validation import (
     check_budget,
     check_fraction,
@@ -12,6 +17,9 @@ from repro.utils.validation import (
     check_positive,
     check_probability_matrix,
 )
+
+from tests.conftest import make_random_instance
+from tests.resilience.conftest import golden_instance, golden_trace
 
 
 class TestScalarGuards:
@@ -54,6 +62,55 @@ class TestBudgetGuard:
         assert check_budget(1, "new_k", positive=True) == 1
         with pytest.raises(ValueError, match="new_k must be positive"):
             check_budget(0, "new_k", positive=True)
+
+
+class TestBudgetCallers:
+    """The budgets the stream, the incremental scheduler and gap reports
+    take pass through ``check_budget`` too: non-integers raise a
+    TypeError naming the field, numpy integers arrive as ``int``."""
+
+    BAD = [2.5, True, "3"]
+
+    @pytest.fixture
+    def instance(self):
+        return make_random_instance(seed=42)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_incremental_scheduler(self, instance, bad):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            IncrementalScheduler(instance, bad)
+        scheduler = IncrementalScheduler(instance, np.int64(3))
+        assert scheduler.k == 3 and type(scheduler.k) is int
+        assert scheduler.schedule == IncrementalScheduler(instance, 3).schedule
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_raise_budget(self, instance, bad):
+        scheduler = IncrementalScheduler(instance, 2)
+        with pytest.raises(TypeError, match="new_k must be an integer"):
+            scheduler.raise_budget(bad)
+        assert scheduler.k == 2 and len(scheduler.schedule) == 2
+        scheduler.raise_budget(np.int64(3))
+        assert scheduler.k == 3 and type(scheduler.k) is int
+        with pytest.raises(ValueError, match="budget can only grow"):
+            scheduler.raise_budget(2)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_stream_driver(self, bad):
+        instance, trace = golden_instance("dense_b"), golden_trace("dense_b")
+        with pytest.raises(TypeError, match="k must be an integer"):
+            StreamDriver(instance, k=bad)
+        numpy_k = StreamDriver(instance, k=np.int64(3)).run(trace)
+        plain_k = StreamDriver(instance, k=3).run(trace)
+        assert numpy_k.utilities == plain_k.utilities
+        assert numpy_k.final_schedule == plain_k.final_schedule
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_gap_report(self, instance, bad):
+        plane = ScorePlane(EngineSpec().build(instance))
+        with pytest.raises(TypeError, match="k must be an integer"):
+            build_gap_report(instance, {0: 0}, bad, plane)
+        report = build_gap_report(instance, {0: 0}, np.int64(3), plane)
+        assert report.k == 3 and type(report.k) is int
 
 
 class TestIndexGuard:
