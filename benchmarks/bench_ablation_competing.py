@@ -13,10 +13,10 @@ import pytest
 
 from repro.algorithms.greedy import GreedyScheduler
 
-from benchmarks.conftest import instance_for_competing
+from benchmarks.conftest import COMPETING_GRID, instance_for_competing
 
 _K = 60
-_DENSITIES = (0.0, 4.0, 8.1, 16.2)
+_DENSITIES = COMPETING_GRID
 _UTILITIES: dict[float, float] = {}
 
 

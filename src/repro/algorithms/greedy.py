@@ -176,9 +176,8 @@ class GreedyScheduler(Scheduler):
         rounding ``margin``, as upper bounds.
         """
         row = scores[interval]
-        for event in np.flatnonzero(np.isfinite(row)):
-            if checker.is_valid(Assignment(event=int(event), interval=interval)):
-                row[event] += margin
-            else:
-                row[event] = -np.inf
+        events = np.flatnonzero(np.isfinite(row))
+        valid = checker.valid_events(interval, events)
+        row[events[valid]] += margin
+        row[events[~valid]] = -np.inf
         fresh[interval] = -np.inf

@@ -528,14 +528,19 @@ class IncrementalScheduler:
     def _try_displacement(self, arrival: int) -> None:
         """Swap the arrival in for a scheduled event if strictly better.
 
-        Removing a victim changes mass only at its home interval, so the
-        arrival's cached scores stay exact for every other target; the
-        one contested cell is rescored live.  The what-if evaluation is
-        pure: the feasibility checker briefly rehearses the removal (two
-        O(1) toggles per victim), while the engine answers
-        :meth:`~repro.core.engine.ScoreEngine.removal_loss` and
-        :meth:`~repro.core.engine.ScoreEngine.score_excluding` without
-        any mass-state churn.
+        Removing a victim changes mass and feasibility only at its home
+        interval, so the arrival's cached scores and one vector probe of
+        its feasibility (:meth:`FeasibilityChecker.valid_intervals`) stay
+        exact for every other target; the one contested cell is rescored
+        live and re-probed with the victim withdrawn.  The what-if
+        evaluation is pure: the feasibility checker briefly rehearses
+        the removal (two O(1) toggles per victim), while the engine
+        answers :meth:`~repro.core.engine.ScoreEngine.removal_losses` and
+        :meth:`~repro.core.engine.ScoreEngine.scores_excluding_each`
+        without any mass-state churn.  The moves are then weighed in scan
+        order — victims in schedule order, targets ascending — and one
+        is taken only when its gain beats the best so far by more than
+        ``_GAIN_EPS`` (:func:`_scan_best`).
         """
         arrival_scores = self._plane.ensure()[:, arrival].copy()
         pinned = self._pinned_events()
@@ -558,29 +563,25 @@ class IncrementalScheduler:
                 ),
             )
         }
-        best_gain, best_move = 0.0, None
-        for (victim, home), loss in zip(victims, losses):
+        forbidden = self._forbidden_intervals(arrival)
+        feasible = self._checker.valid_intervals(arrival)
+        gains = np.empty((len(victims), self._live.n_intervals))
+        for (victim, home), loss, row in zip(victims, losses, gains):
             removed = Assignment(victim, home)
             self._checker.unapply(removed)
-            for target in range(self._live.n_intervals):
-                if self._locks is not None and self._locks.is_forbidden(
-                    target, arrival
-                ):
-                    continue
-                candidate = Assignment(arrival, target)
-                if not self._checker.is_valid(candidate):
-                    continue
-                score = (
-                    contested[victim]
-                    if target == home
-                    else arrival_scores[target]
-                )
-                gain = score - loss
-                if gain > best_gain + _GAIN_EPS:
-                    best_gain, best_move = gain, (victim, home, target)
+            allowed = feasible.copy()
+            allowed[home] = self._checker.is_valid(Assignment(arrival, home))
             self._checker.apply(removed)
-        if best_move is not None:
-            victim, home, target = best_move
+            np.subtract(arrival_scores, loss, out=row)
+            row[home] = contested[victim] - loss
+            row[~allowed | forbidden] = -np.inf
+            # the rehearsal's float round trip can move the home
+            # interval's resource total by an ulp: probe it again
+            feasible[home] = self._checker.is_valid(Assignment(arrival, home))
+        pick = _scan_best(gains.ravel(), 0.0)
+        if pick is not None:
+            position, target = divmod(pick, self._live.n_intervals)
+            victim, home = victims[position]
             self._uncommit(victim, home)
             self._commit(arrival, target)
             self._plane.flush()
@@ -596,22 +597,49 @@ class IncrementalScheduler:
         self._plane.flush()
 
     def _relocate_event(self, event: int, home: int) -> None:
-        """Move one scheduled event to its best interval (staying allowed)."""
+        """Move one scheduled event to its best interval (staying allowed).
+
+        Targets are weighed in ascending order against the home score,
+        as in :meth:`_try_displacement`, and feasibility is one vector
+        probe taken with the event withdrawn.
+        """
         if event in self._pinned_events():
             return  # pinned in place: relocation never touches it
         self._uncommit(event, home)
         self._plane.flush()
         column = self._plane.array[:, event]
-        best_interval, best_gain = home, column[home]
-        for target in range(self._live.n_intervals):
-            if target == home:
-                continue
-            if self._locks is not None and self._locks.is_forbidden(
-                target, event
-            ):
-                continue
-            if not self._checker.is_valid(Assignment(event, target)):
-                continue
-            if column[target] > best_gain + _GAIN_EPS:
-                best_gain, best_interval = column[target], target
-        self._commit(event, best_interval)
+        gains = np.where(self._checker.valid_intervals(event), column, -np.inf)
+        gains[self._forbidden_intervals(event)] = -np.inf
+        gains[home] = -np.inf
+        pick = _scan_best(gains, column[home])
+        self._commit(event, home if pick is None else pick)
+
+    def _forbidden_intervals(self, event: int) -> np.ndarray:
+        """Mask of the intervals the organizer's locks forbid ``event``."""
+        forbidden = np.zeros(self._live.n_intervals, dtype=bool)
+        if self._locks is not None:
+            for interval in range(self._live.n_intervals):
+                forbidden[interval] = self._locks.is_forbidden(interval, event)
+        return forbidden
+
+
+def _scan_best(gains: np.ndarray, best: float) -> int | None:
+    """Where the scan ``for i: if gains[i] > best + _GAIN_EPS: take i`` ends.
+
+    ``best`` rises with each take, so of near-ties within ``_GAIN_EPS``
+    the first wins, which a plain argmax would not keep.  Each step jumps
+    to the next entry that beats the running best with one vector
+    comparison, so the loop runs once per take, not once per entry.
+    Returns ``None`` when no entry beats the starting ``best``.
+    """
+    pick = None
+    start = 0
+    while start < gains.size:
+        beats = gains[start:] > best + _GAIN_EPS
+        step = int(np.argmax(beats))
+        if not beats[step]:
+            break
+        pick = start + step
+        best = gains[pick]
+        start = pick + 1
+    return pick

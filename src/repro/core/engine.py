@@ -35,11 +35,27 @@ sparse engine exploits this:
   ``r``'s column — O(nnz(r)) work and memory, independent of ``|U|``.
   The CSC storage of :class:`~repro.core.interest.InterestMatrix` serves
   the gather directly;
-* the scheduled mass ``M_t`` and competing mass ``K_t`` are kept as sorted
-  sparse vectors, gathered at a column's rows by binary search.  ``M_t``
-  additionally counts nonzero-mu contributors per row so that removals
-  drop entries whose true mass returned to zero (subtraction residue of
-  ~1e-16 would otherwise read as ``M / (K + M) = 1`` wherever ``K = 0``);
+* the scheduled mass ``M_t`` and competing mass ``K_t`` start as sorted
+  sparse vectors, gathered at a column's rows by binary search.  One
+  rule moves both to a dense layout, a vector over all users gathered
+  with one ``take``: an interval's support covers more than
+  ``SparseEngine.DENSIFY_FRACTION`` of the users.  ``K_t`` densifies on
+  the read that finds it past the fraction, ``M_t`` on the write (or
+  restore) that takes it there.  A dense ``M_t`` adds or subtracts a
+  column in place at the column's rows; a sorted one updates the rows it
+  holds in place and splices new ones in with one pass.  Both layouts
+  gather the same floats;
+* ``M_t`` additionally counts nonzero-mu contributors per row, in either
+  layout, so that a removal drops (sorted) or zeroes (dense) each entry
+  whose true mass returned to zero (subtraction residue of ~1e-16 would
+  otherwise read as ``M / (K + M) = 1`` wherever ``K = 0``);
+* ``interval_utility`` is cached per interval: filled on a read, and
+  dropped by every write that changes the interval's ``M_t`` or
+  ``K_t`` — an assign or unassign there, an interest replacement of an
+  event scheduled there, a rival at the interval, ``reset`` and
+  ``restore_mass_state``.  Clones copy the cache.  A stream that reads
+  the total utility after every op thus recomputes only the intervals
+  the op touched (why a read may fill it: ``SparseEngine.interval_utility``);
 * ``K_t`` is accumulated lazily per interval from the competing columns
   (``InterestMatrix.competing_mass_entries``), so the dense
   ``(|T|, |U|)`` ``competing_mass`` table on the instance is never
@@ -439,11 +455,11 @@ class ReferenceEngine(ScoreEngine):
 
 
 class _SparseMass:
-    """A sparse non-negative vector: sorted row indices + parallel values.
+    """``M_t`` in the sorted layout: sorted rows + parallel values.
 
-    The scheduled interest mass ``M_t`` of one interval.  Alongside each
-    value we count how many scheduled columns contribute a nonzero entry
-    to that row; when a removal drops a row's count to zero the entry is
+    The scheduled interest mass of one interval.  Alongside each value we
+    count how many scheduled columns contribute a nonzero entry to that
+    row; when a removal drops a row's count to zero the entry is
     discarded outright, so subtraction residue (~1e-16 where the true
     remaining mass is exactly zero) can never leak phantom utility into
     the ``M / (K + M)`` ratio.
@@ -464,14 +480,14 @@ class _SparseMass:
         created (columns are removed at most once per addition), so it is
         a pure in-place update plus a compaction of rows whose
         contributor count returned to zero; an addition updates hit rows
-        in place and splices the genuinely new ones in with one
-        ``searchsorted``.  O((nnz(state) + nnz(column))) worst case, with
-        no O(n log n) re-sort.
+        in place and splices the genuinely new ones in, in one pass over
+        new arrays.  O((nnz(state) + nnz(column))) worst case, with no
+        O(n log n) re-sort.
         """
         if rows.size == 0:
             return
+        positions = np.searchsorted(self.rows, rows)
         if sign < 0:
-            positions = np.searchsorted(self.rows, rows)
             self.values[positions] -= values
             self.counts[positions] -= 1
             if (self.counts[positions] == 0).any():
@@ -480,7 +496,6 @@ class _SparseMass:
                 self.values = self.values[keep]
                 self.counts = self.counts[keep]
             return
-        positions = np.searchsorted(self.rows, rows)
         clipped = np.minimum(positions, max(0, self.rows.size - 1))
         hits = (
             (positions < self.rows.size) & (self.rows[clipped] == rows)
@@ -492,11 +507,22 @@ class _SparseMass:
         if hits.all():
             return
         fresh = ~hits
-        insert_at = positions[fresh]
-        self.rows = np.insert(self.rows, insert_at, rows[fresh])
-        self.values = np.insert(self.values, insert_at, values[fresh])
-        self.counts = np.insert(
-            self.counts, insert_at, np.ones(int(fresh.sum()), dtype=np.int64)
+        # the j-th new row lands behind the j earlier new ones
+        slots = positions[fresh]
+        slots += np.arange(slots.size)
+        size = self.rows.size + slots.size
+        kept = np.ones(size, dtype=bool)
+        kept[slots] = False
+        merged_rows = np.empty(size, dtype=np.intp)
+        merged_rows[slots] = rows[fresh]
+        merged_rows[kept] = self.rows
+        merged_values = np.empty(size)
+        merged_values[slots] = values[fresh]
+        merged_values[kept] = self.values
+        merged_counts = np.ones(size, dtype=np.int64)
+        merged_counts[kept] = self.counts
+        self.rows, self.values, self.counts = (
+            merged_rows, merged_values, merged_counts,
         )
 
     def gather(self, rows: np.ndarray) -> np.ndarray:
@@ -510,10 +536,67 @@ class _SparseMass:
         out[hits] = self.counts[positions]
         return out
 
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, values, counts)`` of the rows with a contributor."""
+        return self.rows, self.values, self.counts
+
+    def densified(self, n_users: int) -> "_DenseMass":
+        """The same mass in the dense layout."""
+        dense = _DenseMass(n_users)
+        dense.values[self.rows] = self.values
+        dense.counts[self.rows] = self.counts
+        return dense
+
     def copy(self) -> "_SparseMass":
         """Independent mass vector holding the same floats."""
         clone = _SparseMass()
         clone.rows = self.rows.copy()
+        clone.values = self.values.copy()
+        clone.counts = self.counts.copy()
+        return clone
+
+
+class _DenseMass:
+    """``M_t`` in the dense layout: values and counts indexed by user.
+
+    Holds what :class:`_SparseMass` holds, with a zero value and count
+    wherever the sorted layout has no entry, so both layouts gather the
+    same floats.  A removal that returns a row's count to zero writes an
+    exact ``0.0`` there, as the sorted layout drops the entry.
+    """
+
+    __slots__ = ("values", "counts")
+
+    def __init__(self, n_users: int) -> None:
+        self.values = np.zeros(n_users)
+        # 32-bit counts: at most one per scheduled event, and a quarter
+        # less memory for every dense interval
+        self.counts = np.zeros(n_users, dtype=np.int32)
+
+    def update(self, rows: np.ndarray, values: np.ndarray, sign: int) -> None:
+        """Add (``sign=+1``) or subtract (``-1``) one column at its rows."""
+        if sign > 0:
+            self.values[rows] += values
+            self.counts[rows] += 1
+            return
+        self.values[rows] -= values
+        counts = self.counts[rows] - 1
+        self.counts[rows] = counts
+        self.values[rows[counts == 0]] = 0.0
+
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        return np.take(self.values, rows)
+
+    def gather_counts(self, rows: np.ndarray) -> np.ndarray:
+        return np.take(self.counts, rows)
+
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted layout's ``(rows, values, counts)``, recovered."""
+        rows = np.flatnonzero(self.counts)
+        return rows, self.values[rows], self.counts[rows]
+
+    def copy(self) -> "_DenseMass":
+        clone = object.__new__(_DenseMass)
         clone.values = self.values.copy()
         clone.counts = self.counts.copy()
         return clone
@@ -619,13 +702,14 @@ class SparseEngine(ScoreEngine):
     docstring's sparse design notes.
     """
 
-    #: Densify an interval's ``K_t`` gathers once its accumulated rival
-    #: mass covers more than this fraction of the user base: fancy
-    #: indexing a dense vector is then far cheaper than binary-searching
-    #: a near-dense sparse one, and one O(|U|) vector per *rival-heavy*
-    #: interval is a bounded trade (never the O(|U| * |E|) table the
-    #: sparse engine exists to avoid).  Gathered values are bit-identical
-    #: either way.
+    #: Densify an interval's ``K_t`` or ``M_t`` once its support covers
+    #: more than this fraction of the user base: fancy indexing a dense
+    #: vector is then far cheaper than binary-searching a near-dense
+    #: sparse one, and one O(|U|) vector per such interval is a bounded
+    #: trade (never the O(|U| * |E|) table the sparse engine exists to
+    #: avoid).  ``K_t`` densifies on the read that finds it past the
+    #: fraction, ``M_t`` on the write (or restore) that takes it past.
+    #: Gathered values are bit-identical either way.
     DENSIFY_FRACTION = 0.125
 
     def __init__(self, instance: SESInstance) -> None:
@@ -634,17 +718,21 @@ class SparseEngine(ScoreEngine):
         # query's sigma gather (_sigma_at) reads one column instead of
         # striding the whole matrix; the gathered values are unchanged.
         self._sigma = np.asfortranarray(instance.activity.matrix)
-        self._scheduled_mass: dict[int, _SparseMass] = {}
+        self._scheduled_mass: dict[int, _SparseMass | _DenseMass] = {}
         # K_t as sparse vectors, accumulated lazily per interval so the
         # dense (|T|, |U|) competing_mass table is never touched
         self._competing_entries: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # dense K_t expansions for rival-heavy intervals (see above)
         self._competing_dense: dict[int, np.ndarray] = {}
+        # interval_utility per interval, filled on reads and dropped by
+        # every write that changes the interval's M_t or K_t
+        self._utilities: dict[int, float] = {}
         super().__init__(instance)
 
     # ------------------------------------------------------------------
     def _reset_state(self) -> None:
         self._scheduled_mass.clear()
+        self._utilities.clear()
 
     def _clone_shell(self) -> "SparseEngine":
         # bypass __init__: the Fortran-ordered sigma copy is O(|U| * |T|)
@@ -665,19 +753,38 @@ class SparseEngine(ScoreEngine):
             interval: dense.copy()
             for interval, dense in self._competing_dense.items()
         }
+        other._utilities = dict(self._utilities)
         ScoreEngine.__init__(other, self._instance)
         return other
 
     def _apply(self, event: int, interval: int, sign: int) -> None:
+        self._utilities.pop(interval, None)
         if sign < 0 and not self._schedule.events_at(interval):
             del self._scheduled_mass[interval]
             return
+        rows, values = self._interest.event_column_entries(event)
+        self._update_mass(interval, rows, values, sign)
+
+    def _update_mass(
+        self, interval: int, rows: np.ndarray, values: np.ndarray, sign: int
+    ) -> None:
+        """Merge one column into ``M_t``, densifying it past the fraction."""
         mass = self._scheduled_mass.get(interval)
         if mass is None:
-            mass = _SparseMass()
-            self._scheduled_mass[interval] = mass
-        rows, values = self._interest.event_column_entries(event)
+            mass = self._scheduled_mass[interval] = _SparseMass()
         mass.update(rows, values, sign)
+        self._settle_layout(interval, mass)
+
+    def _settle_layout(self, interval: int, mass: _SparseMass | _DenseMass) -> None:
+        """Hold ``M_t`` dense once its support passes the densify fraction."""
+        if (
+            isinstance(mass, _SparseMass)
+            and mass.rows.size > self.DENSIFY_FRACTION * self._instance.n_users
+        ):
+            # replacing the value keeps the interval's insertion order
+            self._scheduled_mass[interval] = mass.densified(
+                self._instance.n_users
+            )
 
     def _competing_at(self, interval: int, rows: np.ndarray) -> np.ndarray:
         dense = self._competing_dense.get(interval)
@@ -719,10 +826,14 @@ class SparseEngine(ScoreEngine):
             return np.take(dense, rows)
         return _gather_sorted(vec_rows, vec_values, rows)
 
-    def _scheduled_at(self, interval: int, rows: np.ndarray) -> np.ndarray:
+    def _scheduled_at(self, interval: int, rows: np.ndarray) -> np.ndarray | None:
+        """``M_t`` gathered at ``rows``; ``None`` when the interval holds no
+        sorted entry, so ``M`` is exactly zero (``_eq4_diff``'s fast path)."""
         mass = self._scheduled_mass.get(interval)
-        if mass is None:
-            return np.zeros(rows.size)
+        if isinstance(mass, _DenseMass):
+            return mass.gather(rows)
+        if mass is None or not mass.rows.size:
+            return None
         return self._gather(mass.rows, mass.values, rows)
 
     def _sigma_at(self, interval: int, rows: np.ndarray) -> np.ndarray:
@@ -734,12 +845,11 @@ class SparseEngine(ScoreEngine):
         self, interval: int, rows: np.ndarray, column: np.ndarray
     ) -> np.ndarray:
         """Per-entry Eq. 4 gain of the gathered ``column`` at ``interval``."""
-        competing = self._competing_at(interval, rows)
-        mass = self._scheduled_mass.get(interval)
-        if mass is None or not mass.rows.size:
-            # M is exactly zero: the unguarded path of _eq4_diff
-            return _eq4_diff(None, competing, column)
-        return _eq4_diff(self._scheduled_at(interval, rows), competing, column)
+        return _eq4_diff(
+            self._scheduled_at(interval, rows),
+            self._competing_at(interval, rows),
+            column,
+        )
 
     # -- live-instance deltas -------------------------------------------
     # column gathers go through the (live) interest store at query time,
@@ -748,11 +858,12 @@ class SparseEngine(ScoreEngine):
         interval = self._schedule.interval_of(delta.event)
         if interval is None:
             return
-        mass = self._scheduled_mass[interval]
-        mass.update(delta.old_rows, delta.old_values, sign=-1)
-        mass.update(delta.rows, delta.values, sign=+1)
+        self._utilities.pop(interval, None)
+        self._update_mass(interval, delta.old_rows, delta.old_values, sign=-1)
+        self._update_mass(interval, delta.rows, delta.values, sign=+1)
 
     def _on_competing_added(self, delta: CompetingAdded) -> None:
+        self._utilities.pop(delta.interval, None)
         dense = self._competing_dense.get(delta.interval)
         if dense is not None:
             # densified intervals keep only the dense expansion current
@@ -980,19 +1091,42 @@ class SparseEngine(ScoreEngine):
         rows, column = self._interest.event_column_entries(event)
         if rows.size == 0:
             return 0.0
-        denominator = self._competing_at(interval, rows) + self._scheduled_at(
-            interval, rows
-        )
+        denominator = self._competing_at(interval, rows)
+        scheduled = self._scheduled_at(interval, rows)
+        if scheduled is not None:
+            denominator += scheduled
         ratio = masked_ratio(column, denominator)
         return float(self._sigma_at(interval, rows) @ ratio)
 
     def interval_utility(self, interval: int) -> float:
+        """Summed attendance at ``interval``, cached until it changes.
+
+        The cache is filled here, on a read, like the ``K_t`` caches.
+        That is sound because an engine's reads and writes never overlap:
+        a pool replica belongs to the one request that leased it, pool
+        primaries and templates are read and written under the pool
+        lock, and a sharded engine's blocks are read on worker threads
+        only inside one ``ShardExecutor.map``, which the owning thread
+        waits for before its next write.  So a stored value always
+        describes the state it was computed on.
+        """
+        utility = self._utilities.get(interval)
+        if utility is None:
+            utility = self._utilities[interval] = self._interval_utility(
+                interval
+            )
+        return utility
+
+    def _interval_utility(self, interval: int) -> float:
         mass = self._scheduled_mass.get(interval)
-        if mass is None or mass.rows.size == 0:
+        if mass is None:
             return 0.0
-        competing = self._competing_at(interval, mass.rows)
-        ratio = masked_ratio(mass.values, competing + mass.values)
-        return float(self._sigma_at(interval, mass.rows) @ ratio)
+        rows, values, _ = mass.support()
+        if rows.size == 0:
+            return 0.0
+        competing = self._competing_at(interval, rows)
+        ratio = masked_ratio(values, competing + values)
+        return float(self._sigma_at(interval, rows) @ ratio)
 
     def total_utility(self) -> float:
         return sum(
@@ -1005,30 +1139,34 @@ class SparseEngine(ScoreEngine):
         ``intervals`` lists the intervals in insertion order (the order
         :meth:`total_utility` sums in) and ``lengths`` their entry
         counts; ``rows``, ``values`` and ``counts`` concatenate the
-        intervals' entries in that order.  Rows and counts are 32-bit:
-        a user index outgrows int32 only long past the populations whose
+        intervals' entries in that order, the sorted layout's whatever
+        layout an interval is held in.  Rows and counts are 32-bit: a
+        user index outgrows int32 only long past the populations whose
         activity matrix fits in memory.
         """
-        masses = list(self._scheduled_mass.values())
+        supports = [mass.support() for mass in self._scheduled_mass.values()]
 
-        def flat(field: str, dtype: type) -> np.ndarray:
-            parts = [getattr(mass, field) for mass in masses]
+        def flat(field: int, dtype: type) -> np.ndarray:
+            parts = [support[field] for support in supports]
             return np.concatenate([np.zeros(0, dtype), *parts], dtype=dtype)
 
         return {
             "intervals": np.array(list(self._scheduled_mass), dtype=np.int32),
-            "lengths": np.array([m.rows.size for m in masses], dtype=np.int32),
-            "rows": flat("rows", np.int32),
-            "values": flat("values", np.float64),
-            "counts": flat("counts", np.int32),
+            "lengths": np.array([s[0].size for s in supports], dtype=np.int32),
+            "rows": flat(0, np.int32),
+            "values": flat(1, np.float64),
+            "counts": flat(2, np.int32),
         }
 
     def restore_mass_state(self, state: dict[str, np.ndarray]) -> None:
         """Rebuild ``M_t`` from :meth:`export_mass_state`'s arrays, in
-        their order, as writeable copies of the engine's own dtypes."""
+        their order, as writeable copies of the engine's own dtypes.
+
+        Each interval takes the layout its support calls for."""
         stops = np.cumsum(state["lengths"]).tolist()
         starts = [0, *stops[:-1]]
         self._scheduled_mass = {}
+        self._utilities = {}
         for interval, start, stop in zip(
             state["intervals"].tolist(), starts, stops
         ):
@@ -1037,6 +1175,7 @@ class SparseEngine(ScoreEngine):
             mass.values = state["values"][start:stop].astype(np.float64)
             mass.counts = state["counts"][start:stop].astype(np.int64)
             self._scheduled_mass[interval] = mass
+            self._settle_layout(interval, mass)
 
 
 _ENGINES = {

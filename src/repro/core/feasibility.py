@@ -9,11 +9,23 @@ A *valid* assignment additionally requires the event to be unscheduled.
 
 :class:`FeasibilityChecker` maintains the per-interval location sets and
 resource totals incrementally, so greedy solvers pay O(1) per feasibility
-probe instead of re-scanning the schedule.  :func:`is_schedule_feasible`
+probe instead of re-scanning the schedule.  Two vector probes answer
+:meth:`~FeasibilityChecker.is_valid` for many cells at once, with the
+same float comparisons: :meth:`~FeasibilityChecker.valid_events` for one
+interval and many events (GRD's eviction after a pick) and
+:meth:`~FeasibilityChecker.valid_intervals` for one event and every
+interval (the incremental scheduler's displacement pass).  Both read the
+events' locations and resources from the instance at call time, so they
+stay correct over a :class:`~repro.core.live.LiveInstance` that gained or
+lost events since the checker was built.  :func:`is_schedule_feasible`
 is the stateless one-shot variant used by validators and tests.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.core.errors import InfeasibleAssignmentError
 from repro.core.instance import SESInstance
@@ -64,6 +76,48 @@ class FeasibilityChecker:
         if assignment.event in self._assigned_events:
             return False
         return self.is_feasible(assignment)
+
+    def valid_events(self, interval: int, events: Sequence[int]) -> np.ndarray:
+        """:meth:`is_valid` for each of ``events`` at ``interval``, as a mask."""
+        catalog = self._instance.events
+        chosen = [catalog[int(event)] for event in events]
+        required = np.array(
+            [event.required_resources for event in chosen], dtype=np.float64
+        )
+        valid = (
+            self._resources_used.get(interval, 0.0) + required
+            <= self._instance.theta + _RESOURCE_EPS
+        )
+        used_locations = self._locations_used.get(interval)
+        if used_locations:
+            valid &= np.array(
+                [event.location not in used_locations for event in chosen],
+                dtype=bool,
+            )
+        if self._assigned_events:
+            valid &= np.array(
+                [int(event) not in self._assigned_events for event in events],
+                dtype=bool,
+            )
+        return valid
+
+    def valid_intervals(self, event: int) -> np.ndarray:
+        """:meth:`is_valid` for ``event`` at every interval, as a mask."""
+        n_intervals = self._instance.n_intervals
+        if event in self._assigned_events:
+            return np.zeros(n_intervals, dtype=bool)
+        candidate = self._instance.events[event]
+        used = np.zeros(n_intervals)
+        for interval, resources in self._resources_used.items():
+            used[interval] = resources
+        valid = (
+            used + candidate.required_resources
+            <= self._instance.theta + _RESOURCE_EPS
+        )
+        for interval, locations in self._locations_used.items():
+            if candidate.location in locations:
+                valid[interval] = False
+        return valid
 
     def is_event_assigned(self, event: int) -> bool:
         return event in self._assigned_events

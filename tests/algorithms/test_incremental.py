@@ -7,7 +7,7 @@ from repro.algorithms.greedy import GreedyScheduler
 from repro.algorithms.incremental import IncrementalScheduler
 from repro.core.engine import EngineSpec, SparseEngine
 from repro.core.errors import InfeasibleAssignmentError, UnknownEntityError
-from repro.core.feasibility import is_schedule_feasible
+from repro.core.feasibility import FeasibilityChecker, is_schedule_feasible
 
 from tests.conftest import make_random_instance
 
@@ -80,6 +80,45 @@ class TestEventArrival:
                 location=0, required_resources=1.0,
                 interest_column=np.ones(3),
             )
+
+
+class TestDisplacementProbes:
+    """An arrival at budget probes feasibility once per interval and a
+    few times per victim, not once per victim and interval."""
+
+    def test_arrival_probes_grow_with_victims_plus_intervals(self, monkeypatch):
+        instance = make_random_instance(
+            seed=403, n_users=30, n_events=16, n_intervals=24, n_locations=6
+        )
+        scheduler = IncrementalScheduler(instance, k=8)
+        victims = len(scheduler.schedule)
+        assert victims == 8
+        probes = {"scalar": 0, "cells": 0}
+        is_feasible = FeasibilityChecker.is_feasible
+        valid_intervals = FeasibilityChecker.valid_intervals
+
+        def count_scalar(checker, assignment):
+            probes["scalar"] += 1
+            return is_feasible(checker, assignment)
+
+        def count_cells(checker, event):
+            mask = valid_intervals(checker, event)
+            probes["cells"] += mask.size
+            return mask
+
+        monkeypatch.setattr(FeasibilityChecker, "is_feasible", count_scalar)
+        monkeypatch.setattr(FeasibilityChecker, "valid_intervals", count_cells)
+        index = scheduler.add_candidate_event(
+            location=99,
+            required_resources=1.0,
+            interest_column=np.ones(instance.n_users),
+        )
+        assert scheduler.schedule.contains_event(index)
+        # per victim: the withdrawn home probe, the rehearsal's own
+        # apply and the re-probe after it; one commit; one vector probe
+        assert probes["scalar"] <= 3 * victims + 1
+        assert probes["cells"] == instance.n_intervals
+        assert sum(probes.values()) < victims * instance.n_intervals / 2
 
 
 class TestCancellation:

@@ -62,6 +62,22 @@ def competing_kinds(instance):
     return kinds
 
 
+def engine_cases():
+    """The engines the query-surface and residue cases read."""
+    return [placed_engine(), live_deltas_engine(), residue_engines()[0]]
+
+
+def scheduled_kinds(engine):
+    """How the sparse engine holds each interval's ``M_t``."""
+    names = {"_SparseMass": "sorted", "_DenseMass": "dense"}
+    return {
+        names[type(mass).__name__] if mass is not None else "none"
+        for mass in map(
+            engine._scheduled_mass.get, range(engine.instance.n_intervals)
+        )
+    }
+
+
 def cold_plane(instance):
     return ScorePlane(SparseEngine(instance)).ensure()
 

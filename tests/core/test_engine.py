@@ -499,22 +499,35 @@ class TestMassStateArrays:
             == engine.scores_for_rows(range(4), [1, 2, 3]).tobytes()
         )
 
-    def test_restored_arrays_are_writeable_copies(self):
+    #: The arrays each ``M_t`` layout holds, with the engine's dtypes.
+    LAYOUT_DTYPES = {
+        "_SparseMass": {"rows": np.intp, "values": np.float64, "counts": np.int64},
+        "_DenseMass": {"values": np.float64, "counts": np.int32},
+    }
+
+    def test_restored_arrays_are_writeable_copies(self, monkeypatch):
+        """Past the densify fraction a restore holds ``M_t`` dense, below it
+        sorted; either way its arrays are writeable copies of the engine's
+        own dtypes."""
         engine = history_engine()
         state = engine.export_mass_state()
         for array in state.values():
             array.setflags(write=False)  # as a checkpoint load hands them over
-        other = SparseEngine(engine.instance)
-        for event, interval in sorted(PLACED.items()):
-            other.assign(event, interval)
-        other.restore_mass_state(state)
-        for mass in other._scheduled_mass.values():
-            assert (mass.rows.dtype, mass.values.dtype, mass.counts.dtype) == (
-                np.intp, np.float64, np.int64,
-            )
-            for array in (mass.rows, mass.values, mass.counts):
-                assert array.flags.writeable
-                assert not any(np.shares_memory(array, s) for s in state.values())
+        layouts = []
+        for fraction in (SparseEngine.DENSIFY_FRACTION, 1.0):
+            monkeypatch.setattr(SparseEngine, "DENSIFY_FRACTION", fraction)
+            other = SparseEngine(engine.instance)
+            for event, interval in sorted(PLACED.items()):
+                other.assign(event, interval)
+            other.restore_mass_state(state)
+            layouts.append({type(m).__name__ for m in other._scheduled_mass.values()})
+            for mass in other._scheduled_mass.values():
+                for name, dtype in self.LAYOUT_DTYPES[type(mass).__name__].items():
+                    array = getattr(mass, name)
+                    assert array.dtype == dtype
+                    assert array.flags.writeable
+                    assert not any(np.shares_memory(array, s) for s in state.values())
+        assert layouts == [{"_DenseMass"}, {"_SparseMass"}]
 
     def test_negative_residue_restores_onto_a_fresh_engine(self):
         engine, oracle = residue_engines()
@@ -524,3 +537,130 @@ class TestMassStateArrays:
         assert fresh.score(3, 0).hex() == engine.score(3, 0).hex() == "0x0.0p+0"
         assert fresh.total_utility().hex() == engine.total_utility().hex()
         assert fresh.omega(2).hex() == engine.omega(2).hex()
+
+
+def _cache_steps():
+    """``(name, step)`` pairs: each ``step(live, engine)`` changes the
+    schedule or the live instance and returns the engine to go on with."""
+    rival = np.zeros(37)
+    rival[::4] = 0.7
+    drift = np.zeros(37)
+    drift[1::3] = 0.4
+    arrival = np.zeros(37)
+    arrival[::2] = 0.3
+
+    def assign(event, interval):
+        def step(live, engine):
+            engine.assign(event, interval)
+            return engine
+        return step
+
+    def rival_at_scheduled(live, engine):
+        engine.apply_delta(
+            live.add_competing(
+                CompetingEvent(index=live.n_competing, interval=1), rival
+            )
+        )
+        return engine
+
+    def drift_scheduled(live, engine):
+        engine.apply_delta(live.replace_event_interest(3, drift))
+        return engine
+
+    def arrive(live, engine):
+        engine.apply_delta(
+            live.add_event(
+                CandidateEvent(
+                    index=live.n_events, location=7, required_resources=1.0
+                ),
+                arrival,
+            )
+        )
+        engine.assign(live.n_events - 1, 2)
+        return engine
+
+    def cancel(live, engine):
+        engine.unassign(0)
+        engine.apply_delta(live.remove_event(0))
+        return engine
+
+    def clone(live, engine):
+        return engine.clone()
+
+    def reset(live, engine):
+        engine.reset()
+        return engine
+
+    return [
+        ("assign", assign(0, 1)),
+        ("assign", assign(3, 1)),
+        ("assign", assign(5, 2)),
+        ("rival", rival_at_scheduled),
+        ("drift", drift_scheduled),
+        ("arrival", arrive),
+        ("cancel", cancel),
+        ("clone", clone),
+        ("assign", assign(1, 1)),
+        ("reset", reset),
+        ("assign", assign(2, 0)),
+        ("assign", assign(4, 0)),
+    ]
+
+
+def _play(steps, read_each_step=False):
+    live = LiveInstance(
+        make_random_instance(
+            seed=66, n_users=37, n_events=8, n_intervals=4, n_competing=5
+        )
+    )
+    engine = SparseEngine(live)
+    for _, step in steps:
+        engine = step(live, engine)
+        if read_each_step:
+            engine.total_utility()
+    return engine
+
+
+def _utility_bits(engine):
+    return [float(engine.interval_utility(t)).hex() for t in range(4)] + [
+        float(engine.total_utility()).hex()
+    ]
+
+
+@pytest.mark.parametrize("fraction", [SparseEngine.DENSIFY_FRACTION, 1.0])
+class TestUtilityCache:
+    """``interval_utility`` is cached per interval and dropped by every
+    write that changes the interval, so an engine read after every step
+    answers what an engine that never read does, bit for bit."""
+
+    def test_every_step_keeps_utilities_fresh(self, fraction, monkeypatch):
+        monkeypatch.setattr(SparseEngine, "DENSIFY_FRACTION", fraction)
+        steps = _cache_steps()
+        for stop in range(1, len(steps) + 1):
+            cached = _play(steps[:stop], read_each_step=True)
+            fresh = _play(steps[:stop])
+            assert _utility_bits(cached) == _utility_bits(fresh), steps[stop - 1][0]
+
+    def test_reads_fill_the_cache_and_writes_drop_it(self, fraction, monkeypatch):
+        monkeypatch.setattr(SparseEngine, "DENSIFY_FRACTION", fraction)
+        engine = _play(_cache_steps()[:3])
+        engine.total_utility()
+        assert set(engine._utilities) == {1, 2}
+        engine.assign(6, 2)
+        assert set(engine._utilities) == {1}
+        assert engine.clone()._utilities == engine._utilities
+        engine.reset()
+        assert engine._utilities == {}
+
+    def test_restore_drops_the_cached_utilities(self, fraction, monkeypatch):
+        """A restore replaces every ``M_t`` wholesale, so utilities read
+        before it must not survive it: here the replaced masses hold
+        other events at the same intervals."""
+        monkeypatch.setattr(SparseEngine, "DENSIFY_FRACTION", fraction)
+        engine = history_engine()
+        other = SparseEngine(engine.instance)
+        other.assign(1, 1)
+        other.assign(2, 2)
+        assert _utility_bits(other) != _utility_bits(engine)
+        other.restore_mass_state(engine.export_mass_state())
+        assert _utility_bits(other) == _utility_bits(engine)
