@@ -245,7 +245,6 @@ class IncrementalScheduler:
         required_resources: float,
         interest_column: np.ndarray,
         name: str = "",
-        tags: frozenset[str] = frozenset(),
         *,
         maintain: bool = True,
     ) -> int:
@@ -256,9 +255,7 @@ class IncrementalScheduler:
         whenever swapping strictly improves total utility.  With
         ``maintain=False`` the event is only registered.
         """
-        event = arrival_event(
-            self._live, location, required_resources, name, tags
-        )
+        event = arrival_event(self._live, location, required_resources, name)
         delta = self._live.add_event(event, interest_column)
         self._ingest(delta)
         if maintain:

@@ -42,8 +42,10 @@ HOT_PATH_MODULES = (
     # instance from the base instance and the journal prefix) lives in
     # resilience/base.py, off this list
     "resilience/stream.py",
-    "resilience/serve.py",
     "resilience/journal.py",
+    # every change op's structural step (ChangeOp.apply_structure) runs
+    # on each serving write and each recovery replay
+    "stream/trace.py",
 )
 
 

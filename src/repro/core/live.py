@@ -225,7 +225,8 @@ class LiveInterest:
         return len(self._competing_entries)
 
     # -- validation -----------------------------------------------------
-    def _as_column(self, column: Any) -> np.ndarray:
+    def check_column(self, column: Any) -> np.ndarray:
+        """``column`` as a float ``(n_users,)`` array of values in [0, 1]."""
         column = np.asarray(column, dtype=float)
         if column.shape != (self._n_users,):
             raise InstanceValidationError(
@@ -298,7 +299,7 @@ class LiveInterest:
 
     # -- mutators (O(delta)) --------------------------------------------
     def append_event(self, column: Any) -> tuple[np.ndarray, np.ndarray]:
-        entries = _entries_of(self._as_column(column))
+        entries = _entries_of(self.check_column(column))
         self._event_entries.append(entries)
         self._frozen_events = None
         return entries
@@ -311,14 +312,14 @@ class LiveInterest:
         self, event: int, column: Any
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Swap one candidate column; returns old and new entries."""
-        rows, values = _entries_of(self._as_column(column))
+        rows, values = _entries_of(self.check_column(column))
         old_rows, old_values = self._event_entries[event]
         self._event_entries[event] = (rows, values)
         self._frozen_events = None
         return old_rows, old_values, rows, values
 
     def append_competing(self, column: Any) -> tuple[np.ndarray, np.ndarray]:
-        entries = _entries_of(self._as_column(column))
+        entries = _entries_of(self.check_column(column))
         self._competing_entries.append(entries)
         self._frozen_competing = None
         return entries
@@ -581,17 +582,14 @@ class LiveInstance:
 
 
 def arrival_event(
-    live: LiveInstance,
-    location: int,
-    required_resources: float,
-    name: str = "",
-    tags: frozenset[str] = frozenset(),
+    live: LiveInstance, location: int, required_resources: float, name: str = ""
 ) -> CandidateEvent:
-    """The candidate event a streaming arrival appends to ``live``.
+    """The candidate event an arrival appends to ``live``.
 
     It takes the next free index, and an unnamed arrival is called
-    ``arrival-<index>``.  The live scheduler and the recovery replay of
-    a journal both build arrivals here, so the two agree field for field.
+    ``arrival-<index>``.  The live scheduler, a serving session's writer
+    and the recovery replay of a journal all build arrivals here, so
+    they agree field for field.
     """
     index = live.n_events
     return CandidateEvent(
@@ -599,7 +597,6 @@ def arrival_event(
         location=location,
         required_resources=required_resources,
         name=name or f"arrival-{index}",
-        tags=tags,
     )
 
 

@@ -14,10 +14,15 @@ replay and a :class:`~repro.serve.ServingSession` — share one core:
 * :class:`DurableWriter` — the one commit path: apply -> journal ->
   ack, a journal sync before every checkpoint, a checkpoint every
   ``checkpoint_every`` records.
+* One record vocabulary: both kinds journal each change as the stream's
+  change op (:class:`~repro.stream.trace.ChangeOp`, interest as sparse
+  entries) under ``"op"``; a stream record adds the driver's
+  observation of it.
 * :func:`repro.resilience.base.recover_session` — the one recovery
   routine: the newest checkpoint the journal covers that restores
   cleanly, over the instance derived from the base and the journal
-  prefix, then journal-tail replay through the session's normal path;
+  prefix (each op's :meth:`~repro.stream.trace.ChangeOp.apply_structure`),
+  then journal-tail replay through the session's normal path;
   older checkpoints are the fallback, and a recovery that finds none
   names why each was skipped.  :func:`recover` (streams) and
   ``ServingSession.recover`` run it, and a recovered session is

@@ -9,15 +9,18 @@ the newest checkpoint the surviving journal covers that restores
 cleanly wins, older ones are the fallback, and the recovered session
 equals an uninterrupted one after the same journaled records.
 
-The instance a session was bound on is written once, as
+Both kinds journal the same records: each carries one change op
+(:mod:`repro.stream.trace`) under ``"op"``, in its
+:meth:`~repro.stream.trace.ChangeOp.to_dict` form, interest as sparse
+entries.  The instance a session was bound on is written once, as
 ``instance.npz``, and the journal header stamps its byte length and
 CRC32; checkpoints carry no instance.  Recovery verifies the base once,
-then derives the instance at a checkpoint's offset by applying the
-journal prefix to a :class:`~repro.core.live.LiveInstance` through the
-mutators the live session used — structure only — and freezes the
-result once.  This module sits outside the per-op modules the
-``freeze-ban`` lint rule guards: that freeze is the only one a durable
-session pays.
+then derives the instance at a checkpoint's offset by applying each
+prefix record's :meth:`~repro.stream.trace.ChangeOp.apply_structure` to
+a :class:`~repro.core.live.LiveInstance` — the structural step the live
+session took, with no scheduling — and freezes the result once.  This
+module sits outside the per-op modules the ``freeze-ban`` lint rule
+guards: that freeze is the only one a durable session pays.
 """
 
 from __future__ import annotations
@@ -35,8 +38,15 @@ from repro.data.serialization import load_instance_npz, save_instance_npz
 from repro.resilience.checkpoint import CHECKPOINT_FORMAT, CheckpointStore
 from repro.resilience.config import Durability
 from repro.resilience.journal import DeltaJournal, DurableWriter, JournalScan
+from repro.stream.trace import ChangeOp
 
-__all__ = ["begin_session", "derive_instance", "load_base", "recover_session"]
+__all__ = [
+    "begin_session",
+    "derive_instance",
+    "journal_op",
+    "load_base",
+    "recover_session",
+]
 
 #: A snapshot of a session's state after ``offset`` records: a checkpoint body.
 Snapshot = Callable[[int], dict[str, Any]]
@@ -82,7 +92,6 @@ def begin_session(
 def recover_session(
     config: Durability,
     kind: str,
-    apply: Callable[[LiveInstance, dict[str, Any]], object],
     restorer: Callable[[JournalScan], Restore],
 ) -> tuple[Any, int, DurableWriter, JournalScan]:
     """Re-open the durable ``kind`` session a crash left in ``config``'s directory.
@@ -91,7 +100,7 @@ def recover_session(
     verifies the base instance.  ``restorer(scan)`` decodes what the
     caller needs from the journal (a failure there is fatal) and returns
     its :data:`Restore` step.  Checkpoints the journal covers are tried
-    newest-first: each one's instance is derived with ``apply``
+    newest-first: each one's instance is derived from the journal prefix
     (:func:`derive_instance`) and the restore step runs on it.  A
     damaged checkpoint (or one of another format), one of another kind,
     or a restore step raising :class:`RecoveryError` falls back to the
@@ -128,7 +137,7 @@ def recover_session(
                 )
                 continue
             instance = derive_instance(
-                base, scan.records[:offset], apply, config.journal_path
+                base, scan.records[:offset], config.journal_path
             )
             try:
                 session, snapshot = restore(offset, body, instance)
@@ -181,23 +190,37 @@ def load_base(config: Durability, metadata: dict[str, Any]) -> SESInstance:
     return load_instance_npz(io.BytesIO(raw))
 
 
+def journal_op(record: dict[str, Any], index: int, journal: Path) -> ChangeOp:
+    """The change op journal record ``index`` carries.
+
+    A record of any other shape, such as the dense serving records of
+    builds before serving sessions journaled change ops, raises
+    :class:`RecoveryError` naming ``journal`` and ``index``.
+    """
+    try:
+        return ChangeOp.from_dict(record["op"])
+    except (ValueError, KeyError, TypeError) as error:
+        raise RecoveryError(
+            f"journal {journal} record {index} holds no change op this "
+            f"build can decode: {error!r}"
+        ) from error
+
+
 def derive_instance(
-    base: SESInstance,
-    records: Sequence[dict[str, Any]],
-    apply: Callable[[LiveInstance, dict[str, Any]], object],
-    journal: Path,
+    base: SESInstance, records: Sequence[dict[str, Any]], journal: Path
 ) -> SESInstance:
     """The instance after the journal prefix ``records``, derived from ``base``.
 
-    ``apply`` makes each record's structural change to one
-    :class:`LiveInstance`; the result is frozen once.  A record that
-    does not apply raises :class:`RecoveryError` naming ``journal`` and
-    the record's index.
+    Each record's op makes its structural change to one
+    :class:`LiveInstance` (:meth:`ChangeOp.apply_structure`); the result
+    is frozen once.  A record that does not decode or apply raises
+    :class:`RecoveryError` naming ``journal`` and the record's index.
     """
     live = LiveInstance(base)
-    for index, payload in enumerate(records):
+    for index, record in enumerate(records):
+        op = journal_op(record, index, journal)
         try:
-            apply(live, payload)
+            op.apply_structure(live)
         except (SESError, ValueError, KeyError, TypeError, IndexError) as error:
             raise RecoveryError(
                 f"journal {journal} record {index} does not apply to the "

@@ -33,7 +33,6 @@ from typing import Any
 from repro.core.engine import ENGINE_KINDS, EngineSpec
 from repro.core.errors import RecoveryError
 from repro.core.instance import SESInstance
-from repro.core.live import LiveInstance, arrival_event, rival_event
 from repro.interactive.locks import LockSet
 from repro.resilience.base import (
     Restore,
@@ -45,21 +44,9 @@ from repro.resilience.config import Durability
 from repro.resilience.journal import DurableWriter, JournalScan
 from repro.stream.driver import OpRecord, StreamResult, replay_ops
 from repro.stream.policies import MaintenancePolicy, make_policy
-from repro.stream.trace import (
-    AnnounceRival,
-    ArriveCandidate,
-    CancelEvent,
-    ChangeOp,
-    DriftInterest,
-    Trace,
-    column_from_entries,
-)
+from repro.stream.trace import ChangeOp, Trace
 
 __all__ = ["DurableStream", "RecoveredStream", "recover"]
-
-
-#: ``EngineSpec.backend`` values that durable directories may still record.
-_LEGACY_BACKENDS = (None, "dense", "sparse")
 
 
 def engine_spec_to_dict(spec: EngineSpec) -> dict[str, Any]:
@@ -71,19 +58,15 @@ def engine_spec_from_dict(payload: dict[str, Any], journal: Path) -> EngineSpec:
     """Decode the :class:`EngineSpec` a durable session recorded.
 
     Directories outlive the engines that wrote them: a spec this build
-    cannot construct (e.g. a since-removed kind) fails as a
+    cannot construct (e.g. a since-removed kind, or the ``backend`` field
+    specs recorded while ``mu`` had two storages) fails as a
     :class:`RecoveryError` naming ``journal`` and the recorded kind.
-    Specs written while ``mu`` had two storages record a ``backend``
-    field, ``null`` unless set (one of ``_LEGACY_BACKENDS``); it is
-    dropped, since the sparse engine's bits never depended on it.
     """
     if not isinstance(payload, dict):
         raise RecoveryError(
             f"journal {journal} records engine spec {payload!r}, "
             f"not a JSON object"
         )
-    if "backend" in payload and payload["backend"] in _LEGACY_BACKENDS:
-        payload = {key: value for key, value in payload.items() if key != "backend"}
     try:
         return EngineSpec(**payload)
     except (TypeError, ValueError) as error:
@@ -140,32 +123,6 @@ def _op_payload(record: OpRecord, op: ChangeOp) -> dict[str, Any]:
         "regret": record.regret,
         "op": op.to_dict(),
     }
-
-
-def _apply_structure(live: LiveInstance, payload: dict[str, Any]) -> None:
-    """Make one journaled op's structural change to ``live``.
-
-    The same :class:`LiveInstance` mutators and entity constructors the
-    live scheduler uses, without its scheduling.  A budget raise changes
-    no structure (checkpoints carry ``k``).
-    """
-    op = ChangeOp.from_dict(payload["op"])
-    if isinstance(op, ArriveCandidate):
-        live.add_event(
-            arrival_event(live, op.location, op.required_resources, op.name),
-            column_from_entries(op.interest, live.n_users),
-        )
-    elif isinstance(op, CancelEvent):
-        live.remove_event(op.event)
-    elif isinstance(op, AnnounceRival):
-        live.add_competing(
-            rival_event(live, op.interval, op.name),
-            column_from_entries(op.interest, live.n_users),
-        )
-    elif isinstance(op, DriftInterest):
-        live.replace_event_interest(
-            op.event, column_from_entries(op.interest, live.n_users)
-        )
 
 
 def _record_from_payload(payload: dict[str, Any]) -> OpRecord:
@@ -336,7 +293,7 @@ def recover(source: Durability | str) -> "RecoveredStream":
         return functools.partial(_restore_checkpoint, scan=scan, engine=engine)
 
     policy, checkpoint_offset, writer, scan = recover_session(
-        config, "stream", _apply_structure, restorer
+        config, "stream", restorer
     )
     return RecoveredStream(
         writer=writer,

@@ -16,7 +16,8 @@ servers (pretalx is the reference in PAPERS.md):
   :class:`repro.api.session.BaseSession`, the base
   :class:`~repro.api.ScheduleSession` shares, and adds only its read
   hook (pool leases and version snapshots), deadline-aware solves, the
-  mutators, durability and the pool accessors.  (``repro.serve``
+  mutators (each commits the stream's change op for its change),
+  durability and the pool accessors.  (``repro.serve``
   imports ``repro.api``, never the reverse.)
 
 The load-bearing guarantees, all differential-tested: a forked replica's

@@ -18,11 +18,14 @@ what concurrent serving over an evolving instance needs:
 * **lease bounds and the deadline floor** of :meth:`ServingSession.solve`;
 * **single-writer mutations** — :meth:`add_event`,
   :meth:`cancel_event`, :meth:`update_event_interest` and
-  :meth:`add_competing` route through :meth:`PlanePool.write`, which
-  applies the change under the pool's writer lock, patches every warm
-  primary in O(delta), and bumps the generation so outstanding replicas
-  are invalidated on return — never silently reused;
-* **durability** — journaled commits and :meth:`ServingSession.recover`.
+  :meth:`add_competing` each check their input and build the stream's
+  change op for it (:mod:`repro.stream.trace`), then commit the op's
+  structural step through :meth:`PlanePool.write`, which applies it
+  under the pool's writer lock, patches every warm primary in O(delta),
+  and bumps the generation so outstanding replicas are invalidated on
+  return — never silently reused;
+* **durability** — journaled commits (the op's own record, as a stream
+  journals it) and :meth:`ServingSession.recover`.
 
 Every response is stamped with the generation it was computed at
 (:attr:`ServedResponse.version`), mirroring pretalx's versioned-schedule
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -42,63 +46,32 @@ from repro.algorithms.registry import SolverRegistry
 from repro.api.requests import SolveRequest, SolveResponse
 from repro.api.session import BaseSession
 from repro.core.engine import EngineSpec
-from repro.core.entities import CandidateEvent, CompetingEvent
-from repro.core.errors import DeadlineExceeded
+from repro.core.errors import DeadlineExceeded, UnknownEntityError
 from repro.core.instance import SESInstance
-from repro.core.live import LiveDelta, LiveInstance
+from repro.core.live import LiveInstance
 from repro.core.schedule import Schedule
 from repro.serve.pool import PlanePool, PoolStats, check_bound
+from repro.stream.trace import (
+    AnnounceRival,
+    ArriveCandidate,
+    CancelEvent,
+    ChangeOp,
+    DriftInterest,
+    Entries,
+    entries_from_column,
+)
 
 if TYPE_CHECKING:
     from repro.resilience.base import Restore, Snapshot
     from repro.resilience.journal import DurableWriter, JournalScan
 
-__all__ = ["ServedResponse", "ServingSession", "STRUCTURAL_MUTATIONS"]
-
-
-def _add_event(
-    live: LiveInstance,
-    location: int,
-    required_resources: float,
-    interest_column: Any,
-    name: str = "",
-    tags: frozenset[str] = frozenset(),
-) -> LiveDelta:
-    """Structural change of :meth:`ServingSession.add_event`."""
-    event = CandidateEvent(
-        index=live.n_events,
-        location=location,
-        required_resources=required_resources,
-        name=name,
-        tags=tags,
-    )
-    return live.add_event(event, interest_column)
-
-
-def _add_competing(
-    live: LiveInstance, interval: int, interest_column: Any, name: str = ""
-) -> LiveDelta:
-    """Structural change of :meth:`ServingSession.add_competing`."""
-    rival = CompetingEvent(index=live.n_competing, interval=interval, name=name)
-    return live.add_competing(rival, interest_column)
+__all__ = ["ServedResponse", "ServingSession"]
 
 
 def _checkpoint_body(pool: PlanePool, offset: int) -> dict[str, Any]:
     """A durable session's checkpoint: the pool generation.  The instance
     is not in it — recovery derives it from the base and the journal."""
     return {"kind": "serve", "offset": offset, "generation": pool.generation}
-
-
-#: The structural change each mutator makes to the live instance, keyed
-#: by its journal record kind: what the pool writer commits, and what
-#: recovery applies to the base instance to derive a checkpoint's
-#: instance (:func:`repro.resilience.serve.apply_structure`).
-STRUCTURAL_MUTATIONS = {
-    "add_event": _add_event,
-    "cancel_event": LiveInstance.remove_event,
-    "update_event_interest": LiveInstance.replace_event_interest,
-    "add_competing": _add_competing,
-}
 
 
 @dataclass(frozen=True)
@@ -366,29 +339,43 @@ class ServingSession(BaseSession):
             )
 
     # -- the single-writer mutation path ---------------------------------
-    def _commit(
-        self,
-        mutate: Any,
-        payload_fn: Any,
-    ) -> LiveDelta:
-        """Apply one mutation; journal it before acknowledging.
+    def _commit(self, op: ChangeOp) -> Any:
+        """Apply one change op; journal it before acknowledging.
 
-        Non-durable sessions go straight to the pool.  Durable sessions
-        hold the session write lock across [pool write -> journal
-        append], so journal order always equals apply order, and hand
-        the record to the session's
+        The pool writer makes the op's structural change
+        (:meth:`ChangeOp.apply_structure`).  Non-durable sessions go
+        straight to the pool.  Durable sessions build the journal record
+        (the op's own payload, as a stream journals it) before anything
+        is applied, hold the session write lock across [pool write ->
+        journal append], so journal order always equals apply order, and
+        hand the record to the session's
         :class:`~repro.resilience.journal.DurableWriter`, which
         checkpoints when the cadence comes due — the commit protocol
-        durable stream replays share.  CONTRIBUTING requires every new
-        mutator to route through here: an un-journaled mutation is
-        unrecoverable by construction.
+        durable stream replays share.  Every mutator, and recovery's
+        tail replay, commits through here: an un-journaled mutation is
+        unrecoverable by construction.  Serving ops carry ``time=0.0``,
+        since a session has no stream clock.  Returns the op's
+        :class:`LiveDelta`.
         """
         if self._writer is None:
-            return self._pool.write(mutate)
+            return self._pool.write(op.apply_structure)  # type: ignore[arg-type]
+        record = {"op": op.to_dict()}
         with self._write_lock:
-            delta = self._pool.write(mutate)
-            self._writer.append(payload_fn())
+            delta = self._pool.write(op.apply_structure)  # type: ignore[arg-type]
+            self._writer.append(record)
             return delta
+
+    def _entries(self, interest_column: Any) -> Entries:
+        """The sparse entries of one dense interest column, checked first
+        (shape, NaN, range) exactly as the live instance checks it."""
+        return entries_from_column(self._live.interest.check_column(interest_column))
+
+    def _event(self, event: int) -> int:
+        """``event`` as a live candidate-event index."""
+        index = operator.index(event)
+        if not 0 <= index < self._live.n_events:
+            raise UnknownEntityError(f"no candidate event {event}")
+        return index
 
     def add_event(
         self,
@@ -396,80 +383,48 @@ class ServingSession(BaseSession):
         required_resources: float,
         interest_column: Any,
         name: str = "",
-        tags: frozenset[str] = frozenset(),
     ) -> int:
         """Commit a candidate-event arrival; returns its index.
 
         Applied under the writer lock: primaries absorb the delta in
         O(delta), the generation bumps, outstanding replicas invalidate.
+        An unnamed arrival is called ``arrival-<index>``, as in a stream.
         """
-        def mutate(live: LiveInstance) -> LiveDelta:
-            return _add_event(
-                live, location, required_resources, interest_column, name,
-                tags,
-            )
-
-        def payload() -> dict[str, Any]:
-            from repro.resilience.serve import column_payload
-
-            return {
-                "kind": "add_event",
-                "location": int(location),
-                "required_resources": float(required_resources),
-                "interest": column_payload(interest_column),
-                "name": str(name),
-                "tags": sorted(tags),
-            }
-
-        delta = self._commit(mutate, payload)
-        return delta.event  # type: ignore[attr-defined]
+        op = ArriveCandidate(
+            0.0,
+            location=int(location),
+            required_resources=float(required_resources),
+            interest=self._entries(interest_column),
+            name=str(name),
+        )
+        return self._commit(op).event
 
     def cancel_event(self, event: int) -> int:
         """Commit a candidate-event cancellation (later events renumber)."""
-        def mutate(live: LiveInstance) -> LiveDelta:
-            return live.remove_event(event)
-
-        delta = self._commit(
-            mutate, lambda: {"kind": "cancel_event", "event": int(event)}
-        )
-        return delta.event  # type: ignore[attr-defined]
+        return self._commit(CancelEvent(0.0, event=self._event(event))).event
 
     def update_event_interest(self, event: int, interest_column: Any) -> int:
         """Commit an interest-drift update for one candidate event."""
-        def mutate(live: LiveInstance) -> LiveDelta:
-            return live.replace_event_interest(event, interest_column)
-
-        def payload() -> dict[str, Any]:
-            from repro.resilience.serve import column_payload
-
-            return {
-                "kind": "update_event_interest",
-                "event": int(event),
-                "interest": column_payload(interest_column),
-            }
-
-        delta = self._commit(mutate, payload)
-        return delta.event  # type: ignore[attr-defined]
+        op = DriftInterest(
+            0.0, event=self._event(event), interest=self._entries(interest_column)
+        )
+        return self._commit(op).event
 
     def add_competing(
         self, interval: int, interest_column: Any, name: str = ""
     ) -> int:
-        """Commit a rival-event announcement; returns its index."""
-        def mutate(live: LiveInstance) -> LiveDelta:
-            return _add_competing(live, interval, interest_column, name)
+        """Commit a rival-event announcement; returns its index.
 
-        def payload() -> dict[str, Any]:
-            from repro.resilience.serve import column_payload
-
-            return {
-                "kind": "add_competing",
-                "interval": int(interval),
-                "interest": column_payload(interest_column),
-                "name": str(name),
-            }
-
-        delta = self._commit(mutate, payload)
-        return delta.competing  # type: ignore[attr-defined]
+        An unnamed rival is called ``rival-arrival-<index>``, as in a
+        stream.
+        """
+        op = AnnounceRival(
+            0.0,
+            interval=int(interval),
+            interest=self._entries(interest_column),
+            name=str(name),
+        )
+        return self._commit(op).competing
 
     # -- durability ------------------------------------------------------
     @property
@@ -500,17 +455,20 @@ class ServingSession(BaseSession):
         Runs :func:`~repro.resilience.base.recover_session` with the
         serving restore step: a session over the instance derived at the
         checkpoint's offset, at the checkpointed generation, replays the
-        journal tail through the normal mutators.  A damaged checkpoint
-        falls back to the next older one, exactly as a stream's does.
+        journal tail's change ops through :meth:`_commit`, as the
+        original calls committed them.  A damaged checkpoint falls back
+        to the next older one, exactly as a stream's does; a record that
+        holds no change op (such as the dense records of builds before
+        serving sessions journaled ops) fails recovery with a
+        :class:`~repro.core.errors.RecoveryError` naming it.
         The recovered session's generation, live state and plane
         contents are bit-identical to an uninterrupted session's, and it
         keeps journaling into the same WAL.  Serving-process config
         (engine, replicas, fault plan) is not state and is passed fresh;
         without ``default_engine`` the journaled engine is rebuilt.
         """
-        from repro.resilience.base import recover_session
+        from repro.resilience.base import journal_op, recover_session
         from repro.resilience.config import Durability
-        from repro.resilience.serve import apply_structure, replay_mutation
         from repro.resilience.stream import engine_spec_from_dict
 
         config = (
@@ -538,15 +496,13 @@ class ServingSession(BaseSession):
                     keep_stale_replica=keep_stale_replica,
                     generation=int(body["generation"]),
                 )
-                for payload in scan.records[offset:]:
-                    replay_mutation(session, payload)
+                for index, record in enumerate(scan.records[offset:], offset):
+                    session._commit(journal_op(record, index, config.journal_path))
                 return session, functools.partial(_checkpoint_body, session._pool)
 
             return restore
 
-        session, _, writer, _ = recover_session(
-            config, "serve", apply_structure, restorer
-        )
+        session, _, writer, _ = recover_session(config, "serve", restorer)
         # re-arm durability on the surviving WAL: future mutations append
         # where the journal left off
         session._writer = writer

@@ -1,11 +1,21 @@
-"""The streaming trace model: frozen, timestamped change operations.
+"""The change-op vocabulary: frozen, timestamped change operations.
 
-A *trace* is the unit of replay for the streaming subsystem: an ordered
-tuple of change ops — candidate arrivals, cancellations, rival
-announcements, interest drift, budget raises — each stamped with a
-monotonically non-decreasing ``time``.  Ops are frozen dataclasses, so a
-trace can be shared between policies, replayed repeatedly, and hashed
-into experiment records without aliasing surprises.
+Every change this repo applies between solves is one op: a candidate
+arrival, a cancellation, a rival announcement, interest drift or a
+budget raise.  A *trace* is the unit of replay for the streaming
+subsystem: an ordered tuple of ops, each stamped with a monotonically
+non-decreasing ``time``.  Ops are frozen dataclasses, so a trace can be
+shared between policies, replayed repeatedly, and hashed into experiment
+records without aliasing surprises.
+
+Each op makes its change to the instance in one place,
+:meth:`ChangeOp.apply_structure`.  A stream applies it inside the
+incremental scheduler (:meth:`ChangeOp.apply`, which also maintains the
+schedule); a :class:`~repro.serve.ServingSession` builds the op its
+mutator names and commits ``op.apply_structure`` through its pool
+writer; and recovery derives a checkpoint's instance by applying the
+journaled ops' structure to the base instance.  Both durable session
+kinds journal an op as its :meth:`ChangeOp.to_dict` payload.
 
 Interest payloads are stored as sparse ``(user, value)`` entry tuples,
 never dense vectors: a Meetup-scale arrival touches a few hundred of
@@ -37,6 +47,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 import numpy as np
 
 from repro.core.errors import TraceError
+from repro.core.live import LiveDelta, LiveInstance, arrival_event, rival_event
 from repro.utils.validation import check_budget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -118,6 +129,17 @@ class ChangeOp:
         """Apply this op to a live scheduler (structural + optional upkeep)."""
         raise NotImplementedError
 
+    def apply_structure(self, live: LiveInstance) -> LiveDelta | None:
+        """Make this op's change to ``live`` alone, with no scheduling.
+
+        Returns the :class:`LiveDelta` the mutator produced, or ``None``
+        for an op that changes no structure.  A serving session commits
+        its mutations through this, and recovery derives a checkpoint's
+        instance with it, so both build entities exactly as the live
+        scheduler does.
+        """
+        raise NotImplementedError
+
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         payload: dict[str, Any] = {"op": self.kind}
@@ -177,6 +199,12 @@ class ArriveCandidate(ChangeOp):
             maintain=maintain,
         )
 
+    def apply_structure(self, live: LiveInstance) -> LiveDelta:
+        return live.add_event(
+            arrival_event(live, self.location, self.required_resources, self.name),
+            column_from_entries(self.interest, live.n_users),
+        )
+
 
 @dataclass(frozen=True)
 class CancelEvent(ChangeOp):
@@ -195,6 +223,9 @@ class CancelEvent(ChangeOp):
         self, live: "IncrementalScheduler", *, maintain: bool = True
     ) -> None:
         live.cancel_event(self.event, maintain=maintain)
+
+    def apply_structure(self, live: LiveInstance) -> LiveDelta:
+        return live.remove_event(self.event)
 
     def label(self) -> str:
         return f"{self.kind}:{self.event}"
@@ -230,6 +261,12 @@ class AnnounceRival(ChangeOp):
             maintain=maintain,
         )
 
+    def apply_structure(self, live: LiveInstance) -> LiveDelta:
+        return live.add_competing(
+            rival_event(live, self.interval, self.name),
+            column_from_entries(self.interest, live.n_users),
+        )
+
     def label(self) -> str:
         return f"{self.kind}:t{self.interval}"
 
@@ -258,6 +295,11 @@ class DriftInterest(ChangeOp):
             maintain=maintain,
         )
 
+    def apply_structure(self, live: LiveInstance) -> LiveDelta:
+        return live.replace_event_interest(
+            self.event, column_from_entries(self.interest, live.n_users)
+        )
+
     def label(self) -> str:
         return f"{self.kind}:{self.event}"
 
@@ -281,6 +323,9 @@ class RaiseBudget(ChangeOp):
     ) -> None:
         live.raise_budget(self.new_k, maintain=maintain)
 
+    def apply_structure(self, live: LiveInstance) -> None:
+        return None  # the budget is scheduling state, not structure
+
     def label(self) -> str:
         return f"{self.kind}:{self.new_k}"
 
@@ -295,63 +340,6 @@ _OP_KINDS: dict[str, type[ChangeOp]] = {
         RaiseBudget,
     )
 }
-
-
-class _LiveIndexMap:
-    """Order-statistics map over a growing pool of live entity slots.
-
-    :meth:`Trace.compact`'s live-index simulation needs three queries —
-    bring a slot alive, retire one, and translate between a slot and its
-    current *live index* (its rank among alive slots) — each formerly a
-    ``list.index()``/``list.pop()`` walk, O(n) per cancel and quadratic
-    over churn-heavy traces.  A Fenwick tree over slot-alive flags
-    answers all three in O(log n); slots are handed out in creation
-    order, so rank-by-slot equals position in the old list simulation.
-    """
-
-    __slots__ = ("_tree", "_capacity")
-
-    def __init__(self, alive: int, capacity: int) -> None:
-        self._capacity = capacity
-        self._tree = [0] * (capacity + 1)
-        for slot in range(alive):
-            self.add(slot)
-
-    def add(self, slot: int) -> None:
-        """Mark ``slot`` alive."""
-        index = slot + 1
-        while index <= self._capacity:
-            self._tree[index] += 1
-            index += index & -index
-
-    def remove(self, slot: int) -> None:
-        """Retire an alive ``slot``."""
-        index = slot + 1
-        while index <= self._capacity:
-            self._tree[index] -= 1
-            index += index & -index
-
-    def rank(self, slot: int) -> int:
-        """Live index of an alive ``slot``: alive slots strictly before it."""
-        total = 0
-        index = slot  # prefix sum over tree positions 1..slot = slots < slot
-        while index > 0:
-            total += self._tree[index]
-            index -= index & -index
-        return total
-
-    def select(self, live_index: int) -> int:
-        """The slot currently at ``live_index`` (inverse of :meth:`rank`)."""
-        position = 0
-        remaining = live_index + 1
-        step = 1 << self._capacity.bit_length()
-        while step:
-            probe = position + step
-            if probe <= self._capacity and self._tree[probe] < remaining:
-                position = probe
-                remaining -= self._tree[probe]
-            step >>= 1
-        return position  # tree position -> 0-indexed slot
 
 
 @dataclass(frozen=True)
@@ -467,117 +455,6 @@ class Trace:
                         f"events to shrink)"
                     )
                 k = op.new_k
-
-    def compact(self) -> "Trace":
-        """Rewrite this trace into an equivalent, usually shorter one.
-
-        Long-lived streams accumulate dead weight: candidates that
-        arrive only to be cancelled later, bursts of consecutive drifts
-        on the same event, staircases of budget raises.  Compaction
-        applies three rewrites:
-
-        * **cancelled arrivals are dropped** — an :class:`ArriveCandidate`
-          whose event is cancelled later in the trace vanishes along
-          with every op targeting it (drifts) and the cancel itself;
-          live-index references in surviving ops are renumbered to the
-          compacted index space (cancels of *pre-existing* events are
-          kept — they change the final state);
-        * **consecutive drifts coalesce** — immediately adjacent
-          :class:`DriftInterest` ops on the same live event keep only
-          the last column;
-        * **consecutive budget raises coalesce** — immediately adjacent
-          :class:`RaiseBudget` ops keep only the final budget (greedy
-          fill to ``k1`` then ``k2`` is the same pick sequence as
-          filling straight to ``k2``).
-
-        The compacted trace reaches the *same final instance state*
-        (entities, interest columns, rivals, budget) in the same event
-        index order, so an end-of-stream batch re-solve — and hence the
-        ``periodic-rebuild`` policy — lands on the identical final
-        schedule; the replay-equivalence suite additionally pins the
-        incremental and hybrid trajectories on seeded streams.  Requires
-        ``n_events`` (the live-index simulation needs the starting pool
-        size); the result is fully re-validated.
-        """
-        if self.n_events is None:
-            raise TraceError(
-                "compact() needs n_events to simulate live event indices"
-            )
-        # entity ids double as slots: original live pool gets 0..n-1,
-        # then one sequential id per arrival — creation order, so the
-        # order-statistics maps below rank entities exactly like the
-        # list simulation this replaced (O(n) index/pop scans per
-        # cancel made compaction quadratic on churn-heavy traces)
-        total_arrivals = sum(
-            1 for op in self.ops if isinstance(op, ArriveCandidate)
-        )
-        cancelled_arrivals: set[int] = set()
-        # pass 1: find arrivals that are cancelled later in the trace
-        pool = _LiveIndexMap(self.n_events, self.n_events + total_arrivals)
-        probe = self.n_events
-        for op in self.ops:
-            if isinstance(op, ArriveCandidate):
-                pool.add(probe)
-                probe += 1
-            elif isinstance(op, CancelEvent):
-                victim = pool.select(op.event)
-                pool.remove(victim)
-                if victim >= self.n_events:
-                    cancelled_arrivals.add(victim)
-        # pass 2: emit surviving ops against the compacted live pool
-        alive = _LiveIndexMap(self.n_events, self.n_events + total_arrivals)
-        compact_pool = _LiveIndexMap(
-            self.n_events,
-            self.n_events + total_arrivals - len(cancelled_arrivals),
-        )
-        # surviving arrivals get fresh compact slots; original-pool
-        # entities keep their own id as slot in both index spaces
-        compact_slot: dict[int, int] = {}
-        next_id = self.n_events
-        next_compact_slot = self.n_events
-        kept: list[ChangeOp] = []
-        for op in self.ops:
-            if isinstance(op, ArriveCandidate):
-                entity, next_id = next_id, next_id + 1
-                alive.add(entity)
-                if entity in cancelled_arrivals:
-                    continue
-                compact_slot[entity] = next_compact_slot
-                compact_pool.add(next_compact_slot)
-                next_compact_slot += 1
-                kept.append(op)
-            elif isinstance(op, CancelEvent):
-                entity = alive.select(op.event)
-                alive.remove(entity)
-                if entity in cancelled_arrivals:
-                    continue
-                slot = compact_slot.get(entity, entity)
-                index = compact_pool.rank(slot)
-                compact_pool.remove(slot)
-                kept.append(replace(op, event=index))
-            elif isinstance(op, DriftInterest):
-                entity = alive.select(op.event)
-                if entity in cancelled_arrivals:
-                    continue
-                index = compact_pool.rank(compact_slot.get(entity, entity))
-                remapped = replace(op, event=index)
-                if (
-                    kept
-                    and isinstance(kept[-1], DriftInterest)
-                    and kept[-1].event == index
-                ):
-                    kept[-1] = remapped  # coalesce: the last column wins
-                else:
-                    kept.append(remapped)
-            elif isinstance(op, RaiseBudget):
-                if kept and isinstance(kept[-1], RaiseBudget):
-                    kept[-1] = op  # coalesce: the final budget wins
-                else:
-                    kept.append(op)
-            else:
-                kept.append(op)
-        compacted = replace(self, ops=tuple(kept))
-        return compacted
 
     def append(self, op: ChangeOp) -> "Trace":
         """A copy with ``op`` appended, fully re-validated.

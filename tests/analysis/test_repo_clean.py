@@ -145,6 +145,20 @@ class TestServeHotPathCoverage:
         result = run_lint([bad], resolve_rules(["freeze-ban"]))
         assert rules_of(result) == ["freeze-ban"]
 
+    def test_change_op_structure_is_in_freeze_ban_scope(self, tmp_path):
+        # ChangeOp.apply_structure runs on every serving write and every
+        # recovery replay: a .freeze() in a file at its module's path
+        # must fire
+        from repro.stream.trace import ChangeOp
+
+        module = Path(inspect.getfile(ChangeOp))
+        target = tmp_path / module.parent.name
+        target.mkdir()
+        bad = target / module.name
+        bad.write_text("def peek(live):\n    return live.freeze()\n")
+        result = run_lint([bad], resolve_rules(["freeze-ban"]))
+        assert rules_of(result) == ["freeze-ban"]
+
     def test_shared_session_methods_are_in_both_hot_path_scopes(
         self, tmp_path
     ):

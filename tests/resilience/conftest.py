@@ -63,7 +63,7 @@ ENGINE = EngineSpec()
 
 def restamp_engine(durability, **fields) -> None:
     """Re-stamp a durability directory's recorded engine spec with
-    ``fields`` (e.g. ``kind="vectorized"`` or ``backend=None``).
+    ``fields`` (e.g. ``kind="vectorized"``).
 
     Rewrites the journal header and every checkpoint body that records
     an engine, keeping all records byte-for-byte otherwise — the shape
@@ -139,7 +139,6 @@ def mutate_serving(session, n: int, seed: int = 0) -> None:
                 required_resources=float(rng.uniform(1.0, 2.0)),
                 interest_column=column,
                 name=f"evt-{index}",
-                tags=frozenset({"late"}),
             )
         elif kind == 1:
             session.add_competing(

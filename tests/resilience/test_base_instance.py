@@ -19,7 +19,6 @@ from repro.core.errors import JournalError, RecoveryError
 from repro.data.serialization import instance_to_dict, load_instance_npz
 from repro.resilience import CheckpointStore, DeltaJournal, Durability, recover
 from repro.resilience.base import derive_instance, load_base
-from repro.resilience.stream import _apply_structure
 from repro.serve import ServingSession
 from repro.stream import StreamDriver
 from repro.stream.policies import make_policy
@@ -230,11 +229,8 @@ class TestTypedFailures:
     def test_prefix_record_that_does_not_apply(self, kind, tmp_path):
         durability = _crashed(kind, tmp_path)
         records = DeltaJournal.scan(durability.journal_path).records
-        if kind == "stream":
-            op = {"op": "cancel", "time": records[2]["op"]["time"], "event": 999}
-            records[2] = dict(records[2], op=op)
-        else:
-            records[2] = {"kind": "cancel_event", "event": 999}
+        op = {"op": "cancel", "time": records[2]["op"]["time"], "event": 999}
+        records[2] = dict(records[2], op=op)
         rewrite_journal(durability, records=records)
         message = _recover_error(kind, durability)
         assert str(durability.journal_path) in message
@@ -280,8 +276,7 @@ class TestDerivedInstance:
         base = load_base(durability, scan.metadata)
         for offset in offsets:
             derived = derive_instance(
-                base, scan.records[:offset], _apply_structure,
-                durability.journal_path,
+                base, scan.records[:offset], durability.journal_path
             )
             assert_same_instance(derived, expected[offset])
 

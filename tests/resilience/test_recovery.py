@@ -290,6 +290,12 @@ SPECS = {
 UNDECODABLE = {
     "removed-kind": {"kind": "vectorized", "backend": None, "shards": None,
                      "workers": None, "block_users": None},
+    # ``backend`` is the field specs recorded while ``mu`` had two storages
+    "recorded-backend-null": {"kind": "sparse", "backend": None,
+                              "shards": None, "workers": None,
+                              "block_users": None},
+    "recorded-backend-dense": {"kind": "sparse", "backend": "dense"},
+    "recorded-backend-sparse": {"kind": "sparse", "backend": "sparse"},
     "unknown-backend": {"kind": "sparse", "backend": "csr"},
     "sharded-oracle": {"kind": "reference", "shards": 2},
     "unknown-option": {"kind": "sparse", "chunk_elements": 4096},
@@ -307,41 +313,12 @@ class TestEngineSpecCodec:
         payload = json.loads(json.dumps(engine_spec_to_dict(spec)))
         assert engine_spec_from_dict(payload, tmp_path / "journal") == spec
 
-    @pytest.mark.parametrize("backend", [None, "dense", "sparse"])
-    def test_recorded_storage_backend_is_dropped(self, backend, tmp_path):
-        """Specs written while ``mu`` had two storages carry a ``backend``
-        field (``dataclasses.asdict`` wrote ``null`` by default)."""
-        payload = dict(engine_spec_to_dict(EngineSpec()), backend=backend)
-        decoded = engine_spec_from_dict(payload, tmp_path / "journal")
-        assert decoded == EngineSpec()
-
     @pytest.mark.parametrize("name", sorted(UNDECODABLE))
     def test_undecodable_spec_is_a_recovery_error(self, name, tmp_path):
         journal = tmp_path / "journal"
         with pytest.raises(RecoveryError) as info:
             engine_spec_from_dict(UNDECODABLE[name], journal)
         assert str(journal) in str(info.value)
-
-
-class TestLegacyBackendField:
-    """A directory whose journal header and checkpoints record the
-    removed ``EngineSpec.backend`` field still recovers, and resumes bit
-    for bit."""
-
-    @pytest.mark.parametrize("backend", [None, "dense", "sparse"])
-    def test_recovers_and_resumes(self, backend, tmp_path):
-        durability = Durability(tmp_path / "ses", checkpoint_every=4)
-        StreamDriver(
-            golden_instance("dense_a"),
-            policy="incremental",
-            engine=ENGINE,
-            durability=durability,
-        ).run(golden_trace("dense_a"), stop_after=9)
-        restamp_engine(durability, backend=backend)
-        recovered = recover(durability)
-        assert recovered.checkpoint_offset == 8
-        clean = _run_clean("dense_a", "incremental")
-        _assert_identical(clean, recovered.resume(golden_trace("dense_a")))
 
 
 class TestAccumulationDrift:

@@ -23,7 +23,7 @@ from repro.algorithms import (
 )
 from repro.api import EngineSpec, ScheduleSession, solver_registry
 from repro.core.errors import RecoveryError, ScheduleSizeError
-from repro.resilience import Durability, FaultPlan
+from repro.resilience import DeltaJournal, Durability, FaultPlan
 from repro.serve import PlanePool, ServingSession
 
 from tests.conftest import make_random_instance
@@ -380,8 +380,16 @@ class TestDurableSession:
             ServingSession.recover(durability)
         assert str(durability.journal_path) in str(info.value)
 
-    def test_unknown_journal_kind_rejected_on_replay(self):
-        from repro.resilience.serve import replay_mutation
+    def test_unknown_op_kind_rejected_on_replay(self, tmp_path):
+        from tests.resilience.conftest import rewrite_journal
 
-        with pytest.raises(RecoveryError, match="unknown"):
-            replay_mutation(_session(), {"kind": "set_theta"})
+        durability = Durability(tmp_path / "ses", checkpoint_every=8)
+        crashed = _session(durability=durability)
+        mutate_serving(crashed, 3)
+        crashed._writer.abandon()
+        records = DeltaJournal.scan(durability.journal_path).records
+        records[1] = {"op": {"op": "set_theta", "time": 0.0, "theta": 9.0}}
+        rewrite_journal(durability, records=records)
+        with pytest.raises(RecoveryError, match="unknown change-op kind") as info:
+            ServingSession.recover(durability)
+        assert f"{durability.journal_path} record 1 " in str(info.value)
